@@ -9,6 +9,7 @@ topology.
 from dataclasses import dataclass, field
 
 from .errors import ConfigError
+from .network import ring_topology
 
 VALID_ALGORITHMS = ("d-omp", "dc-omp1", "dc-omp1-nbr", "dc-omp2", "s-omp", "mac-omp")
 VALID_TOPOLOGIES = ("complete", "ring", "random")
@@ -149,6 +150,8 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'sigma2': noise variance must be nonnegative")
     if cfg.amp_low > cfg.amp_high:
         raise ConfigError("key 'amp_low': must not exceed amp_high")
+    if cfg.amp_low == 0.0 and cfg.amp_high == 0.0:
+        raise ConfigError("keys 'amp_low', 'amp_high': the range [0, 0] would empty the support")
     if cfg.topology_kind not in VALID_TOPOLOGIES:
         raise ConfigError(
             f"key 'topology': must be one of {', '.join(VALID_TOPOLOGIES)}")
@@ -156,6 +159,13 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'n0': required for ring topology")
     if any(n0 < 1 for n0 in cfg.n0_values):
         raise ConfigError("key 'n0': neighborhood sizes must be positive")
+    if cfg.topology_kind == "ring":
+        for l_count in cfg.l_values:
+            for n0 in cfg.n0_values:
+                try:
+                    ring_topology(l_count, n0)
+                except ValueError as exc:
+                    raise ConfigError(f"keys 'l', 'n0': {exc}") from None
     if cfg.topology_kind == "random":
         if cfg.edge_p is None:
             raise ConfigError("key 'p': required for random topology")

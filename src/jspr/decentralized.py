@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import correlate, ls_residual, omp
+from .greedy import correlate, ls_residual
 from .network import MessageLedger, Topology
 
 
@@ -152,6 +152,7 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
 
         alpha_sets = [None] * l_count
         fused_lists = [None] * l_count
+        updated = [l for l in range(l_count) if active[l]]
         if mode == "full":
             plist = [proposals[l] for l in range(l_count)]
             fused = index_fusion_full(plist, supports[0])
@@ -162,14 +163,10 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
                 alpha_sets[l] = plist
                 fused_lists[l] = admitted
                 supports[l].extend(admitted)
-                iterations[l] = round_no
-                residuals[l] = ls_residual(obs.per_node[l], meas.matrices[l], supports[l])
-                if len(supports[l]) >= k:
-                    active[l] = False
+                active[l] = len(supports[l]) < k
         else:
-            for l in range(l_count):
-                if not active[l]:
-                    continue
+            for l in updated:
+                # a neighbour that finished earlier in this pass is no longer heard
                 received = [proposals[j] for j in topology.adjacency[l] if active[j]]
                 alpha = [proposals[l], *received]
                 fused = index_fusion_neighborhood(proposals[l], received, supports[l])
@@ -178,10 +175,13 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
                 alpha_sets[l] = alpha
                 fused_lists[l] = admitted
                 supports[l].extend(admitted)
-                iterations[l] = round_no
-                residuals[l] = ls_residual(obs.per_node[l], meas.matrices[l], supports[l])
-                if len(supports[l]) >= k:
-                    active[l] = False
+                active[l] = len(supports[l]) < k
+        for size in sorted({len(supports[l]) for l in updated}):   # one call in full mode
+            lanes = [l for l in updated if len(supports[l]) == size]
+            residuals[lanes] = ls_residual(obs.per_node[lanes], meas.matrices[lanes],
+                                           [supports[l] for l in lanes])
+        for l in updated:
+            iterations[l] = round_no
         rounds.append(FusionRound(iteration=round_no, proposals=proposals,
                                   alpha_sets=alpha_sets, fused=fused_lists))
 
@@ -226,8 +226,7 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
         fused = index_fusion_full(proposals, support)
         admitted = _admit(fused, k - len(support), Counter(proposals))
         support.extend(admitted)
-        for l in range(l_count):
-            residuals[l] = ls_residual(obs.per_node[l], meas.matrices[l], support)
+        residuals = ls_residual(obs.per_node, meas.matrices, support)
         rounds.append(FusionRound(iteration=round_no, proposals=proposals,
                                   alpha_sets=[proposals] * l_count,
                                   fused=[admitted] * l_count))
@@ -246,6 +245,24 @@ def majority_vote(estimates, k: int) -> tuple:
     return tuple(sorted(sorted(votes, key=lambda idx: (-votes[idx], idx))[:k]))
 
 
+def _lockstep_omp(ys: np.ndarray, dictionaries: np.ndarray, k: int) -> list:
+    """Independent OMP at every node, run in lockstep: one kernel call per
+    round for all L nodes. Each node masks its own picks; ties go to the
+    smallest index, as in `omp`. Returns L lists of k indices in selection
+    order."""
+    l_count, m = ys.shape
+    if not 1 <= k <= m:
+        raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
+    residuals = ys
+    selected = np.empty((l_count, 0), dtype=np.intp)
+    for _ in range(k):
+        scores = np.abs(np.einsum("lmn,lm->ln", dictionaries, residuals))
+        np.put_along_axis(scores, selected, -np.inf, axis=1)
+        selected = np.column_stack([selected, np.argmax(scores, axis=1)])
+        residuals = ls_residual(ys, dictionaries, selected)
+    return selected.tolist()
+
+
 def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     """No-collaboration baseline: independent per-node OMP, one majority vote.
 
@@ -256,7 +273,8 @@ def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     if topology.node_count != l_count:
         raise ValueError("topology size does not match observation count")
     ledger = MessageLedger(topology)
-    estimates = [omp(obs.per_node[l], meas.matrices[l], k) for l in range(l_count)]
+    estimates = _lockstep_omp(np.asarray(obs.per_node, dtype=float),
+                              np.asarray(meas.matrices, dtype=float), k)
     for l in range(l_count):
         ledger.send_global(l, k)
     fused = majority_vote(estimates, k)

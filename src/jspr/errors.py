@@ -5,7 +5,8 @@ class SingularProjectionError(RuntimeError):
     """Selected dictionary columns are (nearly) linearly dependent.
 
     Raised instead of silently regularizing when the Gram matrix of the
-    selected columns has condition estimate above 1e12 or fails to factor.
+    selected columns has 2-norm condition number above 1e12 or its solve
+    fails.
     """
 
 

@@ -9,7 +9,6 @@ selected so far.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from .errors import SingularProjectionError
 
@@ -33,29 +32,47 @@ def correlate(residual: np.ndarray, dictionary: np.ndarray) -> np.ndarray:
 def ls_residual(y: np.ndarray, dictionary: np.ndarray, selected) -> np.ndarray:
     """y minus its orthogonal projection onto the selected columns.
 
-    Solves the normal equations with a Cholesky factorization; raises
-    SingularProjectionError when the selected columns are (nearly) dependent
-    instead of regularizing.
+    The one least-squares kernel of the package. A single vector `y (M,)`
+    with `dictionary (M, N)` gives an `(M,)` residual. With a leading lane
+    axis, `y (L, M)` and `dictionary (L, M, N)`, every lane l is projected
+    onto its own columns and the result is `(L, M)`; `selected` is then one
+    index list shared by all lanes, or an `(L, s)` array with one row per
+    lane. The lanes' sub-dictionaries, Gram matrices and right-hand sides are
+    each built in one call, and the normal equations of all lanes are solved
+    in one batched `np.linalg.solve` (LAPACK gesv, LU with partial pivoting).
+
+    Before solving, the 2-norm condition number (`np.linalg.cond`, an SVD) of
+    every lane's Gram matrix is checked against GRAM_COND_LIMIT; if any lane
+    exceeds it, SingularProjectionError is raised instead of regularizing.
+    An empty selection returns a copy of y.
     """
-    selected = list(selected)
-    if not selected:
-        return np.array(y, dtype=float, copy=True)
-    sub = dictionary[:, selected]
-    gram = sub.T @ sub
+    ys = np.asarray(y, dtype=float)
+    if ys.ndim == 1:
+        return ls_residual(ys[None, :], np.asarray(dictionary)[None, :, :], selected)[0]
+    dictionaries = np.asarray(dictionary, dtype=float)
+    selected = np.asarray(selected, dtype=np.intp)
+    if selected.size == 0:
+        return np.array(ys, copy=True)
+    lanes = np.arange(len(ys))[:, None]
+    sub_t = dictionaries.transpose(0, 2, 1)[lanes, selected]           # (L, s, M)
+    gram = sub_t @ sub_t.transpose(0, 2, 1)                            # (L, s, s)
     cond = np.linalg.cond(gram)
-    if not np.isfinite(cond) or cond > GRAM_COND_LIMIT:
+    bad = ~np.isfinite(cond) | (cond > GRAM_COND_LIMIT)
+    if bad.any():
+        lane = int(np.argmax(bad))
+        where = f"lane {lane}, " if len(ys) > 1 else ""
         raise SingularProjectionError(
-            f"selected columns nearly dependent (cond={cond:.3e})")
+            f"selected columns nearly dependent ({where}cond={cond[lane]:.3e})")
     try:
-        coef = sla.cho_solve(sla.cho_factor(gram, lower=True), sub.T @ y)
+        coef = np.linalg.solve(gram, sub_t @ ys[:, :, None])           # (L, s, 1)
     except np.linalg.LinAlgError as exc:     # pragma: no cover - cond check fires first
         raise SingularProjectionError(str(exc)) from exc
-    return y - sub @ coef
+    return ys - (coef.transpose(0, 2, 1) @ sub_t)[:, 0, :]
 
 
 def _greedy_select(ys: np.ndarray, dictionaries: np.ndarray, k: int) -> list:
     """Shared k-step selection loop over L (residual, dictionary) pairs."""
-    l_count, m = ys.shape
+    m = ys.shape[1]
     if not 1 <= k <= m:
         raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
     state = GreedyState(selected=[], residuals=np.array(ys, dtype=float, copy=True))
@@ -65,8 +82,7 @@ def _greedy_select(ys: np.ndarray, dictionaries: np.ndarray, k: int) -> list:
         if state.selected:
             scores[state.selected] = -np.inf  # orthogonality already rules these out
         state.selected.append(int(np.argmax(scores)))
-        for l in range(l_count):
-            state.residuals[l] = ls_residual(ys[l], dictionaries[l], state.selected)
+        state.residuals = ls_residual(ys, dictionaries, state.selected)
         state.iteration = t + 1
     return state.selected
 

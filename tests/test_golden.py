@@ -1,0 +1,86 @@
+"""Golden outputs: the CLI's bytes for small pinned configurations.
+
+Each case runs one CLI command on a pinned config, seed and trial count
+and compares the sha256 of the output file with the digest recorded when
+the case was added. Together the cases run every algorithm tag: the five
+network solvers on a ring through sweep-m and sweep-l, and mac-omp with
+s-omp through mac-compare. A change that is meant to alter what the
+solvers compute must re-record these digests and say why; any other change
+must leave them as they are.
+
+To print the current digests: `PYTHONPATH=src python tests/test_golden.py`.
+"""
+
+import hashlib
+import pathlib
+import tempfile
+
+import pytest
+
+from jspr.cli import main
+
+NETWORK_ALGORITHMS = "d-omp, dc-omp1, dc-omp1-nbr, dc-omp2, s-omp"
+
+CASES = {
+    "sweep-m-ring": ("sweep-m", f"""
+n = 64
+k = 5
+l = 6
+m = 8, 12, 20
+topology = ring
+n0 = 4
+sigma2 = 0.05
+amp_low = -3
+amp_high = 3
+algorithms = {NETWORK_ALGORITHMS}
+trials = 30
+seed = 20261018
+"""),
+    "sweep-l-ring": ("sweep-l", f"""
+n = 64
+k = 4
+l = 4, 7
+m = 12
+topology = ring
+n0 = 2
+sigma2 = 0.01
+algorithms = {NETWORK_ALGORITHMS}
+trials = 30
+seed = 7
+"""),
+    "mac-compare": ("mac-compare", """
+n = 64
+k = 4
+l = 5
+m = 8, 16
+sigma2 = 0.01
+trials = 30
+seed = 3
+"""),
+}
+
+DIGESTS = {
+    "mac-compare": "36148e72c98368c80949199580e3c6b6c2d5d71278b2de7b7a00d504846ade5d",
+    "sweep-l-ring": "32b80e3f6653da5f15e3d283a7967e8f08ab60e09f3bb09589c8f6248720c317",
+    "sweep-m-ring": "1ab7c588e28a8e887811dcfba0f09851971567df4e764aefe32c9c211139a4ee",
+}
+
+
+def output_digest(name: str, tmp_dir) -> str:
+    command, text = CASES[name]
+    cfg = tmp_dir / f"{name}.cfg"
+    cfg.write_text(text)
+    out = tmp_dir / f"{name}.out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
+    return hashlib.sha256(out.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_digest_unchanged(name, tmp_path):
+    assert output_digest(name, tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    with tempfile.TemporaryDirectory() as tmp:
+        for case in sorted(CASES):
+            print(f'    "{case}": "{output_digest(case, pathlib.Path(tmp))}",')

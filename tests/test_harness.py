@@ -84,6 +84,18 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="n0"):
             parse_config("topology=ring\n")
 
+    def test_ring_odd_n0_odd_l_rejected(self):
+        with pytest.raises(ConfigError, match="odd n0"):
+            parse_config("topology=ring\nn0=3\nl=5\n")
+
+    def test_ring_n0_not_below_l_rejected(self):
+        with pytest.raises(ConfigError, match="n0=6, L=6"):
+            parse_config("topology=ring\nn0=2,6\nl=6\n")
+
+    def test_zero_amplitude_range_rejected(self):
+        with pytest.raises(ConfigError, match="amp_low"):
+            parse_config("amp_low=0\namp_high=0\n")
+
     def test_sparsity_above_m_flagged(self):
         cfg = parse_config("n=64\nk=10\nm=8,20\n")
         assert any("k=10" in w for w in cfg.warnings)
@@ -287,6 +299,21 @@ class TestCli:
 
     def test_config_error_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, "k=0\n")
+        assert main(["sweep-m", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("text", [
+        "topology=ring\nn0=3\nl=5\nm=8\n",
+        "topology=ring\nn0=5\nl=5\nm=8\n",
+        "amp_low=0\namp_high=0\nl=3\nm=8\n",
+    ])
+    def test_bad_config_exits_before_any_trial(self, tmp_path, monkeypatch, text):
+        import jspr.harness as harness
+
+        def no_trial(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        cfg = self.write_config(tmp_path, "n=24\nk=2\ntrials=2\n" + text)
         assert main(["sweep-m", "--config", cfg]) == 1
 
     def test_missing_config_file_exit_code(self, tmp_path):

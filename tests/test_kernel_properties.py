@@ -1,0 +1,205 @@
+"""Properties of the batched least-squares kernel and the solvers built on it.
+
+The batched `ls_residual` is checked lane by lane against its single-vector
+form and against `np.linalg.lstsq`; the lockstep per-node OMP of
+`domp_majority` against `omp` on each node; and `dcomp1(mode="neighborhood")`
+against a per-node reference that updates one node's residual at a time.
+"""
+
+from collections import Counter
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from jspr.decentralized import (
+    _admit,
+    _lockstep_omp,
+    _masked_argmax,
+    dcomp1,
+    domp_majority,
+    index_fusion_neighborhood,
+    majority_vote,
+)
+from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
+from jspr.errors import SingularProjectionError
+from jspr.greedy import correlate, ls_residual, omp
+from jspr.network import MessageLedger, complete_topology, ring_topology
+
+SEEDS = st.integers(0, 2 ** 32 - 1)
+
+
+@st.composite
+def lanes(draw):
+    """(ys (L, M), dictionaries (L, M, N), selected (L, s)) of Gaussian data."""
+    l_count = draw(st.integers(1, 6))
+    m = draw(st.integers(1, 10))
+    n = m + draw(st.integers(0, 8))
+    s = draw(st.integers(1, m))
+    rng = np.random.default_rng(draw(SEEDS))
+    ys = rng.standard_normal((l_count, m))
+    dictionaries = rng.standard_normal((l_count, m, n))
+    selected = np.stack([rng.choice(n, size=s, replace=False) for _ in range(l_count)])
+    return ys, dictionaries, selected
+
+
+def single_lane(ys, dictionaries, selected, lane):
+    """Per-lane single-vector call, or the exception it raised."""
+    try:
+        return ls_residual(ys[lane], dictionaries[lane], list(selected[lane]))
+    except SingularProjectionError as exc:
+        return exc
+
+
+class TestBatchedLsResidual:
+    @settings(max_examples=80, deadline=None)
+    @given(data=lanes())
+    def test_equals_per_lane_single_vector_calls(self, data):
+        ys, dictionaries, selected = data
+        loop = [single_lane(ys, dictionaries, selected, l) for l in range(len(ys))]
+        assume(not any(isinstance(r, Exception) for r in loop))
+        batched = ls_residual(ys, dictionaries, selected)
+        assert batched.shape == ys.shape
+        for l, expected in enumerate(loop):
+            scale = max(np.linalg.norm(ys[l]), 1.0)
+            assert np.max(np.abs(batched[l] - expected)) <= 1e-10 * scale
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=lanes())
+    def test_matches_lstsq_on_well_conditioned_lanes(self, data):
+        ys, dictionaries, selected = data
+        subs = np.take_along_axis(dictionaries, selected[:, None, :], axis=2)
+        assume(max(np.linalg.cond(sub) for sub in subs) < 1e4)
+        batched = ls_residual(ys, dictionaries, selected)
+        for l, sub in enumerate(subs):
+            coef, *_ = np.linalg.lstsq(sub, ys[l], rcond=None)
+            expected = ys[l] - sub @ coef
+            assert np.max(np.abs(batched[l] - expected)) <= 1e-8 * np.linalg.norm(ys[l])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=lanes())
+    def test_shared_list_equals_repeated_rows(self, data):
+        ys, dictionaries, selected = data
+        shared = list(selected[0])
+        repeated = np.repeat(selected[:1], len(ys), axis=0)
+        assume(not any(isinstance(single_lane(ys, dictionaries, repeated, l), Exception)
+                       for l in range(len(ys))))
+        assert np.array_equal(ls_residual(ys, dictionaries, shared),
+                              ls_residual(ys, dictionaries, repeated))
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=lanes(), pick=st.data())
+    def test_raises_exactly_when_some_lane_raises(self, data, pick):
+        ys, dictionaries, selected = data
+        if selected.shape[1] >= 2 and pick.draw(st.booleans(), label="duplicate"):
+            lane = pick.draw(st.integers(0, len(ys) - 1), label="lane")
+            a, b = selected[lane, :2]
+            dictionaries[lane, :, b] = dictionaries[lane, :, a]
+        lane_raises = [isinstance(single_lane(ys, dictionaries, selected, l), Exception)
+                       for l in range(len(ys))]
+        if any(lane_raises):
+            with pytest.raises(SingularProjectionError):
+                ls_residual(ys, dictionaries, selected)
+        else:
+            ls_residual(ys, dictionaries, selected)
+
+    def test_duplicate_column_in_one_lane_raises(self):
+        rng = np.random.default_rng(5)
+        ys = rng.standard_normal((3, 6))
+        dictionaries = rng.standard_normal((3, 6, 9))
+        dictionaries[1, :, 4] = dictionaries[1, :, 2]
+        selected = np.array([[2, 4], [2, 4], [0, 1]])
+        assert not isinstance(single_lane(ys, dictionaries, selected, 0), Exception)
+        with pytest.raises(SingularProjectionError):
+            ls_residual(ys[1], dictionaries[1], [2, 4])
+        with pytest.raises(SingularProjectionError, match="lane 1"):
+            ls_residual(ys, dictionaries, selected)
+
+    def test_empty_selection_returns_copies(self):
+        ys = np.ones((2, 3))
+        out = ls_residual(ys, np.ones((2, 3, 4)), [])
+        assert np.array_equal(out, ys)
+        out[0, 0] = 5.0
+        assert ys[0, 0] == 1.0
+
+
+def instance(seed, n, k, l_count, m, sigma2=0.01):
+    rng = np.random.default_rng(seed)
+    support = gen_support(n, k, rng)
+    ensemble = gen_signals(support, n, l_count, 10.0, 15.0, rng)
+    meas = gen_measurements(n, m, l_count, sigma2, rng)
+    return meas, measure(ensemble, meas, rng)
+
+
+class TestLockstepOmp:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, l_count=st.integers(1, 6), m=st.integers(2, 12),
+           extra=st.integers(1, 12), k_frac=st.floats(0.0, 1.0))
+    def test_equals_per_node_omp(self, seed, l_count, m, extra, k_frac):
+        n = m + extra
+        k = 1 + int(k_frac * (min(m, n - 1) - 1))
+        meas, obs = instance(seed, n, k, l_count, m)
+        expected = [omp(obs.per_node[l], meas.matrices[l], k) for l in range(l_count)]
+        assert _lockstep_omp(obs.per_node, meas.matrices, k) == expected
+        result = domp_majority(obs, meas, complete_topology(l_count), k)
+        assert result.per_node_support == [majority_vote(expected, k)] * l_count
+
+    def test_ties_go_to_smallest_unpicked_index(self):
+        # the last node's residual vanishes after one pick: every score ties at 0
+        ys = np.array([[0.0, 2.0, 2.0, 1.0], [3.0, 0.0, 0.0, 3.0], [5.0, 0.0, 0.0, 0.0]])
+        dictionaries = np.repeat(np.eye(4)[None, :, :], 3, axis=0)
+        expected = [omp(ys[l], dictionaries[l], 2) for l in range(3)]
+        assert expected == [[1, 2], [0, 3], [0, 1]]
+        assert _lockstep_omp(ys, dictionaries, 2) == expected
+
+
+def reference_dcomp1_neighborhood(obs, meas, topology, k):
+    """dcomp1(mode="neighborhood") with one single-vector kernel call per
+    node and round: supports, iteration counts and local ledger total."""
+    l_count = obs.per_node.shape[0]
+    ledger = MessageLedger(topology)
+    residuals = np.array(obs.per_node, dtype=float, copy=True)
+    supports = [[] for _ in range(l_count)]
+    iterations = [0] * l_count
+    active = [True] * l_count
+    round_no = 0
+    while any(active):
+        round_no += 1
+        proposals, score_vecs = [None] * l_count, [None] * l_count
+        for l in range(l_count):
+            if active[l]:
+                score_vecs[l] = correlate(residuals[l], meas.matrices[l])
+                proposals[l] = _masked_argmax(score_vecs[l], supports[l])
+                ledger.send_local(l, 1)
+        for l in range(l_count):
+            if not active[l]:
+                continue
+            received = [proposals[j] for j in topology.adjacency[l] if active[j]]
+            fused = index_fusion_neighborhood(proposals[l], received, supports[l])
+            counts = Counter([proposals[l], *received])
+            supports[l].extend(_admit(fused, k - len(supports[l]), counts,
+                                      scores=score_vecs[l]))
+            iterations[l] = round_no
+            residuals[l] = ls_residual(obs.per_node[l], meas.matrices[l], supports[l])
+            if len(supports[l]) >= k:
+                active[l] = False
+    return [tuple(sorted(s)) for s in supports], iterations, ledger.local_scalar_count
+
+
+class TestDcomp1Neighborhood:
+    @settings(max_examples=40, deadline=None)
+    @given(seed=SEEDS, half=st.integers(2, 4), n0_pick=st.integers(0, 10),
+           m=st.integers(4, 12), k=st.integers(1, 4), sigma2=st.sampled_from([0.01, 5.0]))
+    def test_equals_per_node_reference(self, seed, half, n0_pick, m, k, sigma2):
+        l_count = 2 * half
+        n0 = 1 + n0_pick % (l_count - 1)
+        assume(n0 > 1 or l_count == 2)
+        topology = ring_topology(l_count, n0)
+        meas, obs = instance(seed, 32, k, l_count, m, sigma2)
+        result = dcomp1(obs, meas, topology, k, mode="neighborhood")
+        supports, iterations, local = reference_dcomp1_neighborhood(obs, meas, topology, k)
+        assert result.per_node_support == supports
+        assert result.iterations == iterations
+        assert result.ledger.local_scalar_count == local
+        assert result.ledger.global_scalar_count == 0
