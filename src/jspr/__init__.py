@@ -4,7 +4,19 @@ Greedy single- and multi-vector support recovery (OMP, simultaneous OMP),
 collaborative decentralized variants with per-round fusion, sum-channel
 aggregation with its recovery-bound calculators, and a deterministic
 Monte Carlo experiment harness.
+
+Importing jspr pins BLAS and OpenMP to one thread per process unless the
+caller has set OPENBLAS_NUM_THREADS, OMP_NUM_THREADS or MKL_NUM_THREADS.
+Every LAPACK/BLAS call here is tiny, so a second BLAS thread only spins
+and competes with sweep pool workers. The pin must run before numpy is
+first imported, so it comes before every submodule import.
 """
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
 
 from .config import ExperimentConfig, load_config, parse_config
 from .decentralized import (
@@ -29,7 +41,8 @@ from .ensembles import (
     measure,
     sum_signal,
 )
-from .errors import ConfigError, EnumerationTooLargeError, SingularProjectionError
+from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
+                     TrialError)
 from .greedy import GreedyState, correlate, ls_residual, omp, somp
 from .harness import exhaustive_oracle, run_sweep
 from .macbounds import (
@@ -76,6 +89,7 @@ __all__ = [
     "RecoveryResult",
     "SingularProjectionError",
     "Topology",
+    "TrialError",
     "TrialRecord",
     "XiEstimate",
     "aggregate",

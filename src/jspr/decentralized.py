@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import correlate, ls_residual
+from .greedy import ls_residual
 from .network import MessageLedger, Topology
 
 
@@ -131,6 +131,7 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
     ledger = MessageLedger(topology)
     residuals = np.array(obs.per_node, dtype=float, copy=True)
     supports = [[] for _ in range(l_count)]
+    held = np.zeros((l_count, meas.matrices.shape[2]), dtype=bool)   # supports as a mask
     iterations = [0] * l_count
     active = [True] * l_count
     rounds = []
@@ -139,20 +140,20 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
     while any(active):
         round_no += 1
         proposals = [None] * l_count
-        score_vecs = [None] * l_count
-        for l in range(l_count):
-            if not active[l]:
-                continue
-            scores = correlate(residuals[l], meas.matrices[l])
-            proposals[l] = _masked_argmax(scores, supports[l])
-            score_vecs[l] = scores
-        for l in range(l_count):
-            if active[l]:
-                ledger.send_local(l, 1)
+        updated = [l for l in range(l_count) if active[l]]
+        # Every node's row, finished ones discarded: reading each matrix once
+        # costs less than gathering the active ones. Stacked matmul, not
+        # einsum: it gives per-node `correlate`'s floats bit for bit, and
+        # _admit's score tie-break must see exactly those.
+        scores = np.abs(np.matmul(meas.matrices.transpose(0, 2, 1),
+                                  residuals[:, :, None]))[:, :, 0]
+        picks = np.where(held, -np.inf, scores).argmax(axis=1)
+        for l in updated:
+            proposals[l] = int(picks[l])
+            ledger.send_local(l, 1)
 
         alpha_sets = [None] * l_count
         fused_lists = [None] * l_count
-        updated = [l for l in range(l_count) if active[l]]
         if mode == "full":
             plist = [proposals[l] for l in range(l_count)]
             fused = index_fusion_full(plist, supports[0])
@@ -163,6 +164,7 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
                 alpha_sets[l] = plist
                 fused_lists[l] = admitted
                 supports[l].extend(admitted)
+                held[l, admitted] = True
                 active[l] = len(supports[l]) < k
         else:
             for l in updated:
@@ -171,10 +173,11 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
                 alpha = [proposals[l], *received]
                 fused = index_fusion_neighborhood(proposals[l], received, supports[l])
                 need = k - len(supports[l])
-                admitted = _admit(fused, need, Counter(alpha), scores=score_vecs[l])
+                admitted = _admit(fused, need, Counter(alpha), scores=scores[l])
                 alpha_sets[l] = alpha
                 fused_lists[l] = admitted
                 supports[l].extend(admitted)
+                held[l, admitted] = True
                 active[l] = len(supports[l]) < k
         for size in sorted({len(supports[l]) for l in updated}):   # one call in full mode
             lanes = [l for l in updated if len(supports[l]) == size]

@@ -16,3 +16,12 @@ class EnumerationTooLargeError(ValueError):
 
 class ConfigError(ValueError):
     """Invalid experiment configuration; message names the line and key."""
+
+
+class TrialError(RuntimeError):
+    """A trial failed for a reason other than a singular projection.
+
+    The message names the sweep point (m, L), the algorithm tag, the trial
+    index and the master seed, so the trial can be replayed alone; it is the
+    only constructor argument, so the error pickles across a process pool.
+    """

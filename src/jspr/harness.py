@@ -6,6 +6,7 @@ under parallel trial execution) and all algorithms at a sweep point consume
 identical data (paired trials).
 """
 
+import contextlib
 import itertools
 import json
 import math
@@ -18,7 +19,8 @@ from . import seeding
 from .config import ExperimentConfig
 from .decentralized import RecoveryResult, dcomp1, dcomp2, domp_majority
 from .ensembles import gen_measurements, gen_signals, gen_support, mac_aggregate, measure
-from .errors import ConfigError, EnumerationTooLargeError, SingularProjectionError
+from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
+                     TrialError)
 from .greedy import omp, somp
 from .macbounds import bound_report, mac_omp
 from .metrics import TrialRecord, aggregate
@@ -89,34 +91,44 @@ def _run_algorithm(alg: str, obs, meas, topology: Topology, k: int) -> RecoveryR
 
 def run_trial(task: TrialTask) -> dict:
     """One paired trial; per algorithm a TrialRecord, or None on a
-    singular-projection failure."""
-    support = gen_support(task.n, task.k,
-                          seeding.stream(task.master_seed, seeding.SUPPORT, task.trial_index))
-    ensemble = gen_signals(support, task.n, task.l_count, task.amp_low, task.amp_high,
-                           seeding.stream(task.master_seed, seeding.AMPLITUDES, task.trial_index))
-    meas = gen_measurements(task.n, task.m, task.l_count, task.sigma2,
-                            seeding.stream(task.master_seed, seeding.MATRICES, task.trial_index),
-                            shared=task.shared_matrix)
-    obs = measure(ensemble, meas,
-                  seeding.stream(task.master_seed, seeding.NOISE, task.trial_index))
+    singular-projection failure. Any other exception is re-raised as a
+    TrialError naming the sweep point, algorithm, trial index and seed."""
+    alg = "(trial draw)"
+    try:
+        support = gen_support(task.n, task.k,
+                              seeding.stream(task.master_seed, seeding.SUPPORT, task.trial_index))
+        ensemble = gen_signals(support, task.n, task.l_count, task.amp_low, task.amp_high,
+                               seeding.stream(task.master_seed, seeding.AMPLITUDES,
+                                              task.trial_index))
+        meas = gen_measurements(task.n, task.m, task.l_count, task.sigma2,
+                                seeding.stream(task.master_seed, seeding.MATRICES,
+                                               task.trial_index),
+                                shared=task.shared_matrix)
+        obs = measure(ensemble, meas,
+                      seeding.stream(task.master_seed, seeding.NOISE, task.trial_index))
 
-    out = {}
-    for alg in task.algorithms:
-        try:
-            result = _run_algorithm(alg, obs, meas, task.topology, task.k)
-        except SingularProjectionError:
-            out[alg] = None
-            continue
-        out[alg] = TrialRecord(
-            algorithm=alg,
-            true_support=ensemble.support,
-            per_node_supports=result.per_node_support,
-            iterations=list(result.iterations),
-            local_scalars=result.ledger.local_scalar_count,
-            global_scalars=result.ledger.global_scalar_count,
-            trial_seed=task.trial_index,
-        )
-    return out
+        out = {}
+        for alg in task.algorithms:
+            try:
+                result = _run_algorithm(alg, obs, meas, task.topology, task.k)
+            except SingularProjectionError:
+                out[alg] = None
+                continue
+            out[alg] = TrialRecord(
+                algorithm=alg,
+                true_support=ensemble.support,
+                per_node_supports=result.per_node_support,
+                iterations=list(result.iterations),
+                local_scalars=result.ledger.local_scalar_count,
+                global_scalars=result.ledger.global_scalar_count,
+                trial_seed=task.trial_index,
+            )
+        return out
+    except Exception as exc:
+        raise TrialError(
+            f"sweep point m={task.m}, L={task.l_count}, algorithm {alg}, "
+            f"trial {task.trial_index}, seed {task.master_seed}: "
+            f"{type(exc).__name__}: {exc}") from exc
 
 
 def _point_topology(cfg: ExperimentConfig, l_count: int, n0: int | None) -> Topology:
@@ -131,8 +143,9 @@ def _single(values, name: str) -> int:
 
 
 def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
-              topology: Topology) -> list:
-    """All configured algorithms on `trials` paired trials at one sweep point."""
+              topology: Topology, pool: ProcessPoolExecutor | None = None) -> list:
+    """All configured algorithms on `trials` paired trials at one sweep point,
+    on `pool` if one is given, else serially in this process."""
     if cfg.k > m:
         raise ConfigError(f"sweep point m={m}: greedy recovery requires k <= M (k={cfg.k})")
     tasks = [TrialTask(n=cfg.n, k=cfg.k, l_count=l_count, m=m, sigma2=cfg.sigma2,
@@ -140,10 +153,9 @@ def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
                        shared_matrix=cfg.mac_mode, algorithms=tuple(cfg.algorithms),
                        topology=topology, master_seed=cfg.master_seed, trial_index=t)
              for t in range(cfg.trials)]
-    if cfg.workers > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            results = list(pool.map(run_trial, tasks,
-                                    chunksize=max(1, cfg.trials // (cfg.workers * 4))))
+    if pool is not None:
+        results = list(pool.map(run_trial, tasks,
+                                chunksize=max(1, cfg.trials // (cfg.workers * 4))))
     else:
         results = [run_trial(task) for task in tasks]
 
@@ -174,36 +186,40 @@ def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
     return rows
 
 
-def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
-    """Row dicts for a sweep over m, l, or n0 (one row per point x algorithm)."""
-    rows = []
+def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:
+    """(sweep_var, l_count, m, topology) of every point of a sweep over m, l, or n0."""
     if sweep == "m":
         l_count = _single(cfg.l_values, "l")
         n0 = _single(cfg.n0_values, "n0") if cfg.topology_kind == "ring" else None
         topology = _point_topology(cfg, l_count, n0)
-        for m in cfg.m_values:
-            rows.extend(run_point(cfg, sweep_var=m, l_count=l_count, m=m,
-                                  topology=topology))
-    elif sweep == "l":
+        return [(m, l_count, m, topology) for m in cfg.m_values]
+    if sweep == "l":
         m = _single(cfg.m_values, "m")
         n0 = _single(cfg.n0_values, "n0") if cfg.topology_kind == "ring" else None
-        for l_count in cfg.l_values:
-            topology = _point_topology(cfg, l_count, n0)
-            rows.extend(run_point(cfg, sweep_var=l_count, l_count=l_count, m=m,
-                                  topology=topology))
-    elif sweep == "n0":
+        return [(l_count, l_count, m, _point_topology(cfg, l_count, n0))
+                for l_count in cfg.l_values]
+    if sweep == "n0":
         if cfg.topology_kind != "ring":
             raise ConfigError("key 'topology': neighborhood sweeps require ring topology")
         if not cfg.n0_values:
             raise ConfigError("key 'n0': required for a neighborhood sweep")
         m = _single(cfg.m_values, "m")
         l_count = _single(cfg.l_values, "l")
-        for n0 in cfg.n0_values:
-            topology = _point_topology(cfg, l_count, n0)
-            rows.extend(run_point(cfg, sweep_var=n0, l_count=l_count, m=m,
-                                  topology=topology))
-    else:
-        raise ValueError(f"unknown sweep kind {sweep!r}")
+        return [(n0, l_count, m, _point_topology(cfg, l_count, n0)) for n0 in cfg.n0_values]
+    raise ValueError(f"unknown sweep kind {sweep!r}")
+
+
+def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
+    """Row dicts for a sweep over m, l, or n0 (one row per point x algorithm).
+
+    With workers > 1, one process pool serves every point of the sweep."""
+    points = _sweep_points(cfg, sweep)
+    rows = []
+    with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
+          else contextlib.nullcontext()) as pool:
+        for sweep_var, l_count, m, topology in points:
+            rows.extend(run_point(cfg, sweep_var=sweep_var, l_count=l_count, m=m,
+                                  topology=topology, pool=pool))
     return rows
 
 

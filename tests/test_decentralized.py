@@ -12,6 +12,8 @@ from jspr.decentralized import (
     majority_vote,
 )
 from jspr.ensembles import (
+    MeasurementEnsemble,
+    ObservationSet,
     gen_measurements,
     gen_signals,
     gen_support,
@@ -125,6 +127,19 @@ class TestDcomp1:
                 assert len(sup) == 4
                 assert len(set(sup)) == 4
             assert all(1 <= t <= 4 for t in result.iterations)
+
+    @pytest.mark.parametrize("mode", ["full", "neighborhood"])
+    def test_zero_residual_picks_unheld_indices(self, mode):
+        # identity dictionaries, 2-sparse y: after two rounds the residual is
+        # exactly 0, every score ties, and only the held-index mask keeps a
+        # node from proposing an index it already holds
+        meas = MeasurementEnsemble(m=6, matrices=np.stack([np.eye(6)] * 3),
+                                   basis_is_identity=True, shared_matrix=True,
+                                   noise_sigma2=0.0)
+        obs = ObservationSet(per_node=np.tile([3.0, 2.0, 0, 0, 0, 0], (3, 1)))
+        result = dcomp1(obs, meas, ring_topology(3, 2), 4, mode=mode)
+        assert result.per_node_support == [(0, 1, 2, 3)] * 3
+        assert result.iterations == [4] * 3
 
     def test_ledger_matches_expected_formula(self):
         ensemble, meas, obs = make_instance(30, l_count=6, k=4)

@@ -1,13 +1,15 @@
 """Config parsing, sweep running, oracle, bound reports, and the CLI."""
 
 import json
+import pickle
 
 import numpy as np
 import pytest
 
 from jspr.cli import main
 from jspr.config import ExperimentConfig, parse_config
-from jspr.errors import ConfigError, EnumerationTooLargeError, SingularProjectionError
+from jspr.errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
+                         TrialError)
 from jspr.harness import (
     CSV_HEADER,
     bounds_report,
@@ -122,6 +124,13 @@ class TestRunSweep:
         parallel = rows_to_csv(run_sweep(tiny_config(workers=2), "m"))
         assert serial == parallel
 
+    def test_parallel_matches_serial_across_points(self):
+        # one pool serves every point of the sweep
+        cfg = dict(l_values=[2, 4, 5], algorithms=["dc-omp1", "dc-omp2"], trials=6)
+        serial = rows_to_csv(run_sweep(tiny_config(**cfg), "l"))
+        parallel = rows_to_csv(run_sweep(tiny_config(workers=2, **cfg), "l"))
+        assert serial == parallel
+
     def test_l_sweep(self):
         cfg = tiny_config(l_values=[2, 4], algorithms=["dc-omp1"])
         rows = run_sweep(cfg, "l")
@@ -168,6 +177,27 @@ class TestRunSweep:
         rows = run_sweep(cfg, "m")
         assert rows[0]["failed_trials"] == 1
         assert rows[0]["trials"] == 99
+
+    def test_failing_trial_names_itself(self, monkeypatch, tmp_path, capsys):
+        import jspr.harness as harness
+
+        def broken(alg, obs, meas, topology, k):
+            raise ValueError("forced")
+
+        monkeypatch.setattr(harness, "_run_algorithm", broken)
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("n=24\nk=2\nl=3\nm=8\ntrials=2\nalgorithms=dc-omp2\n"
+                       "workers=1\nseed=4242\n")
+        assert main(["sweep-m", "--config", str(cfg)]) == 2
+        message = capsys.readouterr().err
+        for fact in ("m=8, L=3", "algorithm dc-omp2", "trial 0", "seed 4242",
+                     "ValueError: forced"):
+            assert fact in message
+
+        with pytest.raises(TrialError) as info:
+            run_sweep(tiny_config(algorithms=["dc-omp2"]), "m")
+        copy = pickle.loads(pickle.dumps(info.value))   # crosses a process pool
+        assert type(copy) is TrialError and str(copy) == str(info.value)
 
     def test_failure_rate_above_budget_aborts(self, monkeypatch):
         import jspr.harness as harness
