@@ -43,7 +43,7 @@ from .ensembles import (
 )
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
-from .greedy import GreedyState, correlate, ls_residual, omp, somp
+from .greedy import correlate, ls_residual, omp, somp
 from .harness import exhaustive_oracle, run_sweep
 from .macbounds import (
     BlockDictionary,
@@ -81,7 +81,6 @@ __all__ = [
     "EnumerationTooLargeError",
     "ExperimentConfig",
     "FusionRound",
-    "GreedyState",
     "JointSparseEnsemble",
     "MeasurementEnsemble",
     "MessageLedger",

@@ -26,11 +26,10 @@ from .network import MessageLedger, Topology
 
 @dataclass
 class FusionRound:
-    """Per-round trace: proposals, received multisets, and fused sets by node."""
+    """Per-round trace: proposals and fused sets by node."""
 
     iteration: int
     proposals: list           # per-node proposed index (None once a node stops)
-    alpha_sets: list          # per-node received multiset, own proposal included
     fused: list               # per-node admitted index lists (post-truncation)
 
 
@@ -152,7 +151,6 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
             proposals[l] = int(picks[l])
             ledger.send_local(l, 1)
 
-        alpha_sets = [None] * l_count
         fused_lists = [None] * l_count
         if mode == "full":
             plist = [proposals[l] for l in range(l_count)]
@@ -161,7 +159,6 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
             need = k - len(supports[0])
             admitted = _admit(fused, need, counts)   # global: no per-node score
             for l in range(l_count):
-                alpha_sets[l] = plist
                 fused_lists[l] = admitted
                 supports[l].extend(admitted)
                 held[l, admitted] = True
@@ -170,11 +167,10 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
             for l in updated:
                 # a neighbour that finished earlier in this pass is no longer heard
                 received = [proposals[j] for j in topology.adjacency[l] if active[j]]
-                alpha = [proposals[l], *received]
                 fused = index_fusion_neighborhood(proposals[l], received, supports[l])
                 need = k - len(supports[l])
-                admitted = _admit(fused, need, Counter(alpha), scores=scores[l])
-                alpha_sets[l] = alpha
+                admitted = _admit(fused, need, Counter([proposals[l], *received]),
+                                  scores=scores[l])
                 fused_lists[l] = admitted
                 supports[l].extend(admitted)
                 held[l, admitted] = True
@@ -182,11 +178,11 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
         for size in sorted({len(supports[l]) for l in updated}):   # one call in full mode
             lanes = [l for l in updated if len(supports[l]) == size]
             residuals[lanes] = ls_residual(obs.per_node[lanes], meas.matrices[lanes],
-                                           [supports[l] for l in lanes])
+                                           [supports[l] for l in lanes], check=size == k)
         for l in updated:
             iterations[l] = round_no
         rounds.append(FusionRound(iteration=round_no, proposals=proposals,
-                                  alpha_sets=alpha_sets, fused=fused_lists))
+                                  fused=fused_lists))
 
     return RecoveryResult(per_node_support=[tuple(sorted(s)) for s in supports],
                           iterations=iterations, ledger=ledger, rounds=rounds)
@@ -229,9 +225,9 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
         fused = index_fusion_full(proposals, support)
         admitted = _admit(fused, k - len(support), Counter(proposals))
         support.extend(admitted)
-        residuals = ls_residual(obs.per_node, meas.matrices, support)
+        residuals = ls_residual(obs.per_node, meas.matrices, support,
+                                check=len(support) == k)
         rounds.append(FusionRound(iteration=round_no, proposals=proposals,
-                                  alpha_sets=[proposals] * l_count,
                                   fused=[admitted] * l_count))
 
     final = tuple(sorted(support))
@@ -258,11 +254,11 @@ def _lockstep_omp(ys: np.ndarray, dictionaries: np.ndarray, k: int) -> list:
         raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
     residuals = ys
     selected = np.empty((l_count, 0), dtype=np.intp)
-    for _ in range(k):
+    for t in range(k):
         scores = np.abs(np.einsum("lmn,lm->ln", dictionaries, residuals))
         np.put_along_axis(scores, selected, -np.inf, axis=1)
         selected = np.column_stack([selected, np.argmax(scores, axis=1)])
-        residuals = ls_residual(ys, dictionaries, selected)
+        residuals = ls_residual(ys, dictionaries, selected, check=t == k - 1)
     return selected.tolist()
 
 

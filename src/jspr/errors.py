@@ -6,7 +6,10 @@ class SingularProjectionError(RuntimeError):
 
     Raised instead of silently regularizing when the Gram matrix of the
     selected columns has 2-norm condition number above 1e12 or its solve
-    fails.
+    fails. The solvers check the support they return, not every round: their
+    supports only grow, and by Cauchy's interlacing theorem a Gram matrix's
+    condition number is at least that of any of its principal submatrices,
+    so an earlier round over the limit means a final support over it too.
     """
 
 

@@ -2,29 +2,34 @@
 
 The batched `ls_residual` is checked lane by lane against its single-vector
 form and against `np.linalg.lstsq`; the lockstep per-node OMP of
-`domp_majority` against `omp` on each node; and `dcomp1(mode="neighborhood")`
-against a per-node reference that updates one node's residual at a time.
+`domp_majority` against `omp` on each node; `dcomp1(mode="neighborhood")`
+against a per-node reference that updates one node's residual at a time; and
+every solver, which checks the Gram conditioning only on the support it
+returns, against the same solver checking it on every round.
 """
 
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from jspr import decentralized, greedy
 from jspr.decentralized import (
     _admit,
     _lockstep_omp,
     _masked_argmax,
     dcomp1,
+    dcomp2,
     domp_majority,
     index_fusion_neighborhood,
     majority_vote,
 )
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
-from jspr.greedy import correlate, ls_residual, omp
+from jspr.greedy import correlate, ls_residual, omp, somp
 from jspr.network import MessageLedger, complete_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -203,3 +208,94 @@ class TestDcomp1Neighborhood:
         assert result.iterations == iterations
         assert result.ledger.local_scalar_count == local
         assert result.ledger.global_scalar_count == 0
+
+
+def near_dependent_instance(seed, l_count, m, extra, k_frac, bad, scale,
+                            partner_in_support):
+    """A noiseless instance with N = m + extra in which `bad` nodes have one
+    support column copied into a second column, times `scale` (1 for an exact
+    copy). Returns (meas, obs, k, the first bad node)."""
+    n, k = m + extra, 1 + int(k_frac * (m - 1))
+    rng = np.random.default_rng(seed)
+    support = gen_support(n, k, rng)
+    ensemble = gen_signals(support, n, l_count, 10.0, 15.0, rng)
+    meas = gen_measurements(n, m, l_count, 0.0, rng)
+    nodes = rng.choice(l_count, size=bad, replace=False)
+    for l in nodes:
+        a = rng.choice(support)
+        pool = [j for j in (support if partner_in_support else range(n)) if j != a]
+        b = rng.choice(pool) if pool else (a + 1) % n
+        meas.matrices[l, :, b] = scale * meas.matrices[l, :, a]
+    return meas, measure(ensemble, meas, rng), k, int(nodes[0])
+
+
+SOLVER_PATHS = {
+    "omp": lambda obs, meas, k, node: omp(obs.per_node[node], meas.matrices[node], k),
+    "somp": lambda obs, meas, k, node: somp(obs, meas, k),
+    "dcomp1-full": lambda obs, meas, k, node: dcomp1(
+        obs, meas, complete_topology(len(obs.per_node)), k),
+    "dcomp1-nbr": lambda obs, meas, k, node: dcomp1(
+        obs, meas, ring_topology(len(obs.per_node), 2), k, mode="neighborhood"),
+    "dcomp2": lambda obs, meas, k, node: dcomp2(
+        obs, meas, ring_topology(len(obs.per_node), 2), k),
+    "d-omp": lambda obs, meas, k, node: domp_majority(
+        obs, meas, ring_topology(len(obs.per_node), 2), k),
+}
+
+
+def solver_outcome(path, meas, obs, k, node):
+    """Selection (and per-node iterations) or the SingularProjectionError
+    raised; any other exception, and any warning, escapes as an error."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            result = SOLVER_PATHS[path](obs, meas, k, node)
+        except SingularProjectionError as exc:
+            return exc
+    if isinstance(result, list):
+        return result
+    return result.per_node_support, result.iterations
+
+
+def every_round_checked(path, meas, obs, k, node):
+    """solver_outcome with every kernel call forced to check the Gram."""
+    original = greedy.ls_residual
+
+    def checked(y, dictionary, selected, *, check=True):
+        return original(y, dictionary, selected, check=True)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(greedy, "ls_residual", checked)
+        mp.setattr(decentralized, "ls_residual", checked)
+        return solver_outcome(path, meas, obs, k, node)
+
+
+# somp selects both copies of an exactly duplicated column before its last
+# round; that round is unchecked, and LU meets an exactly zero pivot
+REACHES_LU = dict(seed=0, l_count=3, m=5, extra=3, k_frac=1.0, bad=1, scale=1.0,
+                  partner_in_support=True)
+
+
+class TestCheckOnReturnedSupport:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=SEEDS, l_count=st.integers(3, 6), m=st.integers(2, 10),
+           extra=st.integers(1, 10), k_frac=st.floats(0.0, 1.0), bad=st.integers(1, 3),
+           scale=st.sampled_from([1.0, 1.0 + 1e-7]), partner_in_support=st.booleans())
+    @example(**REACHES_LU)
+    def test_flags_match_every_round_check(self, **params):
+        meas, obs, k, node = near_dependent_instance(**params)
+        for path in SOLVER_PATHS:
+            got = solver_outcome(path, meas, obs, k, node)
+            want = every_round_checked(path, meas, obs, k, node)
+            if isinstance(want, SingularProjectionError):
+                assert isinstance(got, SingularProjectionError), path
+            else:
+                assert got == want, path
+
+    def test_unchecked_singular_round_raises_through_lu(self):
+        meas, obs, k, node = near_dependent_instance(**REACHES_LU)
+        got = solver_outcome("somp", meas, obs, k, node)
+        assert isinstance(got, SingularProjectionError)
+        assert isinstance(got.__cause__, np.linalg.LinAlgError)
+        assert isinstance(every_round_checked("somp", meas, obs, k, node),
+                          SingularProjectionError)
