@@ -18,6 +18,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_var, "1")
 del _var
 
+from .algorithms import table1_expected
 from .config import ExperimentConfig, load_config, parse_config
 from .decentralized import (
     FusionRound,
@@ -32,14 +33,12 @@ from .ensembles import (
     JointSparseEnsemble,
     MeasurementEnsemble,
     ObservationSet,
-    average_snr,
     gen_measurements,
     gen_orthoprojector,
     gen_signals,
     gen_support,
     mac_aggregate,
     measure,
-    sum_signal,
 )
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
@@ -67,7 +66,6 @@ from .metrics import (
     aggregate,
     exact_recovery,
     support_fraction,
-    table1_expected,
 )
 from .network import MessageLedger, Topology, build_topology, complete_topology
 
@@ -92,7 +90,6 @@ __all__ = [
     "TrialRecord",
     "XiEstimate",
     "aggregate",
-    "average_snr",
     "block_coefficients",
     "block_rip_measurement_bound",
     "build_block_dictionary",
@@ -125,7 +122,6 @@ __all__ = [
     "run_sweep",
     "sbar_min",
     "somp",
-    "sum_signal",
     "support_fraction",
     "table1_expected",
     "xi_average",

@@ -1,0 +1,103 @@
+"""The table of algorithm tags: each tag's runner, Table-1 ledger formula
+and needs, read by the config check, the trial harness and
+`table1_expected`. A runner calls its solver through this module's global
+name at call time, so whatever re-points that name (a tracer, a test
+double) sees every call.
+"""
+
+from dataclasses import dataclass
+from typing import Callable
+
+import numpy as np
+
+from .decentralized import RecoveryResult, dcomp1, dcomp2, domp_majority
+from .ensembles import mac_aggregate
+from .greedy import somp
+from .macbounds import mac_omp
+from .network import MessageLedger, Topology, complete_topology
+
+
+@dataclass(frozen=True)
+class Algorithm:
+    """One tag's entry; table1 gives the expected ledger totals of one run
+    from the per-node degrees and round counts."""
+
+    run: Callable           # (obs, meas, topology, k) -> RecoveryResult
+    table1: Callable        # (l_count, k, n, degrees, t_nodes) -> (local, global)
+    shared_matrix: bool     # needs one measurement matrix shared by all nodes
+    complete_graph: bool    # runs on the complete graph, whatever the topology
+
+
+def _broadcast(selected, topology: Topology, ledger: MessageLedger, k: int) -> RecoveryResult:
+    """Every node adopts one centrally selected support after k rounds."""
+    l_count = topology.node_count
+    return RecoveryResult(per_node_support=[tuple(sorted(selected))] * l_count,
+                          iterations=[k] * l_count, ledger=ledger)
+
+
+def _run_somp(obs, meas, topology: Topology, k: int) -> RecoveryResult:
+    """Centralized simultaneous OMP, charged as each node shipping its k*N
+    correlation summaries network-wide."""
+    selected = somp(obs, meas, k)
+    ledger = MessageLedger(topology)
+    for l in range(topology.node_count):
+        ledger.send_global(l, k * meas.matrices.shape[2])
+    return _broadcast(selected, topology, ledger, k)
+
+
+def _run_mac(obs, meas, topology: Topology, k: int) -> RecoveryResult:
+    """OMP on the sum-channel output; no node-to-node messages to charge."""
+    selected = mac_omp(mac_aggregate(obs), meas.matrices[0], k)
+    return _broadcast(selected, topology, MessageLedger(topology), k)
+
+
+def _index_fusion_ledger(l_count, k, n, degrees, t_nodes) -> tuple:
+    """One index to each neighbour per round: sum_l |G_l| T_l local."""
+    return int(np.sum(degrees * t_nodes)), 0
+
+
+ALGORITHMS = {
+    # each node ships its k final indices network-wide
+    "d-omp": Algorithm(
+        run=lambda obs, meas, topo, k: domp_majority(obs, meas, topo, k),
+        table1=lambda l_count, k, n, degrees, t_nodes: (0, k * (l_count - 1) * l_count),
+        shared_matrix=False, complete_graph=False),
+    "dc-omp1": Algorithm(
+        run=lambda obs, meas, topo, k: dcomp1(obs, meas, complete_topology(topo.node_count),
+                                              k, mode="full"),
+        table1=_index_fusion_ledger, shared_matrix=False, complete_graph=True),
+    "dc-omp1-nbr": Algorithm(
+        run=lambda obs, meas, topo, k: dcomp1(obs, meas, topo, k, mode="neighborhood"),
+        table1=_index_fusion_ledger, shared_matrix=False, complete_graph=False),
+    # N values to each neighbour plus one global index per round
+    "dc-omp2": Algorithm(
+        run=lambda obs, meas, topo, k: dcomp2(obs, meas, topo, k),
+        table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)) * n,
+                                                        int((l_count - 1) * np.sum(t_nodes))),
+        shared_matrix=False, complete_graph=False),
+    # each node ships k*N correlation summaries network-wide
+    "s-omp": Algorithm(
+        run=_run_somp,
+        table1=lambda l_count, k, n, degrees, t_nodes: (0, l_count * (l_count - 1) * k * n),
+        shared_matrix=False, complete_graph=False),
+    "mac-omp": Algorithm(
+        run=_run_mac, table1=lambda l_count, k, n, degrees, t_nodes: (0, 0),
+        shared_matrix=True, complete_graph=False),
+}
+MAC_COMPARE = ("mac-omp", "s-omp")   # the paired tags of `jspr mac-compare`
+
+
+def table1_expected(algorithm: str, l_count: int, k: int, n: int,
+                    neighborhoods, t_observed) -> tuple:
+    """Expected (local, global) scalar totals for one full run of `algorithm`
+    over the given per-node neighbour sets.
+
+    `t_observed` is the run's per-node round count (a scalar is broadcast).
+    """
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm tag {algorithm!r}")
+    t_nodes = np.broadcast_to(np.asarray(t_observed, dtype=int), (l_count,))
+    degrees = np.asarray([len(nbrs) for nbrs in neighborhoods], dtype=int)
+    if degrees.shape != (l_count,):
+        raise ValueError("neighborhoods must list each node's neighbor set")
+    return ALGORITHMS[algorithm].table1(l_count, k, n, degrees, t_nodes)

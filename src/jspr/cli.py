@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+from .algorithms import MAC_COMPARE
 from .config import ExperimentConfig, load_config
 from .errors import ConfigError
 from .harness import bounds_report, oracle_check, rows_to_csv, rows_to_json, run_sweep
@@ -80,7 +81,7 @@ def main(argv=None) -> int:
             text = rows_to_csv(rows) if cfg.out_format == "csv" else rows_to_json(rows)
         elif args.command == "mac-compare":
             cfg.mac_mode = True
-            cfg.algorithms = ["mac-omp", "s-omp"]
+            cfg.algorithms = list(MAC_COMPARE)
             rows = run_sweep(cfg, "m")
             text = rows_to_csv(rows) if cfg.out_format == "csv" else rows_to_json(rows)
         elif args.command == "bounds":

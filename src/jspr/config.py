@@ -8,10 +8,10 @@ topology.
 
 from dataclasses import dataclass, field
 
+from .algorithms import ALGORITHMS
 from .errors import ConfigError
 from .network import ring_topology
 
-VALID_ALGORITHMS = ("d-omp", "dc-omp1", "dc-omp1-nbr", "dc-omp2", "s-omp", "mac-omp")
 VALID_TOPOLOGIES = ("complete", "ring", "random")
 VALID_FORMATS = ("csv", "json")
 
@@ -174,13 +174,13 @@ def _validate(cfg: ExperimentConfig) -> None:
     if not cfg.algorithms:
         raise ConfigError("key 'algorithms': at least one algorithm required")
     for alg in cfg.algorithms:
-        if alg not in VALID_ALGORITHMS:
+        if alg not in ALGORITHMS:
             raise ConfigError(
                 f"key 'algorithms': unknown tag '{alg}' "
-                f"(valid: {', '.join(VALID_ALGORITHMS)})")
-    if "mac-omp" in cfg.algorithms and not cfg.mac_mode:
-        raise ConfigError("key 'algorithms': mac-omp requires mac_mode = true "
-                          "(shared measurement matrix)")
+                f"(valid: {', '.join(ALGORITHMS)})")
+        if ALGORITHMS[alg].shared_matrix and not cfg.mac_mode:
+            raise ConfigError(f"key 'algorithms': {alg} requires mac_mode = true "
+                              "(shared measurement matrix)")
     if cfg.trials < 1:
         raise ConfigError("key 'trials': must be positive")
     if cfg.master_seed < 0:

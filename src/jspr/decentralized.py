@@ -136,6 +136,12 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
     rounds = []
     round_no = 0
 
+    def adopt(l, admitted):
+        fused_lists[l] = admitted
+        supports[l].extend(admitted)
+        held[l, admitted] = True
+        active[l] = len(supports[l]) < k
+
     while any(active):
         round_no += 1
         proposals = [None] * l_count
@@ -152,29 +158,19 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
             ledger.send_local(l, 1)
 
         fused_lists = [None] * l_count
-        if mode == "full":
-            plist = [proposals[l] for l in range(l_count)]
-            fused = index_fusion_full(plist, supports[0])
-            counts = Counter(plist)
-            need = k - len(supports[0])
-            admitted = _admit(fused, need, counts)   # global: no per-node score
-            for l in range(l_count):
-                fused_lists[l] = admitted
-                supports[l].extend(admitted)
-                held[l, admitted] = True
-                active[l] = len(supports[l]) < k
+        if mode == "full":   # every node active, one shared support
+            fused = index_fusion_full(proposals, supports[0])
+            # global: no per-node score, so every node admits the same order
+            admitted = _admit(fused, k - len(supports[0]), Counter(proposals))
+            for l in updated:
+                adopt(l, admitted)
         else:
             for l in updated:
                 # a neighbour that finished earlier in this pass is no longer heard
                 received = [proposals[j] for j in topology.adjacency[l] if active[j]]
                 fused = index_fusion_neighborhood(proposals[l], received, supports[l])
-                need = k - len(supports[l])
-                admitted = _admit(fused, need, Counter([proposals[l], *received]),
-                                  scores=scores[l])
-                fused_lists[l] = admitted
-                supports[l].extend(admitted)
-                held[l, admitted] = True
-                active[l] = len(supports[l]) < k
+                adopt(l, _admit(fused, k - len(supports[l]),
+                                Counter([proposals[l], *received]), scores=scores[l]))
         for size in sorted({len(supports[l]) for l in updated}):   # one call in full mode
             lanes = [l for l in updated if len(supports[l]) == size]
             residuals[lanes] = ls_residual(obs.per_node[lanes], meas.matrices[lanes],

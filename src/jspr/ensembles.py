@@ -31,18 +31,15 @@ class MeasurementEnsemble:
 
     m: int
     matrices: np.ndarray      # (L, M, N)
-    basis_is_identity: bool
     shared_matrix: bool
     noise_sigma2: float
 
 
 @dataclass
 class ObservationSet:
-    """Per-node noisy observations; sum-channel output filled on aggregation."""
+    """Per-node noisy observations."""
 
     per_node: np.ndarray              # (L, M)
-    mac_output: np.ndarray | None = None
-    mac_noise_sigma2: float = 0.0
 
 
 def gen_support(n: int, k: int, rng: np.random.Generator) -> tuple:
@@ -106,13 +103,8 @@ def gen_orthoprojector(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def gen_measurements(n: int, m: int, l_count: int, sigma2: float,
-                     rng: np.random.Generator, shared: bool = False,
-                     basis: np.ndarray | None = None) -> MeasurementEnsemble:
-    """Per-node orthoprojector matrices; one shared draw when `shared`.
-
-    A sparsity basis may be supplied and is multiplied in here, so the stored
-    matrices act directly on the sparse coefficient vectors.
-    """
+                     rng: np.random.Generator, shared: bool = False) -> MeasurementEnsemble:
+    """Per-node orthoprojector matrices; one shared draw when `shared`."""
     if sigma2 < 0:
         raise ValueError("noise variance must be nonnegative")
     if shared:
@@ -120,14 +112,8 @@ def gen_measurements(n: int, m: int, l_count: int, sigma2: float,
         mats = np.repeat(a[None, :, :], l_count, axis=0)
     else:
         mats = np.stack([gen_orthoprojector(m, n, rng) for _ in range(l_count)])
-    basis_is_identity = basis is None
-    if basis is not None:
-        basis = np.asarray(basis, dtype=float)
-        if basis.shape != (n, n):
-            raise ValueError(f"basis must be {n} x {n}")
-        mats = mats @ basis
-    return MeasurementEnsemble(m=m, matrices=mats, basis_is_identity=basis_is_identity,
-                               shared_matrix=shared, noise_sigma2=float(sigma2))
+    return MeasurementEnsemble(m=m, matrices=mats, shared_matrix=shared,
+                               noise_sigma2=float(sigma2))
 
 
 def measure(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble,
@@ -144,27 +130,12 @@ def measure(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble,
         per_node = clean + noise
     else:
         per_node = clean
-    return ObservationSet(per_node=per_node,
-                          mac_noise_sigma2=l_count * meas.noise_sigma2)
+    return ObservationSet(per_node=per_node)
 
 
 def mac_aggregate(obs: ObservationSet) -> np.ndarray:
-    """Sum-channel output z = sum_l y_l; cached on the observation set."""
+    """Sum-channel output z = sum_l y_l."""
     if obs.per_node.shape[0] < 1:
         raise ValueError("need at least one per-node observation")
-    z = obs.per_node.sum(axis=0)
-    obs.mac_output = z
-    return z
+    return obs.per_node.sum(axis=0)
 
-
-def sum_signal(ensemble: JointSparseEnsemble) -> np.ndarray:
-    """Summed signal; sparse on (a subset of) the common support."""
-    return ensemble.signals.sum(axis=0)
-
-
-def average_snr(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble) -> float:
-    """Average per-node SNR in dB: 10 log10((1/L) sum_l ||s_l||^2 / (N sigma2))."""
-    if meas.noise_sigma2 <= 0:
-        raise ValueError("SNR undefined for zero noise variance")
-    power = np.mean(np.sum(ensemble.signals ** 2, axis=1))
-    return 10.0 * np.log10(power / (ensemble.n * meas.noise_sigma2))

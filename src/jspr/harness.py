@@ -16,15 +16,16 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import seeding
+from .algorithms import ALGORITHMS
 from .config import ExperimentConfig
-from .decentralized import RecoveryResult, dcomp1, dcomp2, domp_majority
-from .ensembles import gen_measurements, gen_signals, gen_support, mac_aggregate, measure
+from .decentralized import RecoveryResult, dcomp2
+from .ensembles import gen_measurements, gen_signals, gen_support, measure
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
 from .greedy import omp, somp
-from .macbounds import bound_report, mac_omp
+from .macbounds import XI_PAIR_CAP, bound_report
 from .metrics import TrialRecord, aggregate
-from .network import MessageLedger, Topology, build_topology, complete_topology
+from .network import Topology, build_topology, complete_topology
 
 CSV_HEADER = ("sweep_var,algorithm,p_d,p_d_stderr,fraction,mean_iters,"
               "iters_min,iters_max,local_scalars,global_scalars,trials,"
@@ -51,42 +52,22 @@ class TrialTask:
     trial_index: int
 
 
-def _somp_result(obs, meas, topology: Topology, k: int) -> RecoveryResult:
-    """Centralized simultaneous OMP, charged as each node shipping its k*N
-    correlation summaries network-wide."""
-    selected = tuple(sorted(somp(obs, meas, k)))
-    n = meas.matrices.shape[2]
-    ledger = MessageLedger(topology)
-    for l in range(topology.node_count):
-        ledger.send_global(l, k * n)
-    l_count = topology.node_count
-    return RecoveryResult(per_node_support=[selected] * l_count,
-                          iterations=[k] * l_count, ledger=ledger)
-
-
-def _mac_result(obs, meas, topology: Topology, k: int) -> RecoveryResult:
-    """OMP on the sum-channel output; no node-to-node messages to charge."""
-    z = mac_aggregate(obs)
-    selected = tuple(sorted(mac_omp(z, meas.matrices[0], k)))
-    l_count = topology.node_count
-    return RecoveryResult(per_node_support=[selected] * l_count,
-                          iterations=[k] * l_count, ledger=MessageLedger(topology))
+def draw_trial(n: int, k: int, l_count: int, m: int, *, sigma2: float, amp_low: float,
+               amp_high: float, shared: bool, master_seed: int, trial: int) -> tuple:
+    """(ensemble, meas, obs) of one trial, each drawn from its own seed
+    stream of (master_seed, trial)."""
+    support = gen_support(n, k, seeding.stream(master_seed, seeding.SUPPORT, trial))
+    ensemble = gen_signals(support, n, l_count, amp_low, amp_high,
+                           seeding.stream(master_seed, seeding.AMPLITUDES, trial))
+    meas = gen_measurements(n, m, l_count, sigma2,
+                            seeding.stream(master_seed, seeding.MATRICES, trial),
+                            shared=shared)
+    obs = measure(ensemble, meas, seeding.stream(master_seed, seeding.NOISE, trial))
+    return ensemble, meas, obs
 
 
 def _run_algorithm(alg: str, obs, meas, topology: Topology, k: int) -> RecoveryResult:
-    if alg == "d-omp":
-        return domp_majority(obs, meas, topology, k)
-    if alg == "dc-omp1":
-        return dcomp1(obs, meas, complete_topology(topology.node_count), k, mode="full")
-    if alg == "dc-omp1-nbr":
-        return dcomp1(obs, meas, topology, k, mode="neighborhood")
-    if alg == "dc-omp2":
-        return dcomp2(obs, meas, topology, k)
-    if alg == "s-omp":
-        return _somp_result(obs, meas, topology, k)
-    if alg == "mac-omp":
-        return _mac_result(obs, meas, topology, k)
-    raise ValueError(f"unknown algorithm tag {alg!r}")
+    return ALGORITHMS[alg].run(obs, meas, topology, k)
 
 
 def run_trial(task: TrialTask) -> dict:
@@ -95,17 +76,10 @@ def run_trial(task: TrialTask) -> dict:
     TrialError naming the sweep point, algorithm, trial index and seed."""
     alg = "(trial draw)"
     try:
-        support = gen_support(task.n, task.k,
-                              seeding.stream(task.master_seed, seeding.SUPPORT, task.trial_index))
-        ensemble = gen_signals(support, task.n, task.l_count, task.amp_low, task.amp_high,
-                               seeding.stream(task.master_seed, seeding.AMPLITUDES,
-                                              task.trial_index))
-        meas = gen_measurements(task.n, task.m, task.l_count, task.sigma2,
-                                seeding.stream(task.master_seed, seeding.MATRICES,
-                                               task.trial_index),
-                                shared=task.shared_matrix)
-        obs = measure(ensemble, meas,
-                      seeding.stream(task.master_seed, seeding.NOISE, task.trial_index))
+        ensemble, meas, obs = draw_trial(
+            task.n, task.k, task.l_count, task.m, sigma2=task.sigma2,
+            amp_low=task.amp_low, amp_high=task.amp_high, shared=task.shared_matrix,
+            master_seed=task.master_seed, trial=task.trial_index)
 
         out = {}
         for alg in task.algorithms:
@@ -146,8 +120,6 @@ def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
               topology: Topology, pool: ProcessPoolExecutor | None = None) -> list:
     """All configured algorithms on `trials` paired trials at one sweep point,
     on `pool` if one is given, else serially in this process."""
-    if cfg.k > m:
-        raise ConfigError(f"sweep point m={m}: greedy recovery requires k <= M (k={cfg.k})")
     tasks = [TrialTask(n=cfg.n, k=cfg.k, l_count=l_count, m=m, sigma2=cfg.sigma2,
                        amp_low=cfg.amp_low, amp_high=cfg.amp_high,
                        shared_matrix=cfg.mac_mode, algorithms=tuple(cfg.algorithms),
@@ -212,8 +184,13 @@ def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:
 def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     """Row dicts for a sweep over m, l, or n0 (one row per point x algorithm).
 
-    With workers > 1, one process pool serves every point of the sweep."""
+    With workers > 1, one process pool serves every point of the sweep. A
+    point with k > M is rejected before any point runs a trial."""
     points = _sweep_points(cfg, sweep)
+    for _, _, m, _ in points:
+        if cfg.k > m:
+            raise ConfigError(f"sweep point m={m}: greedy recovery requires k <= M "
+                              f"(k={cfg.k})")
     rows = []
     with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
           else contextlib.nullcontext()) as pool:
@@ -287,12 +264,10 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
         raise ConfigError("key 'sigma2': bound reports need positive noise variance")
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
-    support = gen_support(cfg.n, cfg.k, seeding.stream(cfg.master_seed, seeding.SUPPORT))
-    ensemble = gen_signals(support, cfg.n, l_count, cfg.amp_low, cfg.amp_high,
-                           seeding.stream(cfg.master_seed, seeding.AMPLITUDES))
-    meas = gen_measurements(cfg.n, m, l_count, cfg.sigma2,
-                            seeding.stream(cfg.master_seed, seeding.MATRICES), shared=True)
-    exact_fits = math.comb(cfg.n, cfg.k) ** 2 <= 10 ** 6
+    ensemble, meas, _ = draw_trial(cfg.n, cfg.k, l_count, m, sigma2=cfg.sigma2,
+                                   amp_low=cfg.amp_low, amp_high=cfg.amp_high, shared=True,
+                                   master_seed=cfg.master_seed, trial=0)
+    exact_fits = math.comb(cfg.n, cfg.k) ** 2 <= XI_PAIR_CAP
     report = bound_report(
         ensemble, meas, delta0=cfg.delta0, slack_t=cfg.slack_t,
         sample_pairs=None if exact_fits else cfg.xi_pairs,
@@ -344,13 +319,9 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     topo = complete_topology(l_count)
     omp_agree = somp_agree = dcomp2_match = 0
     for t in range(cfg.trials):
-        support = gen_support(cfg.n, cfg.k,
-                              seeding.stream(cfg.master_seed, seeding.SUPPORT, t))
-        ensemble = gen_signals(support, cfg.n, l_count, cfg.amp_low, cfg.amp_high,
-                               seeding.stream(cfg.master_seed, seeding.AMPLITUDES, t))
-        meas = gen_measurements(cfg.n, m, l_count, 0.0,
-                                seeding.stream(cfg.master_seed, seeding.MATRICES, t))
-        obs = measure(ensemble, meas, seeding.stream(cfg.master_seed, seeding.NOISE, t))
+        _, meas, obs = draw_trial(cfg.n, cfg.k, l_count, m, sigma2=0.0,
+                                  amp_low=cfg.amp_low, amp_high=cfg.amp_high, shared=False,
+                                  master_seed=cfg.master_seed, trial=t)
 
         single_oracle = exhaustive_oracle(obs.per_node[0], meas.matrices[0], cfg.k)
         if set(omp(obs.per_node[0], meas.matrices[0], cfg.k)) == set(single_oracle):

@@ -32,8 +32,6 @@ class AggregateStats:
     mean_local_scalars: float
     mean_global_scalars: float
     n_records: int
-    p_d_node_min: float       # node-level detection rates bracket the mean
-    p_d_node_max: float
 
 
 def exact_recovery(estimated, truth) -> bool:
@@ -49,38 +47,9 @@ def support_fraction(estimated, truth) -> float:
     return len(set(estimated) & truth) / len(truth)
 
 
-def table1_expected(algorithm: str, l_count: int, k: int, n: int,
-                    neighborhoods, t_observed) -> tuple:
-    """Expected (local, global) scalar totals for one full run.
-
-    s-omp: each node ships k*N correlation summaries network-wide.
-    d-omp: each node ships its k final indices network-wide.
-    dc-omp1: one index to each neighbor per round -> sum_l |G_l| * T_l local.
-    dc-omp2: N values to each neighbor plus one global index per round.
-
-    `t_observed` is the run's per-node round count (a scalar is broadcast).
-    """
-    t_nodes = np.broadcast_to(np.asarray(t_observed, dtype=int), (l_count,))
-    degrees = np.asarray([len(nbrs) for nbrs in neighborhoods], dtype=int)
-    if degrees.shape != (l_count,):
-        raise ValueError("neighborhoods must list each node's neighbor set")
-    if algorithm == "s-omp":
-        return 0, l_count * (l_count - 1) * k * n
-    if algorithm == "d-omp":
-        return 0, k * (l_count - 1) * l_count
-    if algorithm in ("dc-omp1", "dc-omp1-nbr"):
-        return int(np.sum(degrees * t_nodes)), 0
-    if algorithm == "dc-omp2":
-        return (int(np.sum(degrees * t_nodes)) * n,
-                int((l_count - 1) * np.sum(t_nodes)))
-    if algorithm == "mac-omp":
-        return 0, 0
-    raise ValueError(f"unknown algorithm tag {algorithm!r}")
-
-
 def aggregate(records) -> AggregateStats:
     """Means and errors over trial records; per-node stats are averaged over
-    nodes with node-level min/max detection rates retained for error bars."""
+    nodes."""
     records = list(records)
     if not records:
         raise ValueError("no records to aggregate")
@@ -104,7 +73,6 @@ def aggregate(records) -> AggregateStats:
         glob[i] = rec.global_scalars
 
     p_d = float(success.mean())
-    node_rates = success.mean(axis=0)
     n = len(records)
     return AggregateStats(
         p_d=p_d,
@@ -116,6 +84,4 @@ def aggregate(records) -> AggregateStats:
         mean_local_scalars=float(local.mean()),
         mean_global_scalars=float(glob.mean()),
         n_records=n,
-        p_d_node_min=float(node_rates.min()),
-        p_d_node_max=float(node_rates.max()),
     )

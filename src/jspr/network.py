@@ -3,11 +3,10 @@
 The ledger counts every transmitted scalar, split into one-hop (local) and
 network-wide (global) categories, assuming pairwise delivery: a local send
 reaches each neighbor separately, a global send reaches each of the other
-L-1 nodes separately. Message counts (one message = one payload delivered to
-one recipient) are tracked alongside scalar counts.
+L-1 nodes separately.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,31 +35,18 @@ class MessageLedger:
     topology: Topology
     local_scalar_count: int = 0
     global_scalar_count: int = 0
-    local_message_count: int = 0
-    global_message_count: int = 0
-    per_node_scalars: list = field(default_factory=list)
-
-    def __post_init__(self):
-        if not self.per_node_scalars:
-            self.per_node_scalars = [0] * self.topology.node_count
 
     def send_local(self, sender: int, payload_len: int) -> None:
         """Deliver payload_len scalars to each one-hop neighbor of sender."""
         if payload_len < 1:
             raise ValueError("payload_len must be positive")
-        recipients = self.topology.degree(sender)
-        self.local_scalar_count += payload_len * recipients
-        self.local_message_count += recipients
-        self.per_node_scalars[sender] += payload_len * recipients
+        self.local_scalar_count += payload_len * self.topology.degree(sender)
 
     def send_global(self, sender: int, payload_len: int) -> None:
         """Deliver payload_len scalars to every other node in the network."""
         if payload_len < 1:
             raise ValueError("payload_len must be positive")
-        recipients = self.topology.node_count - 1
-        self.global_scalar_count += payload_len * recipients
-        self.global_message_count += recipients
-        self.per_node_scalars[sender] += payload_len * recipients
+        self.global_scalar_count += payload_len * (self.topology.node_count - 1)
 
 
 def _finalize(node_count: int, edge_set: set) -> Topology:

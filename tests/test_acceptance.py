@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 from jspr import seeding
+from jspr.algorithms import table1_expected
 from jspr.cli import main
 from jspr.config import ExperimentConfig
 from jspr.harness import (
@@ -34,7 +35,6 @@ from jspr.macbounds import (
 from jspr.ensembles import (gen_measurements, gen_signals, gen_support,
                             measure)
 from jspr.greedy import omp
-from jspr.metrics import table1_expected
 from jspr.network import complete_topology
 
 mpmath.mp.dps = 60

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from jspr.algorithms import table1_expected
 from jspr.decentralized import (
     dcomp1,
     dcomp2,
@@ -20,7 +21,6 @@ from jspr.ensembles import (
     measure,
 )
 from jspr.greedy import correlate, omp, somp
-from jspr.metrics import table1_expected
 from jspr.network import complete_topology, ring_topology
 
 
@@ -134,8 +134,7 @@ class TestDcomp1:
         # exactly 0, every score ties, and only the held-index mask keeps a
         # node from proposing an index it already holds
         meas = MeasurementEnsemble(m=6, matrices=np.stack([np.eye(6)] * 3),
-                                   basis_is_identity=True, shared_matrix=True,
-                                   noise_sigma2=0.0)
+                                   shared_matrix=True, noise_sigma2=0.0)
         obs = ObservationSet(per_node=np.tile([3.0, 2.0, 0, 0, 0, 0], (3, 1)))
         result = dcomp1(obs, meas, ring_topology(3, 2), 4, mode=mode)
         assert result.per_node_support == [(0, 1, 2, 3)] * 3

@@ -9,14 +9,12 @@ from jspr import seeding
 from jspr.ensembles import (
     JointSparseEnsemble,
     MeasurementEnsemble,
-    average_snr,
     gen_measurements,
     gen_orthoprojector,
     gen_signals,
     gen_support,
     mac_aggregate,
     measure,
-    sum_signal,
 )
 
 
@@ -26,8 +24,7 @@ def rng_of(seed):
 
 def identity_measurements(n, l_count, sigma2=0.0):
     mats = np.repeat(np.eye(n)[None, :, :], l_count, axis=0)
-    return MeasurementEnsemble(m=n, matrices=mats, basis_is_identity=True,
-                               shared_matrix=True, noise_sigma2=sigma2)
+    return MeasurementEnsemble(m=n, matrices=mats, shared_matrix=True, noise_sigma2=sigma2)
 
 
 class TestGenSupport:
@@ -159,18 +156,6 @@ class TestMeasure:
         with pytest.raises(ValueError):
             measure(ens, meas, rng_of(0))
 
-    def test_sparsity_basis_multiplied_in(self):
-        n = 6
-        basis = gen_orthoprojector(n, n, rng_of(16))   # square orthogonal
-        plain = gen_measurements(n, 4, 2, 0.0, rng_of(17))
-        with_basis = gen_measurements(n, 4, 2, 0.0, rng_of(17), basis=basis)
-        assert not with_basis.basis_is_identity
-        assert np.allclose(with_basis.matrices, plain.matrices @ basis)
-        ens = gen_signals((2, 4), n, 2, 1.0, 2.0, rng_of(18))
-        obs = measure(ens, with_basis, rng_of(0))
-        expected = np.einsum("lmn,ln->lm", plain.matrices, ens.signals @ basis.T)
-        assert np.max(np.abs(obs.per_node - expected)) <= 1e-12
-
     def test_shared_flag_bitwise_equal_matrices(self):
         meas = gen_measurements(12, 5, 4, 0.01, rng_of(19), shared=True)
         assert meas.shared_matrix
@@ -184,15 +169,13 @@ class TestMacAggregate:
         obs = measure(ens, gen_measurements(6, 4, 1, 0.01, rng_of(2)), rng_of(3))
         z = mac_aggregate(obs)
         assert np.array_equal(z, obs.per_node[0])
-        assert np.array_equal(obs.mac_output, z)
 
     def test_noiseless_shared_equals_summed_model(self):
         ens = gen_signals((1, 4), 9, 3, 2.0, 5.0, rng_of(4))
         meas = gen_measurements(9, 5, 3, 0.0, rng_of(5), shared=True)
         obs = measure(ens, meas, rng_of(6))
         z = mac_aggregate(obs)
-        assert np.max(np.abs(z - meas.matrices[0] @ sum_signal(ens))) <= 1e-10
-        assert obs.mac_noise_sigma2 == 0.0
+        assert np.max(np.abs(z - meas.matrices[0] @ ens.signals.sum(axis=0))) <= 1e-10
 
     def test_linearity(self):
         ens = gen_signals((0,), 5, 2, 1.0, 2.0, rng_of(7))
@@ -207,7 +190,7 @@ class TestMacAggregate:
         sigma2, l_count, draws = 0.04, 5, 10 ** 4
         ens = gen_signals((1, 3), 8, l_count, 2.0, 4.0, rng_of(20))
         meas = gen_measurements(8, 4, l_count, sigma2, rng_of(21), shared=True)
-        clean = meas.matrices[0] @ sum_signal(ens)
+        clean = meas.matrices[0] @ ens.signals.sum(axis=0)
         rng = rng_of(22)
         zs = np.empty((draws, 4))
         for t in range(draws):
@@ -219,57 +202,11 @@ class TestMacAggregate:
 
 
 class TestSumSignal:
-    def test_all_equal(self):
-        sig = np.zeros((3, 4))
-        sig[:, 1] = 2.0
-        ens = JointSparseEnsemble(4, 1, 3, (1,), sig, (np.arange(4) == 1).astype(np.uint8))
-        assert np.array_equal(sum_signal(ens), np.array([0.0, 6.0, 0.0, 0.0]))
-
-    def test_cancellation(self):
-        sig = np.zeros((2, 4))
-        sig[0, 2], sig[1, 2] = 3.0, -3.0
-        ens = JointSparseEnsemble(4, 1, 2, (2,), sig, (np.arange(4) == 2).astype(np.uint8))
-        assert sum_signal(ens)[2] == 0.0
-
     def test_interval_bounds(self):
         ens = gen_signals((3, 5), 8, 10, 10.0, 15.0, rng_of(30))
-        sbar = sum_signal(ens)
+        sbar = ens.signals.sum(axis=0)
         assert np.all(sbar[[3, 5]] >= 100.0)
         assert np.all(sbar[[3, 5]] <= 150.0)
-
-
-class TestAverageSnr:
-    def test_zero_db(self):
-        n, sigma2 = 16, 0.25
-        sig = np.zeros((1, n))
-        sig[0, 3] = np.sqrt(n * sigma2)
-        ens = JointSparseEnsemble(n, 1, 1, (3,), sig, (np.arange(n) == 3).astype(np.uint8))
-        meas = identity_measurements(n, 1, sigma2)
-        assert abs(average_snr(ens, meas)) < 1e-12
-
-    def test_reference_point_near_28db(self):
-        n, k, sigma2, amp = 256, 10, 0.01, 12.649
-        sig = np.zeros((1, n))
-        support = tuple(range(k))
-        sig[0, :k] = amp
-        ens = JointSparseEnsemble(n, k, 1, support, sig,
-                                  (np.arange(n) < k).astype(np.uint8))
-        meas = identity_measurements(n, 1, sigma2)
-        snr = average_snr(ens, meas)
-        assert abs(snr - 10 * np.log10(k * amp ** 2 / (n * sigma2))) < 1e-12
-        assert abs(snr - 28.0) < 0.1
-
-    def test_scaling_law(self):
-        ens = gen_signals((2, 4), 16, 3, 1.0, 2.0, rng_of(31))
-        meas = identity_measurements(16, 3, 0.5)
-        base = average_snr(ens, meas)
-        ens.signals = ens.signals * 2.0
-        assert abs(average_snr(ens, meas) - base - 20 * np.log10(2.0)) < 1e-9
-
-    def test_undefined(self):
-        ens = gen_signals((1,), 4, 1, 1.0, 2.0, rng_of(0))
-        with pytest.raises(ValueError):
-            average_snr(ens, identity_measurements(4, 1, 0.0))
 
 
 class TestDeterminism:

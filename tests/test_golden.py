@@ -4,7 +4,8 @@ Each case runs one CLI command on a pinned config, seed and trial count
 and compares the sha256 of the output file with the digest recorded when
 the case was added. Together the cases run every algorithm tag: the five
 network solvers on a ring through sweep-m and sweep-l, and mac-omp with
-s-omp through mac-compare. A change that is meant to alter what the
+s-omp through mac-compare. They also pin the bound report, with an exact
+and with a sampled xi, and the oracle check. A change that is meant to alter what the
 solvers compute must re-record these digests and say why; any other change
 must leave them as they are.
 
@@ -57,10 +58,37 @@ sigma2 = 0.01
 trials = 30
 seed = 3
 """),
+    "bounds-exact": ("bounds", """
+n = 12
+k = 2
+l = 3
+m = 6
+sigma2 = 0.1
+seed = 5
+"""),
+    "bounds-sampled": ("bounds", """
+n = 64
+k = 3
+l = 4
+m = 16
+xi_pairs = 300
+seed = 8
+"""),
+    "oracle-check": ("oracle-check", """
+n = 10
+k = 3
+l = 3
+m = 6
+trials = 20
+seed = 2
+"""),
 }
 
 DIGESTS = {
+    "bounds-exact": "7820a5029b0bc2aa95635e19a6af947dc8eb4eec3476ca73317a05a656f52b5c",
+    "bounds-sampled": "2698cdf6704567da107e19d3a0b7a30a0a5f1fac60a40729709f8338cc0f03e5",
     "mac-compare": "36148e72c98368c80949199580e3c6b6c2d5d71278b2de7b7a00d504846ade5d",
+    "oracle-check": "1613178889f6e604eb4b63221b9b426dd978e3f7118b7ddf3f0cc75ff517653d",
     "sweep-l-ring": "32b80e3f6653da5f15e3d283a7967e8f08ab60e09f3bb09589c8f6248720c317",
     "sweep-m-ring": "1ab7c588e28a8e887811dcfba0f09851971567df4e764aefe32c9c211139a4ee",
 }

@@ -156,6 +156,14 @@ class TestRunSweep:
         with pytest.raises(ConfigError, match="k <= M"):
             run_sweep(tiny_config(m_values=[1]), "m")
 
+    def test_sparsity_above_m_rejected_before_any_point_runs(self, monkeypatch):
+        import jspr.harness as harness
+        calls = []
+        monkeypatch.setattr(harness, "run_trial", calls.append)
+        with pytest.raises(ConfigError, match="m=1: greedy recovery requires k <= M"):
+            run_sweep(tiny_config(m_values=[20, 1]), "m")
+        assert calls == []
+
     def test_json_rows_round_trip(self):
         rows = run_sweep(tiny_config(), "m")
         parsed = json.loads(rows_to_json(rows))

@@ -15,7 +15,6 @@ from jspr.ensembles import (
     gen_support,
     mac_aggregate,
     measure,
-    sum_signal,
 )
 from jspr.errors import EnumerationTooLargeError
 from jspr.greedy import omp
@@ -78,8 +77,7 @@ class TestMacOmp:
         rng = rng_of(3)
         ensemble = gen_signals((1, 4), n, 4, 10.0, 15.0, rng)
         mats = np.repeat(np.eye(n)[None, :, :], 4, axis=0)
-        meas = MeasurementEnsemble(m=n, matrices=mats, basis_is_identity=True,
-                                   shared_matrix=True, noise_sigma2=0.0)
+        meas = MeasurementEnsemble(m=n, matrices=mats, shared_matrix=True, noise_sigma2=0.0)
         obs = measure(ensemble, meas, rng)
         z = mac_aggregate(obs)
         assert set(mac_omp(z, meas.matrices[0], 2)) == {1, 4}
@@ -94,8 +92,7 @@ class TestBlockDictionary:
 
     def test_hand_checked_column_order(self):
         mats = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])   # B_0 = [a b], B_1 = [c d]
-        meas = MeasurementEnsemble(m=1, matrices=mats, basis_is_identity=True,
-                                   shared_matrix=False, noise_sigma2=0.0)
+        meas = MeasurementEnsemble(m=1, matrices=mats, shared_matrix=False, noise_sigma2=0.0)
         block = build_block_dictionary(meas)
         assert block.matrix.tolist() == [[1.0, 3.0, 2.0, 4.0]]   # (b00 b10 b01 b11)
 

@@ -4,12 +4,12 @@ import math
 
 import pytest
 
+from jspr.algorithms import table1_expected
 from jspr.metrics import (
     TrialRecord,
     aggregate,
     exact_recovery,
     support_fraction,
-    table1_expected,
 )
 from jspr.network import complete_topology, ring_topology
 
@@ -72,7 +72,6 @@ class TestAggregate:
         assert stats.p_d == 1.0
         assert stats.p_d_stderr == 0.0
         assert stats.fraction == 1.0
-        assert stats.p_d_node_min == stats.p_d_node_max == 1.0
 
     def test_half_success_binomial_stderr(self):
         records = [record([(1, 5)]) for _ in range(8)] + \
@@ -81,14 +80,11 @@ class TestAggregate:
         assert stats.p_d == 0.5
         assert stats.p_d_stderr == pytest.approx(0.5 / math.sqrt(16))
 
-    def test_mixed_per_node_min_max_bracket_mean(self):
+    def test_mixed_per_node_mean(self):
         # node 0 always right, node 1 right half the time, node 2 never
         records = [record([(1, 5), (1, 5), (0, 2)]),
                    record([(1, 5), (3, 4), (0, 2)])]
         stats = aggregate(records)
-        assert stats.p_d_node_min == 0.0
-        assert stats.p_d_node_max == 1.0
-        assert stats.p_d_node_min <= stats.p_d <= stats.p_d_node_max
         assert stats.p_d == pytest.approx(0.5)
 
     def test_permutation_invariance(self):
