@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import ls_residual
+from .greedy import _lockstep_select, correlate, ls_residual
 from .network import MessageLedger, Topology
 
 
@@ -102,13 +102,6 @@ def _admit(fused, need: int, counts: Counter, scores=None) -> list:
     return ordered[:need]
 
 
-def _masked_argmax(scores: np.ndarray, exclude) -> int:
-    if exclude:
-        scores = scores.copy()
-        scores[list(exclude)] = -np.inf
-    return int(np.argmax(scores))
-
-
 def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
     """Collaborative OMP with per-iteration one-hop index fusion.
 
@@ -146,12 +139,9 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
         round_no += 1
         proposals = [None] * l_count
         updated = [l for l in range(l_count) if active[l]]
-        # Every node's row, finished ones discarded: reading each matrix once
-        # costs less than gathering the active ones. Stacked matmul, not
-        # einsum: it gives per-node `correlate`'s floats bit for bit, and
-        # _admit's score tie-break must see exactly those.
-        scores = np.abs(np.matmul(meas.matrices.transpose(0, 2, 1),
-                                  residuals[:, :, None]))[:, :, 0]
+        # every node's row, finished ones discarded: reading each matrix once
+        # costs less than gathering the active ones
+        scores = correlate(residuals, meas.matrices)
         picks = np.where(held, -np.inf, scores).argmax(axis=1)
         for l in updated:
             proposals[l] = int(picks[l])
@@ -208,13 +198,14 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
 
     while len(support) < k:
         round_no += 1
-        f = np.abs(np.einsum("lmn,lm->ln", meas.matrices, residuals))   # (L, N)
+        f = correlate(residuals, meas.matrices)   # (L, N)
         for l in range(l_count):
             ledger.send_local(l, n)
         proposals = []
         for l in range(l_count):
             g = f[l] + f[list(topology.adjacency[l])].sum(axis=0)
-            proposals.append(_masked_argmax(g, support))
+            g[support] = -np.inf
+            proposals.append(int(np.argmax(g)))
         for l in range(l_count):
             ledger.send_global(l, 1)
 
@@ -240,24 +231,6 @@ def majority_vote(estimates, k: int) -> tuple:
     return tuple(sorted(sorted(votes, key=lambda idx: (-votes[idx], idx))[:k]))
 
 
-def _lockstep_omp(ys: np.ndarray, dictionaries: np.ndarray, k: int) -> list:
-    """Independent OMP at every node, run in lockstep: one kernel call per
-    round for all L nodes. Each node masks its own picks; ties go to the
-    smallest index, as in `omp`. Returns L lists of k indices in selection
-    order."""
-    l_count, m = ys.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
-    residuals = ys
-    selected = np.empty((l_count, 0), dtype=np.intp)
-    for t in range(k):
-        scores = np.abs(np.einsum("lmn,lm->ln", dictionaries, residuals))
-        np.put_along_axis(scores, selected, -np.inf, axis=1)
-        selected = np.column_stack([selected, np.argmax(scores, axis=1)])
-        residuals = ls_residual(ys, dictionaries, selected, check=t == k - 1)
-    return selected.tolist()
-
-
 def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     """No-collaboration baseline: independent per-node OMP, one majority vote.
 
@@ -268,8 +241,9 @@ def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     if topology.node_count != l_count:
         raise ValueError("topology size does not match observation count")
     ledger = MessageLedger(topology)
-    estimates = _lockstep_omp(np.asarray(obs.per_node, dtype=float),
-                              np.asarray(meas.matrices, dtype=float), k)
+    estimates = _lockstep_select(np.asarray(obs.per_node, dtype=float),
+                                 np.asarray(meas.matrices, dtype=float), k,
+                                 pooled=False).tolist()
     for l in range(l_count):
         ledger.send_global(l, k)
     fused = majority_vote(estimates, k)

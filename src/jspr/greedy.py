@@ -3,7 +3,8 @@ across nodes with per-node dictionaries.
 
 Both run exactly k iterations: pick the column (most) correlated with the
 residual(s), then deflate each residual by least squares onto everything
-selected so far.
+selected so far. `correlate` and `ls_residual` are the two kernels every
+greedy solver in the package is built on.
 """
 
 import numpy as np
@@ -13,9 +14,15 @@ from .errors import SingularProjectionError
 GRAM_COND_LIMIT = 1e12
 
 
-def correlate(residual: np.ndarray, dictionary: np.ndarray) -> np.ndarray:
-    """Absolute inner product of the residual with every dictionary column."""
-    return np.abs(dictionary.T @ residual)
+def correlate(residuals: np.ndarray, dictionaries: np.ndarray) -> np.ndarray:
+    """Absolute inner product of each lane's residual with every column of
+    its own dictionary: `residuals (L, M)`, `dictionaries (L, M, N)` -> (L, N).
+
+    The one correlation kernel of the package. It is one stacked matmul, so
+    row l equals `np.abs(dictionaries[l].T @ residuals[l])` bit for bit;
+    `dcomp1` breaks count ties on these floats.
+    """
+    return np.abs(np.matmul(dictionaries.transpose(0, 2, 1), residuals[:, :, None]))[:, :, 0]
 
 
 def ls_residual(y: np.ndarray, dictionary: np.ndarray, selected, *,
@@ -71,20 +78,27 @@ def ls_residual(y: np.ndarray, dictionary: np.ndarray, selected, *,
     return ys - (coef.transpose(0, 2, 1) @ sub_t)[:, 0, :]
 
 
-def _greedy_select(ys: np.ndarray, dictionaries: np.ndarray, k: int) -> list:
-    """Shared k-step selection loop over L (residual, dictionary) pairs."""
-    m = ys.shape[1]
+def _lockstep_select(ys: np.ndarray, dictionaries: np.ndarray, k: int, *,
+                     pooled: bool) -> np.ndarray:
+    """k rounds of OMP on L lanes in lockstep, one `correlate` and one
+    `ls_residual` call per round for all lanes. `pooled` sums the scores over
+    lanes, so every lane takes the same pick (S-OMP); otherwise each lane
+    picks its own. Held indices are masked; ties go to the smallest index.
+    Returns the (L, k) picks in selection order."""
+    l_count, m = ys.shape
     if not 1 <= k <= m:
         raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
-    selected = []
-    residuals = np.array(ys, dtype=float, copy=True)
+    picks = np.empty((l_count, k), dtype=np.intp)
+    rows = np.arange(1 if pooled else l_count)[:, None]   # one row of scores per pick
+    residuals = ys
     for t in range(k):
-        scores = np.abs(np.einsum("lmn,lm->ln", dictionaries, residuals)).sum(axis=0)
-        if selected:
-            scores[selected] = -np.inf  # orthogonality already rules these out
-        selected.append(int(np.argmax(scores)))
-        residuals = ls_residual(ys, dictionaries, selected, check=t == k - 1)
-    return selected
+        scores = correlate(residuals, dictionaries)
+        if pooled:
+            scores = scores.sum(axis=0, keepdims=True)
+        scores[rows, picks[:len(rows), :t]] = -np.inf
+        picks[:, t] = scores.argmax(axis=1)
+        residuals = ls_residual(ys, dictionaries, picks[:, :t + 1], check=t == k - 1)
+    return picks
 
 
 def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
@@ -94,11 +108,11 @@ def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
     """
     y = np.asarray(y, dtype=float)
     dictionary = np.asarray(dictionary, dtype=float)
-    return _greedy_select(y[None, :], dictionary[None, :, :], k)
+    return _lockstep_select(y[None, :], dictionary[None, :, :], k, pooled=True)[0].tolist()
 
 
 def somp(obs, meas, k: int) -> list:
     """Simultaneous OMP: per-iteration score is the sum over nodes of each
     node's absolute residual correlation against its own dictionary."""
-    return _greedy_select(np.asarray(obs.per_node, dtype=float),
-                          np.asarray(meas.matrices, dtype=float), k)
+    return _lockstep_select(np.asarray(obs.per_node, dtype=float),
+                            np.asarray(meas.matrices, dtype=float), k, pooled=True)[0].tolist()

@@ -94,8 +94,7 @@ class TestDcomp1:
         # noiseless 1-sparse: every node proposes the true column
         ensemble, meas, obs = make_instance(2, n=8, k=1, l_count=5, m=6, sigma2=0.0)
         truth = ensemble.support[0]
-        proposals = [int(np.argmax(correlate(obs.per_node[l], meas.matrices[l])))
-                     for l in range(5)]
+        proposals = correlate(obs.per_node, meas.matrices).argmax(axis=1).tolist()
         assert proposals == [truth] * 5   # precondition for the trace below
         result = dcomp1(obs, meas, complete_topology(5), 1, mode="full")
         assert result.iterations == [1] * 5

@@ -22,13 +22,13 @@ def mmv(per_node, matrices, sigma2=0.0):
 
 class TestCorrelate:
     def test_basis_vector_identity(self):
-        scores = correlate(np.eye(4)[0], np.eye(4))
-        assert scores.tolist() == [1.0, 0.0, 0.0, 0.0]
+        scores = correlate(np.eye(4)[:1], np.eye(4)[None])
+        assert scores.tolist() == [[1.0, 0.0, 0.0, 0.0]]
 
     def test_orthogonal_residual(self):
         dictionary = np.zeros((3, 2))
         dictionary[0, 0] = dictionary[1, 1] = 1.0
-        scores = correlate(np.array([0.0, 0.0, 2.0]), dictionary)
+        scores = correlate(np.array([[0.0, 0.0, 2.0]]), dictionary[None])
         assert np.all(scores <= 1e-12)
 
     def test_matches_double_loop(self):
@@ -37,7 +37,20 @@ class TestCorrelate:
         residual = rng.standard_normal(4)
         expected = np.array([abs(sum(residual[i] * dictionary[i, w] for i in range(4)))
                              for w in range(6)])
-        assert np.max(np.abs(correlate(residual, dictionary) - expected)) <= 1e-12
+        scores = correlate(residual[None], dictionary[None])
+        assert np.max(np.abs(scores[0] - expected)) <= 1e-12
+
+    def test_rows_equal_per_lane_products_bit_for_bit(self):
+        # dcomp1 breaks count ties on these scores, so every row must be the
+        # per-node product's floats exactly, not merely close
+        rng = rng_of(4)
+        for l_count, m, n in ((1, 5, 9), (6, 30, 256), (10, 17, 40)):
+            dictionaries = rng.standard_normal((l_count, m, n))
+            residuals = rng.standard_normal((l_count, m))
+            scores = correlate(residuals, dictionaries)
+            assert scores.shape == (l_count, n)
+            for l in range(l_count):
+                assert np.array_equal(scores[l], np.abs(dictionaries[l].T @ residuals[l]))
 
 
 class TestLsResidual:

@@ -19,8 +19,6 @@ from hypothesis import strategies as st
 from jspr import decentralized, greedy
 from jspr.decentralized import (
     _admit,
-    _lockstep_omp,
-    _masked_argmax,
     dcomp1,
     dcomp2,
     domp_majority,
@@ -29,7 +27,7 @@ from jspr.decentralized import (
 )
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
-from jspr.greedy import correlate, ls_residual, omp, somp
+from jspr.greedy import _lockstep_select, ls_residual, omp, somp
 from jspr.network import MessageLedger, complete_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -146,7 +144,8 @@ class TestLockstepOmp:
         k = 1 + int(k_frac * (min(m, n - 1) - 1))
         meas, obs = instance(seed, n, k, l_count, m)
         expected = [omp(obs.per_node[l], meas.matrices[l], k) for l in range(l_count)]
-        assert _lockstep_omp(obs.per_node, meas.matrices, k) == expected
+        picks = _lockstep_select(obs.per_node, meas.matrices, k, pooled=False)
+        assert picks.tolist() == expected
         result = domp_majority(obs, meas, complete_topology(l_count), k)
         assert result.per_node_support == [majority_vote(expected, k)] * l_count
 
@@ -156,7 +155,7 @@ class TestLockstepOmp:
         dictionaries = np.repeat(np.eye(4)[None, :, :], 3, axis=0)
         expected = [omp(ys[l], dictionaries[l], 2) for l in range(3)]
         assert expected == [[1, 2], [0, 3], [0, 1]]
-        assert _lockstep_omp(ys, dictionaries, 2) == expected
+        assert _lockstep_select(ys, dictionaries, 2, pooled=False).tolist() == expected
 
 
 def reference_dcomp1_neighborhood(obs, meas, topology, k):
@@ -174,8 +173,10 @@ def reference_dcomp1_neighborhood(obs, meas, topology, k):
         proposals, score_vecs = [None] * l_count, [None] * l_count
         for l in range(l_count):
             if active[l]:
-                score_vecs[l] = correlate(residuals[l], meas.matrices[l])
-                proposals[l] = _masked_argmax(score_vecs[l], supports[l])
+                score_vecs[l] = np.abs(meas.matrices[l].T @ residuals[l])
+                masked = score_vecs[l].copy()
+                masked[supports[l]] = -np.inf
+                proposals[l] = int(np.argmax(masked))
                 ledger.send_local(l, 1)
         for l in range(l_count):
             if not active[l]:
