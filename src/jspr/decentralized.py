@@ -156,8 +156,9 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
                 adopt(l, admitted)
         else:
             for l in updated:
-                # a neighbour that finished earlier in this pass is no longer heard
-                received = [proposals[j] for j in topology.adjacency[l] if active[j]]
+                # every neighbour that proposed this round is heard, as send_local charged
+                received = [proposals[j] for j in topology.adjacency[l]
+                            if proposals[j] is not None]
                 fused = index_fusion_neighborhood(proposals[l], received, supports[l])
                 adopt(l, _admit(fused, k - len(supports[l]),
                                 Counter([proposals[l], *received]), scores=scores[l]))

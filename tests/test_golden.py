@@ -89,8 +89,8 @@ DIGESTS = {
     "bounds-sampled": "2698cdf6704567da107e19d3a0b7a30a0a5f1fac60a40729709f8338cc0f03e5",
     "mac-compare": "36148e72c98368c80949199580e3c6b6c2d5d71278b2de7b7a00d504846ade5d",
     "oracle-check": "1613178889f6e604eb4b63221b9b426dd978e3f7118b7ddf3f0cc75ff517653d",
-    "sweep-l-ring": "32b80e3f6653da5f15e3d283a7967e8f08ab60e09f3bb09589c8f6248720c317",
-    "sweep-m-ring": "1ab7c588e28a8e887811dcfba0f09851971567df4e764aefe32c9c211139a4ee",
+    "sweep-l-ring": "5faca6eb3a35656e3793b0a55afa3cc3fb86b48e4ec8349ec0c62cb57780d525",
+    "sweep-m-ring": "4ec3fa811fb7d9e777c3b6aabac956326a5327fa982e9ca04f402be9b16af296",
 }
 
 

@@ -181,7 +181,8 @@ def reference_dcomp1_neighborhood(obs, meas, topology, k):
         for l in range(l_count):
             if not active[l]:
                 continue
-            received = [proposals[j] for j in topology.adjacency[l] if active[j]]
+            received = [proposals[j] for j in topology.adjacency[l]
+                        if proposals[j] is not None]
             fused = index_fusion_neighborhood(proposals[l], received, supports[l])
             counts = Counter([proposals[l], *received])
             supports[l].extend(_admit(fused, k - len(supports[l]), counts,
