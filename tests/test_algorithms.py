@@ -1,6 +1,9 @@
 """The algorithm table: every tag's runner charges exactly what its Table-1
-formula says, on random shapes and topologies. A tag added to the table
-without a matching formula fails here."""
+formula says, on random shapes and topologies, and relabeling the nodes by
+an automorphism of the topology only permutes what it returns. A tag added
+to the table without a matching formula fails here."""
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from hypothesis import strategies as st
 from jspr.algorithms import ALGORITHMS, table1_expected
 from jspr.errors import SingularProjectionError
 from jspr.harness import draw_trial
-from jspr.network import build_topology, complete_topology
+from jspr.network import build_topology, complete_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -44,3 +47,73 @@ def test_ledger_totals_equal_table1(tag, topology, n, k, data):
     expected = table1_expected(tag, l_count, k, n, graph.adjacency, result.iterations)
     ledger = result.ledger
     assert (ledger.local_scalar_count, ledger.global_scalar_count) == expected
+
+
+# tags that settle a round with no agreement by the smallest node id's proposal
+NODE_ORDER_FALLBACK = ("dc-omp1", "dc-omp2")
+
+
+@st.composite
+def automorphisms(draw):
+    """(topology, pi): a complete graph with any permutation, or a ring with
+    a rotation, possibly followed by the reflection i -> -i. pi[l] is node
+    l's new label."""
+    l_count = draw(st.integers(3, 10))
+    if draw(st.booleans()):
+        return complete_topology(l_count), np.array(draw(st.permutations(range(l_count))))
+    # odd n0 adds the antipodal link, which needs an even l_count
+    n0 = draw(st.sampled_from([n0 for n0 in range(2, l_count)
+                               if n0 % 2 == 0 or l_count % 2 == 0]))
+    shift = draw(st.integers(0, l_count - 1))
+    sign = draw(st.sampled_from([1, -1]))
+    return ring_topology(l_count, n0), sign * (np.arange(l_count) + shift) % l_count
+
+
+def relabeled(pi, array):
+    """array with row l moved to row pi[l]."""
+    out = np.empty_like(array)
+    out[pi] = array
+    return out
+
+
+def settled_by_fallback(result) -> bool:
+    return any(len(set(r.proposals)) == len(r.proposals) for r in result.rounds)
+
+
+@pytest.mark.parametrize("tag", sorted(set(ALGORITHMS) - {"mac-omp"}))
+def test_relabeling_nodes_permutes_result(tag):
+    algorithm = ALGORITHMS[tag]
+    checked = []
+
+    @settings(max_examples=40, deadline=None)
+    @given(graph=automorphisms(), k=st.integers(1, 6), data=st.data())
+    def relabeling_permutes(graph, k, data):
+        topology, pi = graph
+        l_count = topology.node_count
+        edges = {frozenset((i, j)) for i in range(l_count) for j in topology.adjacency[i]}
+        assert {frozenset(pi[list(e)]) for e in edges} == edges   # pi is an automorphism
+        m = data.draw(st.integers(k, 20), label="m")
+        _, meas, obs = draw_trial(64, k, l_count, m, sigma2=0.05, amp_low=-3.0, amp_high=3.0,
+                                  shared=False, master_seed=data.draw(SEEDS, label="seed"),
+                                  trial=0)
+        moved_obs = dataclasses.replace(obs, per_node=relabeled(pi, obs.per_node))
+        moved_meas = dataclasses.replace(meas, matrices=relabeled(pi, meas.matrices))
+        try:
+            result = algorithm.run(obs, meas, topology, k)
+        except SingularProjectionError:
+            with pytest.raises(SingularProjectionError):
+                algorithm.run(moved_obs, moved_meas, topology, k)
+            return
+        moved = algorithm.run(moved_obs, moved_meas, topology, k)
+        if tag in NODE_ORDER_FALLBACK and (settled_by_fallback(result)
+                                           or settled_by_fallback(moved)):
+            return
+        checked.append(True)
+        assert [moved.per_node_support[pi[l]] for l in range(l_count)] == \
+            result.per_node_support
+        assert [moved.iterations[pi[l]] for l in range(l_count)] == result.iterations
+        assert (moved.ledger.local_scalar_count, moved.ledger.global_scalar_count) == \
+            (result.ledger.local_scalar_count, result.ledger.global_scalar_count)
+
+    relabeling_permutes()
+    assert checked, "every trial was settled by the node-order fallback"
