@@ -15,23 +15,20 @@ ORTHO_TOL = 1e-10
 
 @dataclass
 class JointSparseEnsemble:
-    """L sparse signals sharing one support, plus the binary indicator."""
+    """L sparse signals sharing one support."""
 
     n: int
     k: int
     l_count: int
     support: tuple            # k sorted distinct indices in [0, n)
     signals: np.ndarray       # (L, N)
-    indicator: np.ndarray     # (N,) uint8, 1 exactly on the support
 
 
 @dataclass
 class MeasurementEnsemble:
     """Per-node measurement matrices and the noise level."""
 
-    m: int
     matrices: np.ndarray      # (L, M, N)
-    shared_matrix: bool
     noise_sigma2: float
 
 
@@ -80,10 +77,7 @@ def gen_signals(support, n: int, l_count: int, amp_low: float, amp_high: float,
 
     signals = np.zeros((l_count, n))
     signals[:, list(support)] = vals
-    indicator = np.zeros(n, dtype=np.uint8)
-    indicator[list(support)] = 1
-    return JointSparseEnsemble(n=n, k=k, l_count=l_count, support=support,
-                               signals=signals, indicator=indicator)
+    return JointSparseEnsemble(n=n, k=k, l_count=l_count, support=support, signals=signals)
 
 
 def gen_orthoprojector(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
@@ -112,8 +106,7 @@ def gen_measurements(n: int, m: int, l_count: int, sigma2: float,
         mats = np.repeat(a[None, :, :], l_count, axis=0)
     else:
         mats = np.stack([gen_orthoprojector(m, n, rng) for _ in range(l_count)])
-    return MeasurementEnsemble(m=m, matrices=mats, shared_matrix=shared,
-                               noise_sigma2=float(sigma2))
+    return MeasurementEnsemble(matrices=mats, noise_sigma2=float(sigma2))
 
 
 def measure(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble,

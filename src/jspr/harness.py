@@ -95,7 +95,6 @@ def run_trial(task: TrialTask) -> dict:
                 iterations=list(result.iterations),
                 local_scalars=result.ledger.local_scalar_count,
                 global_scalars=result.ledger.global_scalar_count,
-                trial_seed=task.trial_index,
             )
         return out
     except Exception as exc:

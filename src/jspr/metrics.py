@@ -16,7 +16,6 @@ class TrialRecord:
     iterations: list          # per-node round counts
     local_scalars: int
     global_scalars: int
-    trial_seed: int
 
 
 @dataclass

@@ -132,8 +132,7 @@ class TestDcomp1:
         # identity dictionaries, 2-sparse y: after two rounds the residual is
         # exactly 0, every score ties, and only the held-index mask keeps a
         # node from proposing an index it already holds
-        meas = MeasurementEnsemble(m=6, matrices=np.stack([np.eye(6)] * 3),
-                                   shared_matrix=True, noise_sigma2=0.0)
+        meas = MeasurementEnsemble(matrices=np.stack([np.eye(6)] * 3), noise_sigma2=0.0)
         obs = ObservationSet(per_node=np.tile([3.0, 2.0, 0, 0, 0, 0], (3, 1)))
         result = dcomp1(obs, meas, ring_topology(3, 2), 4, mode=mode)
         assert result.per_node_support == [(0, 1, 2, 3)] * 3

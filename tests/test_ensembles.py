@@ -24,7 +24,7 @@ def rng_of(seed):
 
 def identity_measurements(n, l_count, sigma2=0.0):
     mats = np.repeat(np.eye(n)[None, :, :], l_count, axis=0)
-    return MeasurementEnsemble(m=n, matrices=mats, shared_matrix=True, noise_sigma2=sigma2)
+    return MeasurementEnsemble(matrices=mats, noise_sigma2=sigma2)
 
 
 class TestGenSupport:
@@ -55,7 +55,6 @@ class TestGenSignals:
         for sig in ens.signals:
             assert np.all(sig[np.arange(8) != 3] == 0.0)
             assert 10.0 <= sig[3] <= 15.0
-        assert ens.indicator.tolist() == [0, 0, 0, 1, 0, 0, 0, 0]
 
     def test_degenerate_interval(self):
         ens = gen_signals((0,), 4, 1, 5.0, 5.0, rng_of(3))
@@ -144,8 +143,7 @@ class TestMeasure:
     def test_shared_matrix_identical_signals(self):
         sig = np.zeros((2, 6))
         sig[:, 2] = 4.0
-        ens = JointSparseEnsemble(n=6, k=1, l_count=2, support=(2,), signals=sig,
-                                  indicator=(np.arange(6) == 2).astype(np.uint8))
+        ens = JointSparseEnsemble(n=6, k=1, l_count=2, support=(2,), signals=sig)
         meas = gen_measurements(6, 3, 2, 0.0, rng_of(15), shared=True)
         obs = measure(ens, meas, rng_of(0))
         assert np.array_equal(obs.per_node[0], obs.per_node[1])
@@ -158,7 +156,6 @@ class TestMeasure:
 
     def test_shared_flag_bitwise_equal_matrices(self):
         meas = gen_measurements(12, 5, 4, 0.01, rng_of(19), shared=True)
-        assert meas.shared_matrix
         for l in range(1, 4):
             assert np.array_equal(meas.matrices[0], meas.matrices[l])
 

@@ -15,8 +15,7 @@ def rng_of(seed):
 
 def mmv(per_node, matrices, sigma2=0.0):
     obs = ObservationSet(per_node=np.asarray(per_node, dtype=float))
-    meas = MeasurementEnsemble(m=matrices.shape[1], matrices=np.asarray(matrices, dtype=float),
-                               shared_matrix=False, noise_sigma2=sigma2)
+    meas = MeasurementEnsemble(matrices=np.asarray(matrices, dtype=float), noise_sigma2=sigma2)
     return obs, meas
 
 

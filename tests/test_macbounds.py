@@ -77,7 +77,7 @@ class TestMacOmp:
         rng = rng_of(3)
         ensemble = gen_signals((1, 4), n, 4, 10.0, 15.0, rng)
         mats = np.repeat(np.eye(n)[None, :, :], 4, axis=0)
-        meas = MeasurementEnsemble(m=n, matrices=mats, shared_matrix=True, noise_sigma2=0.0)
+        meas = MeasurementEnsemble(matrices=mats, noise_sigma2=0.0)
         obs = measure(ensemble, meas, rng)
         z = mac_aggregate(obs)
         assert set(mac_omp(z, meas.matrices[0], 2)) == {1, 4}
@@ -92,7 +92,7 @@ class TestBlockDictionary:
 
     def test_hand_checked_column_order(self):
         mats = np.array([[[1.0, 2.0]], [[3.0, 4.0]]])   # B_0 = [a b], B_1 = [c d]
-        meas = MeasurementEnsemble(m=1, matrices=mats, shared_matrix=False, noise_sigma2=0.0)
+        meas = MeasurementEnsemble(matrices=mats, noise_sigma2=0.0)
         block = build_block_dictionary(meas)
         assert block.matrix.tolist() == [[1.0, 3.0, 2.0, 4.0]]   # (b00 b10 b01 b11)
 
@@ -167,8 +167,7 @@ class TestEnsembleScalars:
         signals = np.zeros((2, 5))
         signals[0, 1], signals[0, 3] = 2.0, -0.5
         signals[1, 1], signals[1, 3] = 3.0, 1.0
-        ens = JointSparseEnsemble(5, 2, 2, (1, 3), signals,
-                                  np.array([0, 1, 0, 1, 0], dtype=np.uint8))
+        ens = JointSparseEnsemble(5, 2, 2, (1, 3), signals)
         assert gamma_c_min(ens, 0.25) == pytest.approx(0.25 / 0.25)
         with pytest.raises(ValueError):
             gamma_c_min(ens, 0.0)
@@ -177,8 +176,7 @@ class TestEnsembleScalars:
         signals = np.zeros((2, 4))
         signals[0, 0], signals[1, 0] = 2.0, -1.5    # sums to 0.5
         signals[0, 2], signals[1, 2] = 3.0, 3.0     # sums to 6
-        ens = JointSparseEnsemble(4, 2, 2, (0, 2), signals,
-                                  np.array([1, 0, 1, 0], dtype=np.uint8))
+        ens = JointSparseEnsemble(4, 2, 2, (0, 2), signals)
         assert sbar_min(ens) == pytest.approx(0.5)
 
 

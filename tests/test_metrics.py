@@ -14,11 +14,11 @@ from jspr.metrics import (
 from jspr.network import complete_topology, ring_topology
 
 
-def record(per_node_supports, truth=(1, 5), iters=2, local=0, glob=0, seed=0):
+def record(per_node_supports, truth=(1, 5), iters=2, local=0, glob=0):
     return TrialRecord(algorithm="test", true_support=truth,
                        per_node_supports=per_node_supports,
                        iterations=[iters] * len(per_node_supports),
-                       local_scalars=local, global_scalars=glob, trial_seed=seed)
+                       local_scalars=local, global_scalars=glob)
 
 
 class TestScoring:
