@@ -68,6 +68,39 @@ def _parse_bool(key, value, lineno):
     raise ConfigError(f"line {lineno}: key '{key}': expected true/false, got {value!r}")
 
 
+def _parse_str(key, value, lineno):
+    return value
+
+
+def _parse_str_list(key, value, lineno):
+    return [item.strip() for item in value.split(",") if item.strip()]
+
+
+# config key -> (ExperimentConfig field, parser)
+_KEYS = {
+    "n": ("n", _parse_int),
+    "k": ("k", _parse_int),
+    "l": ("l_values", _parse_int_list),
+    "m": ("m_values", _parse_int_list),
+    "sigma2": ("sigma2", _parse_float),
+    "amp_low": ("amp_low", _parse_float),
+    "amp_high": ("amp_high", _parse_float),
+    "topology": ("topology_kind", _parse_str),
+    "n0": ("n0_values", _parse_int_list),
+    "p": ("edge_p", _parse_float),
+    "algorithms": ("algorithms", _parse_str_list),
+    "trials": ("trials", _parse_int),
+    "seed": ("master_seed", _parse_int),
+    "out": ("out_path", _parse_str),
+    "format": ("out_format", _parse_str),
+    "mac_mode": ("mac_mode", _parse_bool),
+    "delta0": ("delta0", _parse_float),
+    "slack_t": ("slack_t", _parse_float),
+    "xi_pairs": ("xi_pairs", _parse_int),
+    "workers": ("workers", _parse_int),
+}
+
+
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and fully validate a configuration; empty text gives all defaults."""
     cfg = ExperimentConfig()
@@ -85,49 +118,10 @@ def parse_config(text: str) -> ExperimentConfig:
         seen.add(key)
         if value == "":
             raise ConfigError(f"line {lineno}: key '{key}': empty value")
-
-        if key == "n":
-            cfg.n = _parse_int(key, value, lineno)
-        elif key == "k":
-            cfg.k = _parse_int(key, value, lineno)
-        elif key == "l":
-            cfg.l_values = _parse_int_list(key, value, lineno)
-        elif key == "m":
-            cfg.m_values = _parse_int_list(key, value, lineno)
-        elif key == "sigma2":
-            cfg.sigma2 = _parse_float(key, value, lineno)
-        elif key == "amp_low":
-            cfg.amp_low = _parse_float(key, value, lineno)
-        elif key == "amp_high":
-            cfg.amp_high = _parse_float(key, value, lineno)
-        elif key == "topology":
-            cfg.topology_kind = value
-        elif key == "n0":
-            cfg.n0_values = _parse_int_list(key, value, lineno)
-        elif key == "p":
-            cfg.edge_p = _parse_float(key, value, lineno)
-        elif key == "algorithms":
-            cfg.algorithms = [item.strip() for item in value.split(",") if item.strip()]
-        elif key == "trials":
-            cfg.trials = _parse_int(key, value, lineno)
-        elif key == "seed":
-            cfg.master_seed = _parse_int(key, value, lineno)
-        elif key == "out":
-            cfg.out_path = value
-        elif key == "format":
-            cfg.out_format = value
-        elif key == "mac_mode":
-            cfg.mac_mode = _parse_bool(key, value, lineno)
-        elif key == "delta0":
-            cfg.delta0 = _parse_float(key, value, lineno)
-        elif key == "slack_t":
-            cfg.slack_t = _parse_float(key, value, lineno)
-        elif key == "xi_pairs":
-            cfg.xi_pairs = _parse_int(key, value, lineno)
-        elif key == "workers":
-            cfg.workers = _parse_int(key, value, lineno)
-        else:
+        if key not in _KEYS:
             raise ConfigError(f"line {lineno}: unknown key '{key}'")
+        attr, parse = _KEYS[key]
+        setattr(cfg, attr, parse(key, value, lineno))
 
     _validate(cfg)
     return cfg
