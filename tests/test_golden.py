@@ -3,9 +3,11 @@
 Each case runs one CLI command on a pinned config, seed and trial count
 and compares the sha256 of the output file with the digest recorded when
 the case was added. Together the cases run every algorithm tag: the five
-network solvers on a ring through sweep-m and sweep-l, and mac-omp with
-s-omp through mac-compare. They also pin the bound report, with an exact
-and with a sampled xi, and the oracle check. A change that is meant to alter what the
+network solvers on a ring through sweep-m, sweep-l and sweep-neighborhood
+(the last as JSON), on a random topology through sweep-l with trials sent
+to a two-worker pool, and mac-omp with s-omp through mac-compare. They
+also pin the bound report, with an exact and with a sampled xi, and the
+oracle check. A change that is meant to alter what the
 solvers compute must re-record these digests and say why; any other change
 must leave them as they are.
 
@@ -74,6 +76,32 @@ m = 16
 xi_pairs = 300
 seed = 8
 """),
+    "sweep-n0-ring-json": ("sweep-neighborhood", f"""
+n = 64
+k = 4
+l = 8
+m = 12
+topology = ring
+n0 = 2, 3, 6
+sigma2 = 0.02
+algorithms = {NETWORK_ALGORITHMS}
+trials = 20
+seed = 11
+format = json
+"""),
+    "sweep-l-random": ("sweep-l", f"""
+n = 64
+k = 4
+l = 6, 9
+m = 12
+topology = random
+p = 0.4
+sigma2 = 0.01
+algorithms = {NETWORK_ALGORITHMS}
+trials = 20
+seed = 4
+workers = 2
+"""),
     "oracle-check": ("oracle-check", """
 n = 10
 k = 3
@@ -89,8 +117,10 @@ DIGESTS = {
     "bounds-sampled": "2698cdf6704567da107e19d3a0b7a30a0a5f1fac60a40729709f8338cc0f03e5",
     "mac-compare": "36148e72c98368c80949199580e3c6b6c2d5d71278b2de7b7a00d504846ade5d",
     "oracle-check": "1613178889f6e604eb4b63221b9b426dd978e3f7118b7ddf3f0cc75ff517653d",
+    "sweep-l-random": "084ba23a4e656d0200d918e67c32107d4bfe59a9fe700a4e94a53bf1b5798b16",
     "sweep-l-ring": "5faca6eb3a35656e3793b0a55afa3cc3fb86b48e4ec8349ec0c62cb57780d525",
     "sweep-m-ring": "4ec3fa811fb7d9e777c3b6aabac956326a5327fa982e9ca04f402be9b16af296",
+    "sweep-n0-ring-json": "202de47d9ac332b00826df49afd00121ac49a1d9c9d23f456b3a5d54bc4d81e7",
 }
 
 
