@@ -161,6 +161,8 @@ def _validate(cfg: ExperimentConfig) -> None:
                 except ValueError as exc:
                     raise ConfigError(f"keys 'l', 'n0': {exc}") from None
     if cfg.topology_kind == "random":
+        if any(l < 2 for l in cfg.l_values):
+            raise ConfigError("key 'l': random topology needs at least 2 nodes")
         if cfg.edge_p is None:
             raise ConfigError("key 'p': required for random topology")
         if not 0 < cfg.edge_p <= 1:

@@ -343,6 +343,7 @@ class TestCli:
         "topology=ring\nn0=3\nl=5\nm=8\n",
         "topology=ring\nn0=5\nl=5\nm=8\n",
         "amp_low=0\namp_high=0\nl=3\nm=8\n",
+        "topology=random\np=0.5\nl=1\nm=8\n",
     ])
     def test_bad_config_exits_before_any_trial(self, tmp_path, monkeypatch, text):
         import jspr.harness as harness
