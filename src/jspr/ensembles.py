@@ -10,8 +10,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-ORTHO_TOL = 1e-10
-
 
 @dataclass
 class JointSparseEnsemble:

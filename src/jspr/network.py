@@ -18,7 +18,6 @@ class Topology:
     """Undirected connected graph over node ids 0..node_count-1."""
 
     node_count: int
-    edges: frozenset            # of (i, j) tuples with i < j
     adjacency: tuple            # per-node tuple of sorted neighbor ids
 
     def degree(self, node: int) -> int:
@@ -55,7 +54,6 @@ def _finalize(node_count: int, edge_set: set) -> Topology:
         adjacency[i].append(j)
         adjacency[j].append(i)
     return Topology(node_count=node_count,
-                    edges=frozenset(edge_set),
                     adjacency=tuple(tuple(sorted(nbrs)) for nbrs in adjacency))
 
 
