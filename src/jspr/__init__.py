@@ -46,7 +46,6 @@ from .greedy import correlate, ls_residual, omp, somp
 from .harness import exhaustive_oracle, run_sweep
 from .macbounds import (
     BlockDictionary,
-    BoundReport,
     XiEstimate,
     block_coefficients,
     block_rip_measurement_bound,
@@ -74,7 +73,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateStats",
     "BlockDictionary",
-    "BoundReport",
     "ConfigError",
     "EnumerationTooLargeError",
     "ExperimentConfig",

@@ -7,11 +7,11 @@ identical data (paired trials).
 """
 
 import contextlib
+import dataclasses
 import itertools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,32 +23,32 @@ from .ensembles import gen_measurements, gen_signals, gen_support, measure
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
 from .greedy import omp, somp
-from .macbounds import XI_PAIR_CAP, bound_report
+from .macbounds import bound_report
 from .metrics import TrialRecord, aggregate
 from .network import Topology, build_topology, complete_topology
 
-CSV_HEADER = ("sweep_var,algorithm,p_d,p_d_stderr,fraction,mean_iters,"
-              "iters_min,iters_max,local_scalars,global_scalars,trials,"
-              "failed_trials,seed")
+# The sweep row: (column, format spec) in output order. CSV cells are
+# format(row[column], spec); JSON keeps the unformatted values.
+COLUMNS = (
+    ("sweep_var", "d"), ("algorithm", "s"),
+    ("p_d", ".6f"), ("p_d_stderr", ".6f"), ("fraction", ".6f"),
+    ("mean_iters", ".4f"), ("iters_min", "d"), ("iters_max", "d"),
+    ("local_scalars", ".10g"), ("global_scalars", ".10g"),
+    ("trials", "d"), ("failed_trials", "d"), ("seed", "d"),
+)
+CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 ORACLE_CAP = 10 ** 5
 MAX_FAILED_FRACTION = 0.01
 
 
-@dataclass(frozen=True)
+@dataclasses.dataclass(frozen=True)
 class TrialTask:
-    """Everything one trial needs; picklable for process pools."""
+    """One trial of one sweep point; picklable for process pools."""
 
-    n: int
-    k: int
+    cfg: ExperimentConfig
     l_count: int
     m: int
-    sigma2: float
-    amp_low: float
-    amp_high: float
-    shared_matrix: bool
-    algorithms: tuple
     topology: Topology
-    master_seed: int
     trial_index: int
 
 
@@ -74,22 +74,22 @@ def run_trial(task: TrialTask) -> dict:
     """One paired trial; per algorithm a TrialRecord, or None on a
     singular-projection failure. Any other exception is re-raised as a
     TrialError naming the sweep point, algorithm, trial index and seed."""
+    cfg = task.cfg
     alg = "(trial draw)"
     try:
         ensemble, meas, obs = draw_trial(
-            task.n, task.k, task.l_count, task.m, sigma2=task.sigma2,
-            amp_low=task.amp_low, amp_high=task.amp_high, shared=task.shared_matrix,
-            master_seed=task.master_seed, trial=task.trial_index)
+            cfg.n, cfg.k, task.l_count, task.m, sigma2=cfg.sigma2,
+            amp_low=cfg.amp_low, amp_high=cfg.amp_high, shared=cfg.mac_mode,
+            master_seed=cfg.master_seed, trial=task.trial_index)
 
         out = {}
-        for alg in task.algorithms:
+        for alg in cfg.algorithms:
             try:
-                result = _run_algorithm(alg, obs, meas, task.topology, task.k)
+                result = _run_algorithm(alg, obs, meas, task.topology, cfg.k)
             except SingularProjectionError:
                 out[alg] = None
                 continue
             out[alg] = TrialRecord(
-                algorithm=alg,
                 true_support=ensemble.support,
                 per_node_supports=result.per_node_support,
                 iterations=list(result.iterations),
@@ -100,7 +100,7 @@ def run_trial(task: TrialTask) -> dict:
     except Exception as exc:
         raise TrialError(
             f"sweep point m={task.m}, L={task.l_count}, algorithm {alg}, "
-            f"trial {task.trial_index}, seed {task.master_seed}: "
+            f"trial {task.trial_index}, seed {cfg.master_seed}: "
             f"{type(exc).__name__}: {exc}") from exc
 
 
@@ -119,10 +119,7 @@ def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
               topology: Topology, pool: ProcessPoolExecutor | None = None) -> list:
     """All configured algorithms on `trials` paired trials at one sweep point,
     on `pool` if one is given, else serially in this process."""
-    tasks = [TrialTask(n=cfg.n, k=cfg.k, l_count=l_count, m=m, sigma2=cfg.sigma2,
-                       amp_low=cfg.amp_low, amp_high=cfg.amp_high,
-                       shared_matrix=cfg.mac_mode, algorithms=tuple(cfg.algorithms),
-                       topology=topology, master_seed=cfg.master_seed, trial_index=t)
+    tasks = [TrialTask(cfg=cfg, l_count=l_count, m=m, topology=topology, trial_index=t)
              for t in range(cfg.trials)]
     if pool is not None:
         results = list(pool.map(run_trial, tasks,
@@ -138,22 +135,9 @@ def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
             raise RuntimeError(
                 f"sweep point {sweep_var}, algorithm {alg}: {failed}/{cfg.trials} "
                 "trials hit singular projections; the configuration is degenerate")
-        stats = aggregate(records)
-        rows.append({
-            "sweep_var": sweep_var,
-            "algorithm": alg,
-            "p_d": stats.p_d,
-            "p_d_stderr": stats.p_d_stderr,
-            "fraction": stats.fraction,
-            "mean_iters": stats.mean_iterations,
-            "iters_min": stats.iterations_min,
-            "iters_max": stats.iterations_max,
-            "local_scalars": stats.mean_local_scalars,
-            "global_scalars": stats.mean_global_scalars,
-            "trials": stats.n_records,
-            "failed_trials": failed,
-            "seed": cfg.master_seed,
-        })
+        rows.append({"sweep_var": sweep_var, "algorithm": alg,
+                     **dataclasses.asdict(aggregate(records)),
+                     "failed_trials": failed, "seed": cfg.master_seed})
     return rows
 
 
@@ -202,21 +186,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
 def rows_to_csv(rows) -> str:
     lines = [CSV_HEADER]
     for row in rows:
-        lines.append(",".join([
-            str(row["sweep_var"]),
-            row["algorithm"],
-            f"{row['p_d']:.6f}",
-            f"{row['p_d_stderr']:.6f}",
-            f"{row['fraction']:.6f}",
-            f"{row['mean_iters']:.4f}",
-            str(row["iters_min"]),
-            str(row["iters_max"]),
-            f"{row['local_scalars']:.10g}",
-            f"{row['global_scalars']:.10g}",
-            str(row["trials"]),
-            str(row["failed_trials"]),
-            str(row["seed"]),
-        ]))
+        lines.append(",".join(format(row[name], spec) for name, spec in COLUMNS))
     return "\n".join(lines) + "\n"
 
 
@@ -257,8 +227,8 @@ def exhaustive_oracle(ys, dictionaries, k: int, cap: int = ORACLE_CAP) -> tuple:
 
 
 def bounds_report(cfg: ExperimentConfig) -> dict:
-    """JSON-ready document with every analytical quantity, each labeled with
-    the formula it evaluates."""
+    """JSON-ready document: the configuration's parameters and the bound
+    entries (macbounds.bound_report) of its trial 0."""
     if cfg.sigma2 <= 0:
         raise ConfigError("key 'sigma2': bound reports need positive noise variance")
     l_count = _single(cfg.l_values, "l")
@@ -266,47 +236,15 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     ensemble, meas, _ = draw_trial(cfg.n, cfg.k, l_count, m, sigma2=cfg.sigma2,
                                    amp_low=cfg.amp_low, amp_high=cfg.amp_high, shared=True,
                                    master_seed=cfg.master_seed, trial=0)
-    exact_fits = math.comb(cfg.n, cfg.k) ** 2 <= XI_PAIR_CAP
-    report = bound_report(
-        ensemble, meas, delta0=cfg.delta0, slack_t=cfg.slack_t,
-        sample_pairs=None if exact_fits else cfg.xi_pairs,
-        rng=seeding.stream(cfg.master_seed, seeding.SAMPLING))
-
-    def entry(value, formula, **extra):
-        doc = {"value": value, "formula": formula}
-        doc.update(extra)
-        return doc
-
-    xi_extra = {"exact": report.xi_exact, "pairs": report.xi_pairs}
     return {
         "params": {
             "n": cfg.n, "k": cfg.k, "l": l_count, "m": m, "sigma2": cfg.sigma2,
             "amp_low": cfg.amp_low, "amp_high": cfg.amp_high,
             "delta0": cfg.delta0, "slack_t": cfg.slack_t, "seed": cfg.master_seed,
         },
-        "bounds": {
-            "m_block_rip": entry(
-                report.m_block_rip,
-                "ceil((36/(7*delta0)) * (ln(2*C(N,k)) + k*L*ln(12/delta0) + t))"),
-            "m_gauss_lower": entry(
-                report.m_gauss_lower,
-                "ceil(max(ln(C(N,k))/(8*k*L*gamma_c_min), ln(N-k)/(4*L*gamma_c_min)))"),
-            "fano_pe_lower": entry(
-                report.fano_pe_lower,
-                "max(0, 1 - (xi_mac + ln 2)/ln(C(N,k)))"),
-            "xi_mac": entry(report.xi_mac,
-                            "mean over support pairs of ||sum_l (B_Un s_l,Un - "
-                            "B_Um s_l,Um)||^2 / (2*sigma2*L)",
-                            stderr=report.xi_mac_stderr, **xi_extra),
-            "xi_pac": entry(report.xi_pac,
-                            "mean over support pairs of sum_l ||B_Un s_l,Un - "
-                            "B_Um s_l,Um||^2 / (2*sigma2)",
-                            stderr=report.xi_pac_stderr, **xi_extra),
-            "gamma_c_min": entry(report.gamma_c_min,
-                                 "(min nonzero |s_l(j)|)^2 / sigma2"),
-            "sbar_min": entry(report.sbar_min,
-                              "min over the support of |sum_l s_l(j)|"),
-        },
+        "bounds": bound_report(ensemble, meas, delta0=cfg.delta0, slack_t=cfg.slack_t,
+                               sample_pairs=cfg.xi_pairs,
+                               rng=seeding.stream(cfg.master_seed, seeding.SAMPLING)),
     }
 
 

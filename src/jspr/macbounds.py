@@ -39,23 +39,6 @@ class XiEstimate:
     exact: bool
 
 
-@dataclass
-class BoundReport:
-    """Evaluated analytical quantities for one configuration."""
-
-    m_block_rip: int
-    m_gauss_lower: int
-    fano_pe_lower: float
-    xi_mac: float
-    xi_pac: float
-    gamma_c_min: float
-    sbar_min: float
-    xi_mac_stderr: float = 0.0
-    xi_pac_stderr: float = 0.0
-    xi_exact: bool = True
-    xi_pairs: int = 0
-
-
 def mac_omp(z: np.ndarray, dictionary: np.ndarray, k: int) -> list:
     """Standard OMP on the aggregated observation (shared-matrix case)."""
     return omp(z, dictionary, k)
@@ -77,6 +60,9 @@ def _log_comb(n: int, k: int) -> float:
     return math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
 
 
+BLOCK_RIP_FORMULA = "ceil((36/(7*delta0)) * (ln(2*C(N,k)) + k*L*ln(12/delta0) + t))"
+
+
 def block_rip_measurement_bound(n: int, k: int, l_count: int,
                                 delta0: float, slack_t: float) -> int:
     """Measurements per node sufficient for reliable block-sparse recovery:
@@ -95,6 +81,9 @@ def block_rip_measurement_bound(n: int, k: int, l_count: int,
     return math.ceil(rhs)
 
 
+GAMMA_C_MIN_FORMULA = "(min nonzero |s_l(j)|)^2 / sigma2"
+
+
 def gamma_c_min(ensemble, sigma2: float) -> float:
     """Minimum component SNR: squared smallest nonzero magnitude over sigma2."""
     if sigma2 <= 0:
@@ -103,10 +92,16 @@ def gamma_c_min(ensemble, sigma2: float) -> float:
     return float(np.min(np.abs(nonzeros)) ** 2 / sigma2)
 
 
+SBAR_MIN_FORMULA = "min over the support of |sum_l s_l(j)|"
+
+
 def sbar_min(ensemble) -> float:
     """Smallest summed-coefficient magnitude over the support."""
     sbar = ensemble.signals.sum(axis=0)
     return float(np.min(np.abs(sbar[list(ensemble.support)])))
+
+
+GAUSS_FORMULA = "ceil(max(ln(C(N,k))/(8*k*L*gamma_c_min), ln(N-k)/(4*L*gamma_c_min)))"
 
 
 def gauss_necessary_bound(n: int, k: int, l_count: int, gamma: float) -> int:
@@ -171,6 +166,12 @@ def _mean_pairwise_sqdist(x: np.ndarray) -> float:
     return total / (p * p)
 
 
+XI_FORMULAS = {
+    "mac": "mean over support pairs of ||sum_l (B_Un s_l,Un - B_Um s_l,Um)||^2 / (2*sigma2*L)",
+    "pac": "mean over support pairs of sum_l ||B_Un s_l,Un - B_Um s_l,Um||^2 / (2*sigma2)",
+}
+
+
 def xi_average(ensemble, meas, channel: str, enumeration_cap: int = XI_PAIR_CAP,
                sample_pairs: int | None = None,
                rng: np.random.Generator | None = None) -> XiEstimate:
@@ -222,6 +223,9 @@ def xi_average(ensemble, meas, channel: str, enumeration_cap: int = XI_PAIR_CAP,
                       n_pairs=sample_pairs, exact=False)
 
 
+FANO_FORMULA = "max(0, 1 - (xi_mac + ln 2)/ln(C(N,k)))"
+
+
 def fano_pe_lower(xi: float, n: int, k: int) -> float:
     """Fano lower bound on hypothesis-test error: max(0, 1 - (xi + ln 2)/ln C(N,k))."""
     if xi < 0:
@@ -231,26 +235,34 @@ def fano_pe_lower(xi: float, n: int, k: int) -> float:
     return max(0.0, 1.0 - (xi + math.log(2.0)) / _log_comb(n, k))
 
 
-def bound_report(ensemble, meas, delta0: float = 0.5, slack_t: float = 1.0,
-                 enumeration_cap: int = XI_PAIR_CAP,
-                 sample_pairs: int | None = None,
-                 rng: np.random.Generator | None = None) -> BoundReport:
-    """Evaluate every analytical quantity for one ensemble/measurement pair."""
-    xi_mac = xi_average(ensemble, meas, "mac", enumeration_cap, sample_pairs, rng)
-    xi_pac = xi_average(ensemble, meas, "pac", enumeration_cap, sample_pairs, rng)
+def bound_report(ensemble, meas, *, delta0: float, slack_t: float, sample_pairs: int,
+                 rng: np.random.Generator) -> dict:
+    """JSON-ready entries, each a value and the formula it evaluates, of
+    every analytical quantity for one ensemble/measurement pair.
+
+    xi is exact when the C(N,k)^2 ordered support pairs fit XI_PAIR_CAP;
+    otherwise each channel averages `sample_pairs` pairs drawn from `rng`,
+    MAC first. The xi entries also carry their standard error, whether they
+    are exact, and the number of pairs.
+    """
+    n, k, l_count = ensemble.n, ensemble.k, ensemble.l_count
+    exact = math.comb(n, k) ** 2 <= XI_PAIR_CAP
+    xi = {}
+    for channel in ("mac", "pac"):
+        est = xi_average(ensemble, meas, channel,
+                         sample_pairs=None if exact else sample_pairs, rng=rng)
+        xi[channel] = {"value": est.value, "formula": XI_FORMULAS[channel],
+                       "stderr": est.stderr, "exact": est.exact, "pairs": est.n_pairs}
     gamma = gamma_c_min(ensemble, meas.noise_sigma2)
-    return BoundReport(
-        m_block_rip=block_rip_measurement_bound(
-            ensemble.n, ensemble.k, ensemble.l_count, delta0, slack_t),
-        m_gauss_lower=gauss_necessary_bound(
-            ensemble.n, ensemble.k, ensemble.l_count, gamma),
-        fano_pe_lower=fano_pe_lower(xi_mac.value, ensemble.n, ensemble.k),
-        xi_mac=xi_mac.value,
-        xi_pac=xi_pac.value,
-        gamma_c_min=gamma,
-        sbar_min=sbar_min(ensemble),
-        xi_mac_stderr=xi_mac.stderr,
-        xi_pac_stderr=xi_pac.stderr,
-        xi_exact=xi_mac.exact,
-        xi_pairs=xi_mac.n_pairs,
-    )
+    return {
+        "m_block_rip": {"value": block_rip_measurement_bound(n, k, l_count, delta0, slack_t),
+                        "formula": BLOCK_RIP_FORMULA},
+        "m_gauss_lower": {"value": gauss_necessary_bound(n, k, l_count, gamma),
+                          "formula": GAUSS_FORMULA},
+        "fano_pe_lower": {"value": fano_pe_lower(xi["mac"]["value"], n, k),
+                          "formula": FANO_FORMULA},
+        "xi_mac": xi["mac"],
+        "xi_pac": xi["pac"],
+        "gamma_c_min": {"value": gamma, "formula": GAMMA_C_MIN_FORMULA},
+        "sbar_min": {"value": sbar_min(ensemble), "formula": SBAR_MIN_FORMULA},
+    }

@@ -10,7 +10,6 @@ import numpy as np
 class TrialRecord:
     """Outcome of one algorithm on one trial."""
 
-    algorithm: str
     true_support: tuple
     per_node_supports: list   # one tuple per node
     iterations: list          # per-node round counts
@@ -20,17 +19,18 @@ class TrialRecord:
 
 @dataclass
 class AggregateStats:
-    """Reduced statistics over the records of one (sweep point, algorithm)."""
+    """Reduced statistics over the records of one (sweep point, algorithm),
+    named and ordered as the sweep row's columns (harness.COLUMNS)."""
 
     p_d: float
     p_d_stderr: float
     fraction: float
-    mean_iterations: float
-    iterations_min: int
-    iterations_max: int
-    mean_local_scalars: float
-    mean_global_scalars: float
-    n_records: int
+    mean_iters: float
+    iters_min: int
+    iters_max: int
+    local_scalars: float
+    global_scalars: float
+    trials: int
 
 
 def exact_recovery(estimated, truth) -> bool:
@@ -77,10 +77,10 @@ def aggregate(records) -> AggregateStats:
         p_d=p_d,
         p_d_stderr=math.sqrt(max(p_d * (1.0 - p_d), 0.0) / n),
         fraction=float(frac.mean()),
-        mean_iterations=float(iters.mean()),
-        iterations_min=int(iters.min()),
-        iterations_max=int(iters.max()),
-        mean_local_scalars=float(local.mean()),
-        mean_global_scalars=float(glob.mean()),
-        n_records=n,
+        mean_iters=float(iters.mean()),
+        iters_min=int(iters.min()),
+        iters_max=int(iters.max()),
+        local_scalars=float(local.mean()),
+        global_scalars=float(glob.mean()),
+        trials=n,
     )

@@ -73,14 +73,12 @@ def fig12_rows():
 
 def test_criterion_1_table_totals_exact():
     topo = complete_topology(10)
-    algorithms = ("d-omp", "dc-omp1", "dc-omp2", "s-omp")
+    algorithms = ["d-omp", "dc-omp1", "dc-omp2", "s-omp"]
+    cfg = base_config(algorithms=algorithms)
     ok = True
     details = []
     for trial in range(3):
-        task = TrialTask(n=256, k=10, l_count=10, m=30, sigma2=0.01,
-                         amp_low=10.0, amp_high=15.0, shared_matrix=False,
-                         algorithms=algorithms, topology=topo,
-                         master_seed=MASTER_SEED, trial_index=trial)
+        task = TrialTask(cfg=cfg, l_count=10, m=30, topology=topo, trial_index=trial)
         records = run_trial(task)
         for alg in algorithms:
             rec = records[alg]

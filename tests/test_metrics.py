@@ -15,7 +15,7 @@ from jspr.network import complete_topology, ring_topology
 
 
 def record(per_node_supports, truth=(1, 5), iters=2, local=0, glob=0):
-    return TrialRecord(algorithm="test", true_support=truth,
+    return TrialRecord(true_support=truth,
                        per_node_supports=per_node_supports,
                        iterations=[iters] * len(per_node_supports),
                        local_scalars=local, global_scalars=glob)
@@ -103,10 +103,10 @@ class TestAggregate:
         records = [record([(1, 5)], iters=2, local=10, glob=4),
                    record([(1, 5)], iters=4, local=30, glob=8)]
         stats = aggregate(records)
-        assert stats.mean_iterations == 3.0
-        assert stats.iterations_min == 2 and stats.iterations_max == 4
-        assert stats.mean_local_scalars == 20.0
-        assert stats.mean_global_scalars == 6.0
+        assert stats.mean_iters == 3.0
+        assert stats.iters_min == 2 and stats.iters_max == 4
+        assert stats.local_scalars == 20.0
+        assert stats.global_scalars == 6.0
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
