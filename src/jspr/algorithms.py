@@ -24,8 +24,7 @@ class Algorithm:
 
     run: Callable           # (obs, meas, topology, k) -> RecoveryResult
     table1: Callable        # (l_count, k, n, degrees, t_nodes) -> (local, global)
-    shared_matrix: bool     # needs one measurement matrix shared by all nodes
-    complete_graph: bool    # runs on the complete graph, whatever the topology
+    shared_matrix: bool = False   # needs one measurement matrix shared by all nodes
 
 
 def _broadcast(selected, topology: Topology, ledger: MessageLedger, k: int) -> RecoveryResult:
@@ -51,38 +50,33 @@ def _run_mac(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     return _broadcast(selected, topology, MessageLedger(topology), k)
 
 
-def _index_fusion_ledger(l_count, k, n, degrees, t_nodes) -> tuple:
-    """One index to each neighbour per round: sum_l |G_l| T_l local."""
-    return int(np.sum(degrees * t_nodes)), 0
-
-
 ALGORITHMS = {
     # each node ships its k final indices network-wide
     "d-omp": Algorithm(
         run=lambda obs, meas, topo, k: domp_majority(obs, meas, topo, k),
-        table1=lambda l_count, k, n, degrees, t_nodes: (0, k * (l_count - 1) * l_count),
-        shared_matrix=False, complete_graph=False),
+        table1=lambda l_count, k, n, degrees, t_nodes: (0, k * (l_count - 1) * l_count)),
+    # runs on the complete graph whatever the topology: one index to each of
+    # the L-1 other nodes per round
     "dc-omp1": Algorithm(
         run=lambda obs, meas, topo, k: dcomp1(obs, meas, complete_topology(topo.node_count),
                                               k, mode="full"),
-        table1=_index_fusion_ledger, shared_matrix=False, complete_graph=True),
+        table1=lambda l_count, k, n, degrees, t_nodes: ((l_count - 1) * int(np.sum(t_nodes)), 0)),
+    # one index to each neighbour per round: sum_l |G_l| T_l local
     "dc-omp1-nbr": Algorithm(
         run=lambda obs, meas, topo, k: dcomp1(obs, meas, topo, k, mode="neighborhood"),
-        table1=_index_fusion_ledger, shared_matrix=False, complete_graph=False),
+        table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)), 0)),
     # N values to each neighbour plus one global index per round
     "dc-omp2": Algorithm(
         run=lambda obs, meas, topo, k: dcomp2(obs, meas, topo, k),
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)) * n,
-                                                        int((l_count - 1) * np.sum(t_nodes))),
-        shared_matrix=False, complete_graph=False),
+                                                        int((l_count - 1) * np.sum(t_nodes)))),
     # each node ships k*N correlation summaries network-wide
     "s-omp": Algorithm(
         run=_run_somp,
-        table1=lambda l_count, k, n, degrees, t_nodes: (0, l_count * (l_count - 1) * k * n),
-        shared_matrix=False, complete_graph=False),
+        table1=lambda l_count, k, n, degrees, t_nodes: (0, l_count * (l_count - 1) * k * n)),
     "mac-omp": Algorithm(
         run=_run_mac, table1=lambda l_count, k, n, degrees, t_nodes: (0, 0),
-        shared_matrix=True, complete_graph=False),
+        shared_matrix=True),
 }
 MAC_COMPARE = ("mac-omp", "s-omp")   # the paired tags of `jspr mac-compare`
 

@@ -13,7 +13,7 @@ import json
 import sys
 
 from .algorithms import MAC_COMPARE
-from .config import ExperimentConfig, load_config
+from .config import ExperimentConfig, load_config, validate
 from .errors import ConfigError
 from .harness import bounds_report, oracle_check, rows_to_csv, rows_to_json, run_sweep
 
@@ -45,19 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args) -> ExperimentConfig:
+    """The config with the flags applied, validated again so a bad flag fails as a bad key."""
     cfg = load_config(args.config) if args.config else ExperimentConfig()
     if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError("flag '--seed': must be nonnegative")
         cfg.master_seed = args.seed
     if args.trials is not None:
-        if args.trials < 1:
-            raise ConfigError("flag '--trials': must be positive")
         cfg.trials = args.trials
     if args.out is not None:
         cfg.out_path = args.out
     if args.format is not None:
         cfg.out_format = args.format
+    validate(cfg)
     return cfg
 
 
@@ -73,14 +71,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        for warning in cfg.warnings:
-            print(f"warning: {warning}", file=sys.stderr)
-
         if args.command in SWEEP_KINDS:
             rows = run_sweep(cfg, SWEEP_KINDS[args.command])
             text = rows_to_csv(rows) if cfg.out_format == "csv" else rows_to_json(rows)
         elif args.command == "mac-compare":
-            cfg.mac_mode = True
             cfg.algorithms = list(MAC_COMPARE)
             rows = run_sweep(cfg, "m")
             text = rows_to_csv(rows) if cfg.out_format == "csv" else rows_to_json(rows)

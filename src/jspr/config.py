@@ -33,12 +33,10 @@ class ExperimentConfig:
     master_seed: int = 0
     out_path: str | None = None
     out_format: str = "csv"
-    mac_mode: bool = False
     delta0: float = 0.5
     slack_t: float = 1.0
     xi_pairs: int = 2000
     workers: int = 1
-    warnings: list = field(default_factory=list)
 
 
 def _parse_int(key, value, lineno):
@@ -57,15 +55,6 @@ def _parse_float(key, value, lineno):
 
 def _parse_int_list(key, value, lineno):
     return [_parse_int(key, item.strip(), lineno) for item in value.split(",") if item.strip()]
-
-
-def _parse_bool(key, value, lineno):
-    lowered = value.lower()
-    if lowered in ("true", "1", "yes"):
-        return True
-    if lowered in ("false", "0", "no"):
-        return False
-    raise ConfigError(f"line {lineno}: key '{key}': expected true/false, got {value!r}")
 
 
 def _parse_str(key, value, lineno):
@@ -93,7 +82,6 @@ _KEYS = {
     "seed": ("master_seed", _parse_int),
     "out": ("out_path", _parse_str),
     "format": ("out_format", _parse_str),
-    "mac_mode": ("mac_mode", _parse_bool),
     "delta0": ("delta0", _parse_float),
     "slack_t": ("slack_t", _parse_float),
     "xi_pairs": ("xi_pairs", _parse_int),
@@ -123,11 +111,12 @@ def parse_config(text: str) -> ExperimentConfig:
         attr, parse = _KEYS[key]
         setattr(cfg, attr, parse(key, value, lineno))
 
-    _validate(cfg)
+    validate(cfg)
     return cfg
 
 
-def _validate(cfg: ExperimentConfig) -> None:
+def validate(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError naming the first key whose value is out of range."""
     if cfg.n < 2:
         raise ConfigError("key 'n': signal dimension must be at least 2")
     if cfg.k < 1:
@@ -174,9 +163,6 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"key 'algorithms': unknown tag '{alg}' "
                 f"(valid: {', '.join(ALGORITHMS)})")
-        if ALGORITHMS[alg].shared_matrix and not cfg.mac_mode:
-            raise ConfigError(f"key 'algorithms': {alg} requires mac_mode = true "
-                              "(shared measurement matrix)")
     if cfg.trials < 1:
         raise ConfigError("key 'trials': must be positive")
     if cfg.master_seed < 0:
@@ -191,10 +177,6 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'xi_pairs': must be at least 2")
     if cfg.workers < 1:
         raise ConfigError("key 'workers': must be positive")
-    if cfg.k > min(cfg.m_values):
-        cfg.warnings.append(
-            f"k={cfg.k} exceeds the smallest sweep m={min(cfg.m_values)}; "
-            "greedy recovery requires k <= M and those points will fail")
 
 
 def load_config(path: str) -> ExperimentConfig:

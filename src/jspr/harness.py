@@ -52,17 +52,18 @@ class TrialTask:
     trial_index: int
 
 
-def draw_trial(n: int, k: int, l_count: int, m: int, *, sigma2: float, amp_low: float,
-               amp_high: float, shared: bool, master_seed: int, trial: int) -> tuple:
-    """(ensemble, meas, obs) of one trial, each drawn from its own seed
-    stream of (master_seed, trial)."""
-    support = gen_support(n, k, seeding.stream(master_seed, seeding.SUPPORT, trial))
-    ensemble = gen_signals(support, n, l_count, amp_low, amp_high,
-                           seeding.stream(master_seed, seeding.AMPLITUDES, trial))
-    meas = gen_measurements(n, m, l_count, sigma2,
-                            seeding.stream(master_seed, seeding.MATRICES, trial),
-                            shared=shared)
-    obs = measure(ensemble, meas, seeding.stream(master_seed, seeding.NOISE, trial))
+def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
+               shared: bool) -> tuple:
+    """(ensemble, meas, obs) of one trial on `l_count` nodes with `m`
+    measurements each, drawn from the seed streams of (cfg.master_seed, trial);
+    with `shared`, every node gets the same matrix."""
+    seed = cfg.master_seed
+    support = gen_support(cfg.n, cfg.k, seeding.stream(seed, seeding.SUPPORT, trial))
+    ensemble = gen_signals(support, cfg.n, l_count, cfg.amp_low, cfg.amp_high,
+                           seeding.stream(seed, seeding.AMPLITUDES, trial))
+    meas = gen_measurements(cfg.n, m, l_count, cfg.sigma2,
+                            seeding.stream(seed, seeding.MATRICES, trial), shared=shared)
+    obs = measure(ensemble, meas, seeding.stream(seed, seeding.NOISE, trial))
     return ensemble, meas, obs
 
 
@@ -77,10 +78,9 @@ def run_trial(task: TrialTask) -> dict:
     cfg = task.cfg
     alg = "(trial draw)"
     try:
-        ensemble, meas, obs = draw_trial(
-            cfg.n, cfg.k, task.l_count, task.m, sigma2=cfg.sigma2,
-            amp_low=cfg.amp_low, amp_high=cfg.amp_high, shared=cfg.mac_mode,
-            master_seed=cfg.master_seed, trial=task.trial_index)
+        shared = any(ALGORITHMS[tag].shared_matrix for tag in cfg.algorithms)
+        ensemble, meas, obs = draw_trial(cfg, task.l_count, task.m, task.trial_index,
+                                         shared=shared)
 
         out = {}
         for alg in cfg.algorithms:
@@ -106,13 +106,23 @@ def run_trial(task: TrialTask) -> dict:
 
 def _point_topology(cfg: ExperimentConfig, l_count: int, n0: int | None) -> Topology:
     rng = seeding.stream(cfg.master_seed, seeding.TOPOLOGY)
-    return build_topology(cfg.topology_kind, l_count, rng=rng, n0=n0, p=cfg.edge_p)
+    try:
+        return build_topology(cfg.topology_kind, l_count, rng=rng, n0=n0, p=cfg.edge_p)
+    except ValueError as exc:   # a random graph too sparse to draw connected
+        raise ConfigError(f"keys 'l', 'p': {exc}") from None
 
 
 def _single(values, name: str) -> int:
     if len(values) != 1:
         raise ConfigError(f"key '{name}': exactly one value expected here, got {values}")
     return values[0]
+
+
+def _check_sparsity(cfg: ExperimentConfig, m_values) -> None:
+    """Reject, before any trial runs, a point whose m is below k."""
+    for m in m_values:
+        if cfg.k > m:
+            raise ConfigError(f"point m={m}: greedy recovery requires k <= M (k={cfg.k})")
 
 
 def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
@@ -170,10 +180,7 @@ def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     With workers > 1, one process pool serves every point of the sweep. A
     point with k > M is rejected before any point runs a trial."""
     points = _sweep_points(cfg, sweep)
-    for _, _, m, _ in points:
-        if cfg.k > m:
-            raise ConfigError(f"sweep point m={m}: greedy recovery requires k <= M "
-                              f"(k={cfg.k})")
+    _check_sparsity(cfg, [m for _, _, m, _ in points])
     rows = []
     with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
           else contextlib.nullcontext()) as pool:
@@ -194,7 +201,7 @@ def rows_to_json(rows) -> str:
     return json.dumps(rows, indent=2, sort_keys=False) + "\n"
 
 
-def exhaustive_oracle(ys, dictionaries, k: int, cap: int = ORACLE_CAP) -> tuple:
+def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
     """Support minimizing the total least-squares residual over all C(N,k)
     candidates (summed over nodes when several observations are given).
 
@@ -208,9 +215,9 @@ def exhaustive_oracle(ys, dictionaries, k: int, cap: int = ORACLE_CAP) -> tuple:
         dictionaries = dictionaries[None, :, :]
     l_count, _ = ys.shape
     n = dictionaries.shape[2]
-    if math.comb(n, k) > cap:
+    if math.comb(n, k) > ORACLE_CAP:
         raise EnumerationTooLargeError(
-            f"C({n},{k}) = {math.comb(n, k)} candidate supports exceed the cap {cap}")
+            f"C({n},{k}) = {math.comb(n, k)} candidate supports exceed the cap {ORACLE_CAP}")
     best_support = None
     best_cost = np.inf
     for support in itertools.combinations(range(n), k):
@@ -233,14 +240,13 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
         raise ConfigError("key 'sigma2': bound reports need positive noise variance")
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
-    ensemble, meas, _ = draw_trial(cfg.n, cfg.k, l_count, m, sigma2=cfg.sigma2,
-                                   amp_low=cfg.amp_low, amp_high=cfg.amp_high, shared=True,
-                                   master_seed=cfg.master_seed, trial=0)
+    ensemble, meas, _ = draw_trial(cfg, l_count, m, 0, shared=True)
     return {
         "params": {
-            "n": cfg.n, "k": cfg.k, "l": l_count, "m": m, "sigma2": cfg.sigma2,
-            "amp_low": cfg.amp_low, "amp_high": cfg.amp_high,
-            "delta0": cfg.delta0, "slack_t": cfg.slack_t, "seed": cfg.master_seed,
+            "n": cfg.n, "k": cfg.k, "l": l_count, "m": m,
+            **{key: getattr(cfg, key)
+               for key in ("sigma2", "amp_low", "amp_high", "delta0", "slack_t")},
+            "seed": cfg.master_seed,
         },
         "bounds": bound_report(ensemble, meas, delta0=cfg.delta0, slack_t=cfg.slack_t,
                                sample_pairs=cfg.xi_pairs,
@@ -253,12 +259,12 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     noiseless desk-scale trials, plus the dcomp2/somp equivalence count."""
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
+    _check_sparsity(cfg, [m])
     topo = complete_topology(l_count)
+    noiseless = dataclasses.replace(cfg, sigma2=0.0)
     omp_agree = somp_agree = dcomp2_match = 0
     for t in range(cfg.trials):
-        _, meas, obs = draw_trial(cfg.n, cfg.k, l_count, m, sigma2=0.0,
-                                  amp_low=cfg.amp_low, amp_high=cfg.amp_high, shared=False,
-                                  master_seed=cfg.master_seed, trial=t)
+        _, meas, obs = draw_trial(noiseless, l_count, m, t, shared=False)
 
         single_oracle = exhaustive_oracle(obs.per_node[0], meas.matrices[0], cfg.k)
         if set(omp(obs.per_node[0], meas.matrices[0], cfg.k)) == set(single_oracle):

@@ -135,7 +135,7 @@ def test_criterion_3_iteration_counts(fig12_rows):
 
 def test_criterion_4_mac_vs_pac():
     def mac_rows(amp_low, amp_high, seed):
-        cfg = base_config(k=5, m_values=[15, 20, 25, 30, 40], mac_mode=True,
+        cfg = base_config(k=5, m_values=[15, 20, 25, 30, 40],
                           amp_low=amp_low, amp_high=amp_high, master_seed=seed,
                           algorithms=["mac-omp", "s-omp"])
         rows = run_sweep(cfg, "m")

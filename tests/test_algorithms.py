@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from jspr.algorithms import ALGORITHMS, table1_expected
+from jspr.config import ExperimentConfig
 from jspr.errors import SingularProjectionError
 from jspr.harness import draw_trial
 from jspr.network import build_topology, complete_topology, ring_topology
@@ -36,15 +37,14 @@ def test_ledger_totals_equal_table1(tag, topology, n, k, data):
     algorithm = ALGORITHMS[tag]
     l_count = topology.node_count
     m = data.draw(st.integers(k, 10), label="m")
-    _, meas, obs = draw_trial(n, k, l_count, m, sigma2=0.01, amp_low=10.0, amp_high=15.0,
-                              shared=algorithm.shared_matrix,
-                              master_seed=data.draw(SEEDS, label="seed"), trial=0)
+    cfg = ExperimentConfig(n=n, k=k, sigma2=0.01, amp_low=10.0, amp_high=15.0,
+                           master_seed=data.draw(SEEDS, label="seed"))
+    _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=algorithm.shared_matrix)
     try:
         result = algorithm.run(obs, meas, topology, k)
     except SingularProjectionError:
         assume(False)
-    graph = complete_topology(l_count) if algorithm.complete_graph else topology
-    expected = table1_expected(tag, l_count, k, n, graph.adjacency, result.iterations)
+    expected = table1_expected(tag, l_count, k, n, topology.adjacency, result.iterations)
     ledger = result.ledger
     assert (ledger.local_scalar_count, ledger.global_scalar_count) == expected
 
@@ -93,9 +93,9 @@ def test_relabeling_nodes_permutes_result(tag):
         edges = {frozenset((i, j)) for i in range(l_count) for j in topology.adjacency[i]}
         assert {frozenset(pi[list(e)]) for e in edges} == edges   # pi is an automorphism
         m = data.draw(st.integers(k, 20), label="m")
-        _, meas, obs = draw_trial(64, k, l_count, m, sigma2=0.05, amp_low=-3.0, amp_high=3.0,
-                                  shared=False, master_seed=data.draw(SEEDS, label="seed"),
-                                  trial=0)
+        cfg = ExperimentConfig(n=64, k=k, sigma2=0.05, amp_low=-3.0, amp_high=3.0,
+                               master_seed=data.draw(SEEDS, label="seed"))
+        _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=False)
         moved_obs = dataclasses.replace(obs, per_node=relabeled(pi, obs.per_node))
         moved_meas = dataclasses.replace(meas, matrices=relabeled(pi, meas.matrices))
         try:

@@ -150,7 +150,7 @@ class TestDcomp1:
 
         ring = ring_topology(6, 2)
         result = dcomp1(obs, meas, ring, 4, mode="neighborhood")
-        local, _ = table1_expected("dc-omp1", 6, 4, 32, ring.adjacency,
+        local, _ = table1_expected("dc-omp1-nbr", 6, 4, 32, ring.adjacency,
                                    result.iterations)
         assert result.ledger.local_scalar_count == local
 

@@ -12,12 +12,14 @@ from jspr.errors import (ConfigError, EnumerationTooLargeError, SingularProjecti
                          TrialError)
 from jspr.harness import (
     CSV_HEADER,
+    TrialTask,
     bounds_report,
     exhaustive_oracle,
     rows_to_csv,
     rows_to_json,
     run_point,
     run_sweep,
+    run_trial,
 )
 from jspr.network import complete_topology
 
@@ -72,11 +74,28 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="duplicate"):
             parse_config("n=64\nn=32\n")
 
-    def test_mac_omp_requires_mac_mode(self):
-        with pytest.raises(ConfigError, match="mac_mode"):
-            parse_config("algorithms=mac-omp\n")
-        cfg = parse_config("algorithms=mac-omp,s-omp\nmac_mode=true\n")
-        assert cfg.mac_mode
+    def test_shared_matrix_comes_from_the_algorithm_table(self, monkeypatch, tmp_path,
+                                                          capsys):
+        import jspr.harness as harness
+        shared_seen = {}
+        real = harness._run_algorithm
+
+        def spy(alg, obs, meas, topology, k):
+            shared_seen[alg] = all(np.array_equal(a, meas.matrices[0]) for a in meas.matrices)
+            return real(alg, obs, meas, topology, k)
+
+        monkeypatch.setattr(harness, "_run_algorithm", spy)
+        for tags, shared in ((["d-omp", "s-omp"], False), (["s-omp", "mac-omp"], True),
+                             (["mac-omp"], True)):
+            shared_seen.clear()
+            run_trial(TrialTask(cfg=tiny_config(algorithms=tags), l_count=3, m=8,
+                                topology=complete_topology(3), trial_index=0))
+            assert shared_seen == dict.fromkeys(tags, shared)
+
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("algorithms=mac-omp,s-omp\nmac_mode=true\n")
+        assert main(["mac-compare", "--config", str(cfg)]) == 1
+        assert "unknown key 'mac_mode'" in capsys.readouterr().err
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown tag"):
@@ -97,10 +116,6 @@ class TestParseConfig:
     def test_zero_amplitude_range_rejected(self):
         with pytest.raises(ConfigError, match="amp_low"):
             parse_config("amp_low=0\namp_high=0\n")
-
-    def test_sparsity_above_m_flagged(self):
-        cfg = parse_config("n=64\nk=10\nm=8,20\n")
-        assert any("k=10" in w for w in cfg.warnings)
 
 
 class TestRunSweep:
@@ -235,7 +250,7 @@ class TestExhaustiveOracle:
 
     def test_cap(self):
         with pytest.raises(EnumerationTooLargeError):
-            exhaustive_oracle(np.ones(4), np.ones((4, 64)), 8, cap=100)
+            exhaustive_oracle(np.ones(4), np.ones((4, 64)), 8)
 
 
 class TestBoundsReport:
@@ -344,6 +359,7 @@ class TestCli:
         "topology=ring\nn0=5\nl=5\nm=8\n",
         "amp_low=0\namp_high=0\nl=3\nm=8\n",
         "topology=random\np=0.5\nl=1\nm=8\n",
+        "topology=random\np=0.05\nl=12\nm=8\n",
     ])
     def test_bad_config_exits_before_any_trial(self, tmp_path, monkeypatch, text):
         import jspr.harness as harness
@@ -354,6 +370,34 @@ class TestCli:
         monkeypatch.setattr(harness, "run_trial", no_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\ntrials=2\n" + text)
         assert main(["sweep-m", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("flag, value, key", [("--trials", "0", "trials"),
+                                                   ("--seed", "-1", "seed")])
+    def test_bad_flag_exits_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                             flag, value, key):
+        import jspr.harness as harness
+
+        def no_trial(task):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "run_trial", no_trial)
+        cfg = self.write_config(tmp_path, "n=24\nk=2\nl=3\nm=8\n")
+        assert main(["sweep-m", "--config", cfg, flag, value]) == 1
+        assert f"key '{key}'" in capsys.readouterr().err
+
+    def test_sparsity_above_m_fails_oracle_check_not_bounds(self, tmp_path, monkeypatch,
+                                                             capsys):
+        import jspr.harness as harness
+        cfg = self.write_config(tmp_path, "n=10\nk=4\nl=3\nm=3\nsigma2=0.5\ntrials=2\n")
+        assert main(["bounds", "--config", cfg, "--out", str(tmp_path / "b.json")]) == 0
+        assert capsys.readouterr().err == ""
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        assert main(["oracle-check", "--config", cfg]) == 1
+        assert "m=3: greedy recovery requires k <= M" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["sweep-m", "--config", str(tmp_path / "nope.cfg")]) == 2

@@ -52,7 +52,7 @@ class TestTable1Expected:
 
     def test_dcomp1_per_node_iterations(self):
         topo = ring_topology(4, 2)
-        local, _ = table1_expected("dc-omp1", 4, 3, 16, topo.adjacency, [1, 2, 3, 1])
+        local, _ = table1_expected("dc-omp1-nbr", 4, 3, 16, topo.adjacency, [1, 2, 3, 1])
         assert local == 2 * (1 + 2 + 3 + 1)
 
     def test_dcomp2_totals(self):
