@@ -2,10 +2,10 @@
 
 The batched `ls_residual` is checked lane by lane against its single-vector
 form and against `np.linalg.lstsq`; the lockstep per-node OMP of
-`domp_majority` against `omp` on each node; `dcomp1(mode="neighborhood")`
-against a per-node reference that updates one node's residual at a time; and
-every solver, which checks the Gram conditioning only on the support it
-returns, against the same solver checking it on every round.
+`domp_majority` against `omp` on each node; `dc-omp1`, `dc-omp1-nbr` and
+`dc-omp2` against a per-node reference that updates one node's residual at a
+time; and every solver, which checks the Gram conditioning only on the
+support it returns, against the same solver checking it on every round.
 """
 
 import warnings
@@ -17,14 +17,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from jspr import decentralized, greedy
-from jspr.decentralized import (
-    _admit,
-    dcomp1,
-    dcomp2,
-    domp_majority,
-    index_fusion_neighborhood,
-    majority_vote,
-)
+from jspr.algorithms import ALGORITHMS
+from jspr.decentralized import _admit, dcomp1, dcomp2, domp_majority, majority_vote
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
 from jspr.greedy import _lockstep_select, ls_residual, omp, somp
@@ -158,58 +152,74 @@ class TestLockstepOmp:
         assert _lockstep_select(ys, dictionaries, 2, pooled=False).tolist() == expected
 
 
-def reference_dcomp1_neighborhood(obs, meas, topology, k):
-    """dcomp1(mode="neighborhood") with one single-vector kernel call per
-    node and round: supports, iteration counts and local ledger total."""
-    l_count = obs.per_node.shape[0]
+# each collaborative rule and the topology its reference is checked on
+RULE_TOPOLOGIES = {
+    "dc-omp1": lambda l_count, n0: complete_topology(l_count),
+    "dc-omp1-nbr": ring_topology,
+    "dc-omp2": ring_topology,
+}
+
+
+def reference_collaborative(rule, obs, meas, topology, k):
+    """The solver of `rule` with one single-vector kernel call per node and
+    round: supports, iteration counts and both ledger totals. dc-omp2 sums
+    the neighbours' correlations in the solver's order, f[l] + f[nbrs]."""
+    l_count, n = obs.per_node.shape[0], meas.matrices.shape[2]
     ledger = MessageLedger(topology)
     residuals = np.array(obs.per_node, dtype=float, copy=True)
     supports = [[] for _ in range(l_count)]
     iterations = [0] * l_count
-    active = [True] * l_count
     round_no = 0
-    while any(active):
+    while any(len(s) < k for s in supports):
         round_no += 1
-        proposals, score_vecs = [None] * l_count, [None] * l_count
-        for l in range(l_count):
-            if active[l]:
-                score_vecs[l] = np.abs(meas.matrices[l].T @ residuals[l])
-                masked = score_vecs[l].copy()
-                masked[supports[l]] = -np.inf
-                proposals[l] = int(np.argmax(masked))
+        active = [l for l in range(l_count) if len(supports[l]) < k]
+        f = np.stack([np.abs(meas.matrices[l].T @ residuals[l]) for l in range(l_count)])
+        proposals = [None] * l_count
+        for l in active:
+            nbrs = list(topology.adjacency[l])
+            score = f[l] + f[nbrs].sum(axis=0) if rule == "dc-omp2" else f[l].copy()
+            score[supports[l]] = -np.inf
+            proposals[l] = int(np.argmax(score))
+            if rule == "dc-omp2":
+                ledger.send_local(l, n)
+                ledger.send_global(l, 1)
+            else:
                 ledger.send_local(l, 1)
-        for l in range(l_count):
-            if not active[l]:
-                continue
-            received = [proposals[j] for j in topology.adjacency[l]
-                        if proposals[j] is not None]
-            fused = index_fusion_neighborhood(proposals[l], received, supports[l])
-            counts = Counter([proposals[l], *received])
-            supports[l].extend(_admit(fused, k - len(supports[l]), counts,
-                                      scores=score_vecs[l]))
+        for l in active:
+            if rule == "dc-omp1-nbr":
+                heard = [proposals[l], *(proposals[j] for j in topology.adjacency[l]
+                                         if proposals[j] is not None)]
+                scores = f[l]
+            else:   # network-wide: every node fuses the same proposals
+                heard, scores = proposals, None
+            counts = Counter(heard)
+            agreed = {idx for idx, c in counts.items() if c >= 2}
+            fused = agreed.difference(supports[l]) or {heard[0]}
+            supports[l].extend(_admit(fused, k - len(supports[l]), counts, scores=scores))
             iterations[l] = round_no
             residuals[l] = ls_residual(obs.per_node[l], meas.matrices[l], supports[l])
-            if len(supports[l]) >= k:
-                active[l] = False
-    return [tuple(sorted(s)) for s in supports], iterations, ledger.local_scalar_count
+    return ([tuple(sorted(s)) for s in supports], iterations,
+            ledger.local_scalar_count, ledger.global_scalar_count)
 
 
 class TestDcomp1Neighborhood:
+    @pytest.mark.parametrize("rule", list(RULE_TOPOLOGIES))
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, half=st.integers(2, 4), n0_pick=st.integers(0, 10),
            m=st.integers(4, 12), k=st.integers(1, 4), sigma2=st.sampled_from([0.01, 5.0]))
-    def test_equals_per_node_reference(self, seed, half, n0_pick, m, k, sigma2):
+    def test_equals_per_node_reference(self, rule, seed, half, n0_pick, m, k, sigma2):
         l_count = 2 * half
         n0 = 1 + n0_pick % (l_count - 1)
         assume(n0 > 1 or l_count == 2)
-        topology = ring_topology(l_count, n0)
+        topology = RULE_TOPOLOGIES[rule](l_count, n0)
         meas, obs = instance(seed, 32, k, l_count, m, sigma2)
-        result = dcomp1(obs, meas, topology, k, mode="neighborhood")
-        supports, iterations, local = reference_dcomp1_neighborhood(obs, meas, topology, k)
+        result = ALGORITHMS[rule].run(obs, meas, topology, k)
+        supports, iterations, local, global_ = reference_collaborative(
+            rule, obs, meas, topology, k)
         assert result.per_node_support == supports
         assert result.iterations == iterations
         assert result.ledger.local_scalar_count == local
-        assert result.ledger.global_scalar_count == 0
+        assert result.ledger.global_scalar_count == global_
 
 
 def near_dependent_instance(seed, l_count, m, extra, k_frac, bad, scale,
