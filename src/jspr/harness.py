@@ -201,6 +201,13 @@ def rows_to_json(rows) -> str:
     return json.dumps(rows, indent=2, sort_keys=False) + "\n"
 
 
+def _check_oracle_cap(n: int, k: int) -> None:
+    """Reject an exhaustive search over more than ORACLE_CAP candidate supports."""
+    if math.comb(n, k) > ORACLE_CAP:
+        raise EnumerationTooLargeError(
+            f"C({n},{k}) = {math.comb(n, k)} candidate supports exceed the cap {ORACLE_CAP}")
+
+
 def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
     """Support minimizing the total least-squares residual over all C(N,k)
     candidates (summed over nodes when several observations are given).
@@ -215,9 +222,7 @@ def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
         dictionaries = dictionaries[None, :, :]
     l_count, _ = ys.shape
     n = dictionaries.shape[2]
-    if math.comb(n, k) > ORACLE_CAP:
-        raise EnumerationTooLargeError(
-            f"C({n},{k}) = {math.comb(n, k)} candidate supports exceed the cap {ORACLE_CAP}")
+    _check_oracle_cap(n, k)
     best_support = None
     best_cost = np.inf
     for support in itertools.combinations(range(n), k):
@@ -260,6 +265,10 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
+    try:
+        _check_oracle_cap(cfg.n, cfg.k)
+    except EnumerationTooLargeError as exc:
+        raise ConfigError(f"keys 'n', 'k': {exc}") from None
     topo = complete_topology(l_count)
     noiseless = dataclasses.replace(cfg, sigma2=0.0)
     omp_agree = somp_agree = dcomp2_match = 0

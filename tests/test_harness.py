@@ -399,6 +399,17 @@ class TestCli:
         assert main(["oracle-check", "--config", cfg]) == 1
         assert "m=3: greedy recovery requires k <= M" in capsys.readouterr().err
 
+    def test_oracle_above_cap_fails_before_any_trial(self, tmp_path, monkeypatch, capsys):
+        import jspr.harness as harness
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        cfg = self.write_config(tmp_path, "n=64\nk=8\nl=3\nm=20\nsigma2=0\ntrials=2\n")
+        assert main(["oracle-check", "--config", cfg]) == 1
+        assert "keys 'n', 'k': C(64,8)" in capsys.readouterr().err
+
     def test_missing_config_file_exit_code(self, tmp_path):
         assert main(["sweep-m", "--config", str(tmp_path / "nope.cfg")]) == 2
 
