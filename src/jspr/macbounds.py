@@ -172,13 +172,12 @@ XI_FORMULAS = {
 }
 
 
-def xi_average(ensemble, meas, channel: str, enumeration_cap: int = XI_PAIR_CAP,
-               sample_pairs: int | None = None,
+def xi_average(ensemble, meas, channel: str, sample_pairs: int | None = None,
                rng: np.random.Generator | None = None) -> XiEstimate:
     """Average KL distance over support-hypothesis pairs.
 
     Exact mode enumerates every ordered pair of the C(N,k) supports and
-    requires C(N,k)^2 <= enumeration_cap. When the budget is exceeded, pass
+    requires C(N,k)^2 <= XI_PAIR_CAP. When the budget is exceeded, pass
     sample_pairs to average over uniformly drawn pairs instead; the estimate
     then carries a standard error.
     """
@@ -192,10 +191,10 @@ def xi_average(ensemble, meas, channel: str, enumeration_cap: int = XI_PAIR_CAP,
     n_supports = math.comb(n, k)
 
     if sample_pairs is None:
-        if n_supports ** 2 > enumeration_cap:
+        if n_supports ** 2 > XI_PAIR_CAP:
             raise EnumerationTooLargeError(
                 f"C({n},{k})^2 = {n_supports ** 2} ordered pairs exceed the cap "
-                f"{enumeration_cap}; pass sample_pairs for a sampled estimate")
+                f"{XI_PAIR_CAP}; pass sample_pairs for a sampled estimate")
         supports = list(itertools.combinations(range(n), k))
         v = np.stack([_hypothesis_means(b, signals, u) for u in supports])  # (P, L, M)
         if channel == "mac":

@@ -246,15 +246,14 @@ class TestXiAverage:
         assert abs(mac - pac) <= 1e-10
 
     def test_cap_exceeded_without_sampling(self):
-        ensemble, meas = shared_instance(14, n=10, k=2)
+        ensemble, meas = shared_instance(14, n=16, k=4)   # C(16,4)^2 > XI_PAIR_CAP
         with pytest.raises(EnumerationTooLargeError):
-            xi_average(ensemble, meas, "mac", enumeration_cap=10)
+            xi_average(ensemble, meas, "mac")
 
     def test_sampled_mode_tracks_exact(self):
         ensemble, meas = shared_instance(15, n=8, k=2, l_count=3)
         exact = xi_average(ensemble, meas, "pac").value
-        est = xi_average(ensemble, meas, "pac", enumeration_cap=10,
-                         sample_pairs=4000, rng=rng_of(16))
+        est = xi_average(ensemble, meas, "pac", sample_pairs=4000, rng=rng_of(16))
         assert not est.exact and est.n_pairs == 4000
         assert est.stderr > 0
         assert abs(est.value - exact) <= 4 * est.stderr
