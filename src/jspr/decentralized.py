@@ -11,7 +11,8 @@ Three schemes over a connected topology:
 * domp_majority -- no collaboration during recovery: independent per-node OMP
   followed by one majority vote over the completed supports.
 
-Multi-index fusion rounds let the first two terminate in fewer than k
+The first two share one round loop, `_fusion_rounds`, and state only their
+fusion rules. Multi-index fusion rounds let them terminate in fewer than k
 iterations; every transmission is charged to a MessageLedger.
 """
 
@@ -50,41 +51,27 @@ class RecoveryResult:
         return self.per_node_support[0]
 
 
-def index_fusion_full(proposals, already_selected) -> set:
+def index_fusion_full(proposals) -> set:
     """Network-wide fusion: keep every index proposed at least twice.
 
     When all proposals are distinct, every node must still act on one common
-    index; the deterministic pick is the proposal of the smallest node id not
-    already selected, so no extra coordination traffic is needed.
+    index; the deterministic pick is the proposal of the smallest node id, so
+    no extra coordination traffic is needed. No proposal is ever held: the
+    round loop masks held indices.
     """
-    proposals = list(proposals)
     counts = Counter(proposals)
-    fused = {idx for idx, c in counts.items() if c >= 2}
-    if fused:
-        return fused
-    already = set(already_selected)
-    for proposal in proposals:           # node-id order
-        if proposal not in already:
-            return {proposal}
-    return {proposals[0]}
+    return {idx for idx, c in counts.items() if c >= 2} or {proposals[0]}
 
 
 def index_fusion_neighborhood(own: int, received, prior) -> set:
     """One-hop fusion at a single node.
 
-    Keeps multi-occurrence indices from {own} + received; with no agreement
-    the node keeps its own proposal. Agreed indices already held are dropped
-    (falling back to the own proposal if nothing new remains) so an index is
-    never selected twice.
+    Keeps multi-occurrence indices from {own} + received that the node does
+    not already hold, so an index is never selected twice; with no such
+    agreement the node keeps its own proposal.
     """
-    prior = set(prior)
     counts = Counter([own, *received])
-    alpha_star = {idx for idx, c in counts.items() if c >= 2}
-    if not alpha_star:
-        return {own}
-    if alpha_star <= prior:
-        return {own}
-    return alpha_star - prior
+    return {idx for idx, c in counts.items() if c >= 2}.difference(prior) or {own}
 
 
 def _admit(fused, need: int, counts: Counter, scores=None) -> list:
@@ -98,81 +85,101 @@ def _admit(fused, need: int, counts: Counter, scores=None) -> list:
         key = lambda idx: (-counts[idx], idx)
     else:
         key = lambda idx: (-counts[idx], -float(scores[idx]), idx)
-    ordered = sorted(fused, key=key)
-    return ordered[:need]
+    return sorted(fused, key=key)[:need]
 
 
-def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
-    """Collaborative OMP with per-iteration one-hop index fusion.
+def _fuse_network_wide(proposals, need: int) -> tuple:
+    """Network-wide fusion of one proposal per node: `(proposals, adopted)`
+    in which every node adopts the same indices in the same order, since no
+    per-node score breaks count ties."""
+    admitted = _admit(index_fusion_full(proposals), need, Counter(proposals))
+    return proposals, [admitted] * len(proposals)
 
-    mode="full" assumes every node hears the whole network (complete
-    topology required); all nodes then share one estimate throughout.
-    mode="neighborhood" fuses within each node's one-hop neighborhood, so
-    estimates (and termination rounds) may differ across nodes.
+
+def _fusion_rounds(obs, meas, topology: Topology, k: int, fuse) -> RecoveryResult:
+    """The round loop of the collaborative solvers.
+
+    Each round, every node still short of k indices correlates its residual
+    with its own dictionary; `fuse(scores, supports, ledger)` gets the (L, N)
+    scores with held indices at -inf, charges what the nodes send and returns
+    the per-node `(proposals, adopted)` lists, None for a node that has
+    stopped. The nodes that adopted indices then deflate their residuals, one
+    kernel call per distinct support size.
     """
     l_count, m = obs.per_node.shape
     if not 1 <= k <= m:
         raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
     if topology.node_count != l_count:
         raise ValueError("topology size does not match observation count")
-    if mode not in ("full", "neighborhood"):
-        raise ValueError(f"unknown mode {mode!r}")
-    if mode == "full" and not topology.is_complete():
-        raise ValueError("full mode requires a complete topology")
 
     ledger = MessageLedger(topology)
     residuals = np.array(obs.per_node, dtype=float, copy=True)
     supports = [[] for _ in range(l_count)]
     held = np.zeros((l_count, meas.matrices.shape[2]), dtype=bool)   # supports as a mask
     iterations = [0] * l_count
-    active = [True] * l_count
     rounds = []
     round_no = 0
-
-    def adopt(l, admitted):
-        fused_lists[l] = admitted
-        supports[l].extend(admitted)
-        held[l, admitted] = True
-        active[l] = len(supports[l]) < k
-
-    while any(active):
+    while any(len(s) < k for s in supports):
         round_no += 1
-        proposals = [None] * l_count
-        updated = [l for l in range(l_count) if active[l]]
         # every node's row, finished ones discarded: reading each matrix once
         # costs less than gathering the active ones
         scores = correlate(residuals, meas.matrices)
-        picks = np.where(held, -np.inf, scores).argmax(axis=1)
-        for l in updated:
-            proposals[l] = int(picks[l])
-            ledger.send_local(l, 1)
+        scores[held] = -np.inf
+        proposals, adopted = fuse(scores, supports, ledger)
+        grown = [l for l in range(l_count) if adopted[l] is not None]
+        for l in grown:
+            supports[l].extend(adopted[l])
+            iterations[l] = round_no
+        held[[l for l in grown for _ in adopted[l]],
+             [idx for l in grown for idx in adopted[l]]] = True
+        for size in sorted({len(supports[l]) for l in grown}):
+            lanes = [l for l in grown if len(supports[l]) == size]
+            # when every node grew, views instead of gathered copies
+            rows = slice(None) if len(lanes) == l_count else lanes
+            residuals[rows] = ls_residual(obs.per_node[rows], meas.matrices[rows],
+                                          [supports[l] for l in lanes], check=size == k)
+        rounds.append(FusionRound(iteration=round_no, proposals=proposals, fused=adopted))
 
-        fused_lists = [None] * l_count
+    return RecoveryResult(per_node_support=[tuple(sorted(s)) for s in supports],
+                          iterations=iterations, ledger=ledger, rounds=rounds)
+
+
+def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
+    """Collaborative OMP with per-iteration one-hop index fusion.
+
+    Each node proposes its best-scoring index and sends it one hop.
+    mode="full" assumes every node hears the whole network (complete
+    topology required); all nodes then share one estimate throughout.
+    mode="neighborhood" fuses within each node's one-hop neighborhood, so
+    estimates (and termination rounds) may differ across nodes.
+    """
+    if mode not in ("full", "neighborhood"):
+        raise ValueError(f"unknown mode {mode!r}")
+    if mode == "full" and not topology.is_complete():
+        raise ValueError("full mode requires a complete topology")
+    l_count = topology.node_count
+
+    def fuse(scores, supports, ledger):
+        picks = scores.argmax(axis=1)
+        proposals = [None] * l_count
+        for l in range(l_count):
+            if len(supports[l]) < k:
+                proposals[l] = int(picks[l])
+                ledger.send_local(l, 1)
         if mode == "full":   # every node active, one shared support
-            fused = index_fusion_full(proposals, supports[0])
-            # global: no per-node score, so every node admits the same order
-            admitted = _admit(fused, k - len(supports[0]), Counter(proposals))
-            for l in updated:
-                adopt(l, admitted)
-        else:
-            for l in updated:
+            return _fuse_network_wide(proposals, k - len(supports[0]))
+        adopted = [None] * l_count
+        for l in range(l_count):
+            if proposals[l] is not None:
                 # every neighbour that proposed this round is heard, as send_local charged
                 received = [proposals[j] for j in topology.adjacency[l]
                             if proposals[j] is not None]
                 fused = index_fusion_neighborhood(proposals[l], received, supports[l])
-                adopt(l, _admit(fused, k - len(supports[l]),
-                                Counter([proposals[l], *received]), scores=scores[l]))
-        for size in sorted({len(supports[l]) for l in updated}):   # one call in full mode
-            lanes = [l for l in updated if len(supports[l]) == size]
-            residuals[lanes] = ls_residual(obs.per_node[lanes], meas.matrices[lanes],
-                                           [supports[l] for l in lanes], check=size == k)
-        for l in updated:
-            iterations[l] = round_no
-        rounds.append(FusionRound(iteration=round_no, proposals=proposals,
-                                  fused=fused_lists))
+                adopted[l] = _admit(fused, k - len(supports[l]),
+                                    Counter([proposals[l], *received]), scores=scores[l])
+        return proposals, adopted
 
-    return RecoveryResult(per_node_support=[tuple(sorted(s)) for s in supports],
-                          iterations=iterations, ledger=ledger, rounds=rounds)
+    return _fusion_rounds(obs, meas, topology, k, fuse)
 
 
 def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
@@ -184,43 +191,18 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     multiplicity, so every node applies the identical update and all final
     supports agree.
     """
-    l_count, m = obs.per_node.shape
-    n = meas.matrices.shape[2]
-    if not 1 <= k <= m:
-        raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
-    if topology.node_count != l_count:
-        raise ValueError("topology size does not match observation count")
+    l_count, n = topology.node_count, meas.matrices.shape[2]
+    neighbors = [list(nbrs) for nbrs in topology.adjacency]
 
-    ledger = MessageLedger(topology)
-    residuals = np.array(obs.per_node, dtype=float, copy=True)
-    support = []                       # shared by construction
-    rounds = []
-    round_no = 0
-
-    while len(support) < k:
-        round_no += 1
-        f = correlate(residuals, meas.matrices)   # (L, N)
-        for l in range(l_count):
-            ledger.send_local(l, n)
+    def fuse(f, supports, ledger):
         proposals = []
         for l in range(l_count):
-            g = f[l] + f[list(topology.adjacency[l])].sum(axis=0)
-            g[support] = -np.inf
-            proposals.append(int(np.argmax(g)))
-        for l in range(l_count):
+            ledger.send_local(l, n)
             ledger.send_global(l, 1)
+            proposals.append(int(np.argmax(f[l] + f[neighbors[l]].sum(axis=0))))
+        return _fuse_network_wide(proposals, k - len(supports[0]))
 
-        fused = index_fusion_full(proposals, support)
-        admitted = _admit(fused, k - len(support), Counter(proposals))
-        support.extend(admitted)
-        residuals = ls_residual(obs.per_node, meas.matrices, support,
-                                check=len(support) == k)
-        rounds.append(FusionRound(iteration=round_no, proposals=proposals,
-                                  fused=[admitted] * l_count))
-
-    final = tuple(sorted(support))
-    return RecoveryResult(per_node_support=[final] * l_count,
-                          iterations=[round_no] * l_count, ledger=ledger, rounds=rounds)
+    return _fusion_rounds(obs, meas, topology, k, fuse)
 
 
 def majority_vote(estimates, k: int) -> tuple:
@@ -229,7 +211,7 @@ def majority_vote(estimates, k: int) -> tuple:
     votes = Counter()
     for est in estimates:
         votes.update(est)
-    return tuple(sorted(sorted(votes, key=lambda idx: (-votes[idx], idx))[:k]))
+    return tuple(sorted(_admit(votes, k, votes)))
 
 
 def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:

@@ -40,16 +40,13 @@ def make_instance(seed, n=32, k=4, l_count=5, m=12, sigma2=0.01,
 
 class TestIndexFusionFull:
     def test_multiplicity_rule(self):
-        assert index_fusion_full([5, 5, 9], set()) == {5}
+        assert index_fusion_full([5, 5, 9]) == {5}
 
     def test_all_distinct_smallest_node_id(self):
-        assert index_fusion_full([3, 7, 9], set()) == {3}
+        assert index_fusion_full([3, 7, 9]) == {3}
 
     def test_two_agreement_groups(self):
-        assert index_fusion_full([2, 2, 8, 8, 8], set()) == {2, 8}
-
-    def test_fallback_skips_already_selected(self):
-        assert index_fusion_full([3, 7, 9], {3}) == {7}
+        assert index_fusion_full([2, 2, 8, 8, 8]) == {2, 8}
 
 
 class TestIndexFusionNeighborhood:
