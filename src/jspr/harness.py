@@ -38,6 +38,7 @@ COLUMNS = (
 )
 CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 ORACLE_CAP = 10 ** 5
+_ORACLE_BLOCK = 256       # candidate supports per stacked SVD in the oracle
 MAX_FAILED_FRACTION = 0.01
 
 
@@ -208,34 +209,54 @@ def _check_oracle_cap(n: int, k: int) -> None:
             f"C({n},{k}) = {math.comb(n, k)} candidate supports exceed the cap {ORACLE_CAP}")
 
 
+def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
+                     candidates: np.ndarray) -> np.ndarray:
+    """(C, L) least-squares residual ‖y_l − P y_l‖² of every candidate
+    support (a row of `candidates (C, k)`) on every node, where P projects
+    onto the span of that node's candidate columns.
+
+    One stacked SVD per block of _ORACLE_BLOCK candidates. Left singular
+    vectors whose singular value is at most eps·max(M, k)·σ_max are dropped,
+    `np.linalg.lstsq`'s rank rule for rcond=None, so a rank-deficient
+    candidate costs what lstsq's residual does. LAPACK factors each matrix of
+    a stack on its own, so the costs do not depend on the block size.
+    """
+    l_count, m, _ = dictionaries.shape
+    k = candidates.shape[1]
+    rcond = np.finfo(float).eps * max(m, k)
+    y = ys[:, :, None]                                                   # (L, M, 1)
+    costs = np.empty((len(candidates), l_count))
+    for start in range(0, len(candidates), _ORACLE_BLOCK):
+        block = candidates[start:start + _ORACLE_BLOCK]
+        subs = dictionaries[:, :, block].transpose(2, 0, 1, 3)           # (c, L, M, k)
+        u, s, _ = np.linalg.svd(subs, full_matrices=False)
+        coef = u.transpose(0, 1, 3, 2) @ y                               # (c, L, r, 1)
+        coef[s <= rcond * s[..., :1]] = 0.0
+        resid = (y - u @ coef)[..., 0]                                   # (c, L, M)
+        costs[start:start + len(block)] = np.square(resid).sum(axis=-1)
+    return costs
+
+
 def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
     """Support minimizing the total least-squares residual over all C(N,k)
     candidates (summed over nodes when several observations are given).
 
-    Independent of the greedy path: per-candidate solves use np.linalg.lstsq.
-    Ties keep the lexicographically smallest support.
+    Independent of the greedy path: the candidates' residuals come from
+    stacked SVDs with `np.linalg.lstsq`'s rank rule, not from the normal
+    equations of `ls_residual`. Ties keep the lexicographically smallest
+    support.
     """
     ys = np.asarray(ys, dtype=float)
     dictionaries = np.asarray(dictionaries, dtype=float)
     if ys.ndim == 1:
         ys = ys[None, :]
         dictionaries = dictionaries[None, :, :]
-    l_count, _ = ys.shape
     n = dictionaries.shape[2]
     _check_oracle_cap(n, k)
-    best_support = None
-    best_cost = np.inf
-    for support in itertools.combinations(range(n), k):
-        cost = 0.0
-        for l in range(l_count):
-            sub = dictionaries[l][:, support]
-            coef, *_ = np.linalg.lstsq(sub, ys[l], rcond=None)
-            resid = ys[l] - sub @ coef
-            cost += float(resid @ resid)
-        if cost < best_cost:
-            best_cost = cost
-            best_support = support
-    return tuple(best_support)
+    candidates = np.array(list(itertools.combinations(range(n), k)),    # lexicographic
+                          dtype=np.intp).reshape(math.comb(n, k), k)
+    costs = _candidate_costs(ys, dictionaries, candidates).sum(axis=1)
+    return tuple(candidates[np.argmin(costs)].tolist())
 
 
 def bounds_report(cfg: ExperimentConfig) -> dict:

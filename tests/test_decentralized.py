@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jspr.algorithms import table1_expected
 from jspr.decentralized import (
@@ -166,16 +168,18 @@ class TestDcomp1:
 
 
 class TestDcomp2:
-    def test_complete_graph_tracks_somp_step_by_step(self):
-        for seed in range(6):
-            ensemble, meas, obs = make_instance(40 + seed, l_count=5, k=4)
-            topo = complete_topology(5)
-            result = dcomp2(obs, meas, topo, 4)
-            somp_selection = somp(obs, meas, 4)
-            fused_sequence = [r.fused[0] for r in result.rounds]
-            assert [idx for admitted in fused_sequence for idx in admitted] == somp_selection
-            assert all(len(set(r.proposals)) == 1 for r in result.rounds)
-            assert result.common_support == tuple(sorted(somp_selection))
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), l_count=st.integers(2, 6),
+           k=st.integers(1, 5), data=st.data())
+    def test_complete_graph_tracks_somp_step_by_step(self, seed, l_count, k, data):
+        m = data.draw(st.integers(k, 16), label="m")
+        _, meas, obs = make_instance(seed, l_count=l_count, k=k, m=m)
+        result = dcomp2(obs, meas, complete_topology(l_count), k)
+        somp_selection = somp(obs, meas, k)
+        fused_sequence = [r.fused[0] for r in result.rounds]
+        assert [idx for admitted in fused_sequence for idx in admitted] == somp_selection
+        assert all(len(set(r.proposals)) == 1 for r in result.rounds)
+        assert result.common_support == tuple(sorted(somp_selection))
 
     def test_two_node_path_symmetric_scores(self):
         ensemble, meas, obs = make_instance(50, l_count=2, k=2)

@@ -1,11 +1,15 @@
 """Config parsing, sweep running, oracle, bound reports, and the CLI."""
 
+import itertools
 import json
 import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import jspr.harness as harness
 from jspr.cli import main
 from jspr.config import ExperimentConfig, parse_config
 from jspr.errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
@@ -234,6 +238,52 @@ class TestRunSweep:
                       topology=complete_topology(3))
 
 
+def degenerate_instance(rng, data, l_count, m, n, k):
+    """(ys, dictionaries) with duplicated, scaled and all-zero columns drawn
+    into random dictionaries; each y is noise or lies in the span of k columns."""
+    dictionaries = rng.standard_normal((l_count, m, n))
+    for l in range(l_count):
+        for _ in range(data.draw(st.integers(0, n), label="edits")):
+            src, dst = rng.integers(n, size=2)
+            kind = data.draw(st.sampled_from(["duplicate", "scale", "zero"]), label="kind")
+            dictionaries[l, :, dst] = {"duplicate": dictionaries[l, :, src],
+                                       "scale": -2.5 * dictionaries[l, :, src],
+                                       "zero": 0.0}[kind]
+    if data.draw(st.booleans(), label="in span"):
+        support = rng.choice(n, size=k, replace=False)
+        ys = np.einsum("lmk,lk->lm", dictionaries[:, :, support],
+                       rng.standard_normal((l_count, k)))
+    else:
+        ys = rng.standard_normal((l_count, m))
+    return ys, dictionaries
+
+
+def lstsq_costs(ys, dictionaries, candidates):
+    """(C, L) residual norms from one np.linalg.lstsq call per candidate and node."""
+    costs = np.empty((len(candidates), len(ys)))
+    for c, support in enumerate(candidates):
+        for l, y in enumerate(ys):
+            sub = dictionaries[l][:, support]
+            coef, *_ = np.linalg.lstsq(sub, y, rcond=None)
+            costs[c, l] = np.sum((y - sub @ coef) ** 2)
+    return costs
+
+
+def assert_costs_match_lstsq(ys, dictionaries, k):
+    """Every candidate's per-node cost is lstsq's; the support is lstsq's
+    wherever the best total beats the runner-up by a clear margin."""
+    candidates = np.array(list(itertools.combinations(range(dictionaries.shape[2]), k)),
+                          dtype=np.intp)
+    costs = harness._candidate_costs(ys, dictionaries, candidates)
+    expected = lstsq_costs(ys, dictionaries, candidates)
+    scale = float(np.sum(ys ** 2)) + 1.0
+    np.testing.assert_allclose(costs, expected, rtol=0, atol=1e-10 * scale)
+    totals = np.sort(expected.sum(axis=1))
+    if len(totals) == 1 or totals[1] - totals[0] > 1e-8 * scale:
+        best = candidates[np.argmin(expected.sum(axis=1))]
+        assert exhaustive_oracle(ys, dictionaries, k) == tuple(best)
+
+
 class TestExhaustiveOracle:
     def test_identity_noiseless(self):
         y = np.zeros(6)
@@ -251,6 +301,36 @@ class TestExhaustiveOracle:
     def test_cap(self):
         with pytest.raises(EnumerationTooLargeError):
             exhaustive_oracle(np.ones(4), np.ones((4, 64)), 8)
+
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), l_count=st.integers(1, 3),
+           m=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
+    def test_costs_equal_per_candidate_lstsq(self, seed, l_count, m, n, data):
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n), label="k")
+        assert_costs_match_lstsq(*degenerate_instance(rng, data, l_count, m, n, k), k)
+
+    def test_duplicated_column_matches_lstsq(self):
+        # the rank-1 candidate (0, 1): a plain stacked QR puts a direction
+        # outside its span into Q and undercuts lstsq's cost by 0.28
+        rng = np.random.default_rng(3)
+        dictionaries = rng.standard_normal((1, 5, 4))
+        dictionaries[0, :, 1] = dictionaries[0, :, 0]
+        assert_costs_match_lstsq(rng.standard_normal((1, 5)), dictionaries, 2)
+
+    @pytest.mark.parametrize("block", [1, 7, harness._ORACLE_BLOCK])
+    def test_costs_do_not_depend_on_block_size(self, block, monkeypatch):
+        rng = np.random.default_rng(11)
+        ys = rng.standard_normal((3, 6))
+        dictionaries = rng.standard_normal((3, 6, 10))
+        dictionaries[1, :, 4] = dictionaries[1, :, 2]       # a rank-deficient node
+        candidates = np.array(list(itertools.combinations(range(10), 3)), dtype=np.intp)
+        reference = harness._candidate_costs(ys, dictionaries, candidates)
+        expected_support = exhaustive_oracle(ys, dictionaries, 3)
+        monkeypatch.setattr(harness, "_ORACLE_BLOCK", block)
+        assert np.array_equal(harness._candidate_costs(ys, dictionaries, candidates),
+                              reference)
+        assert exhaustive_oracle(ys, dictionaries, 3) == expected_support
 
 
 class TestBoundsReport:
