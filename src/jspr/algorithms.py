@@ -1,8 +1,14 @@
 """The table of algorithm tags: each tag's runner, Table-1 ledger formula
 and needs, read by the config check, the trial harness and
-`table1_expected`. A runner calls its solver through this module's global
-name at call time, so whatever re-points that name (a tracer, a test
-double) sees every call.
+`table1_expected`.
+
+A runner solves a chunk of trials, a list of per-trial `(obs, meas)`
+pairs, and returns one RecoveryResult per trial; a single trial is a chunk
+of one. The fixed-round tags (`s-omp`, `d-omp`, `mac-omp`) run the whole
+chunk in one lockstep loop, its trials as extra lanes. The collaborative
+tags call their solver once per trial through this module's global name at
+call time, so whatever re-points that name (a tracer, a test double) sees
+every call.
 """
 
 from dataclasses import dataclass
@@ -10,10 +16,9 @@ from typing import Callable
 
 import numpy as np
 
-from .decentralized import RecoveryResult, dcomp1, dcomp2, domp_majority
+from .decentralized import RecoveryResult, dcomp1, dcomp2, domp_chunk
 from .ensembles import mac_aggregate
-from .greedy import somp
-from .macbounds import mac_omp
+from .greedy import _lockstep_select
 from .network import MessageLedger, Topology, complete_topology
 
 
@@ -22,9 +27,25 @@ class Algorithm:
     """One tag's entry; table1 gives the expected ledger totals of one run
     from the per-node degrees and round counts."""
 
-    run: Callable           # (obs, meas, topology, k) -> RecoveryResult
+    run: Callable           # (draws, topology, k) -> one RecoveryResult per trial
     table1: Callable        # (l_count, k, n, degrees, t_nodes) -> (local, global)
     shared_matrix: bool = False   # needs one measurement matrix shared by all nodes
+
+
+def _stack(arrays) -> np.ndarray:
+    """The arrays along a new leading trial axis; a chunk of one is a view."""
+    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+
+
+def _lanes(draws) -> tuple:
+    """A chunk's observations `(T, L, M)` and its distinct dictionaries:
+    `(T, 1, M, N)` when each trial's matrix is shared (a stride-0 view over
+    the nodes), which the kernels broadcast over the L nodes, else
+    `(T, L, M, N)`."""
+    ys = _stack([obs.per_node for obs, _ in draws])
+    dictionaries = _stack([meas.matrices[:1] if meas.matrices.strides[0] == 0
+                           else meas.matrices for _, meas in draws])
+    return ys, dictionaries
 
 
 def _broadcast(selected, topology: Topology, ledger: MessageLedger, k: int) -> RecoveryResult:
@@ -34,40 +55,52 @@ def _broadcast(selected, topology: Topology, ledger: MessageLedger, k: int) -> R
                           iterations=[k] * l_count, ledger=ledger)
 
 
-def _run_somp(obs, meas, topology: Topology, k: int) -> RecoveryResult:
+def _run_somp(draws, topology: Topology, k: int) -> list:
     """Centralized simultaneous OMP, charged as each node shipping its k*N
     correlation summaries network-wide."""
-    selected = somp(obs, meas, k)
-    ledger = MessageLedger(topology)
-    for l in range(topology.node_count):
-        ledger.send_global(l, k * meas.matrices.shape[2])
-    return _broadcast(selected, topology, ledger, k)
+    ys, dictionaries = _lanes(draws)
+    results = []
+    for selected in _lockstep_select(ys, dictionaries, k, pooled=True)[:, 0].tolist():
+        ledger = MessageLedger(topology)
+        for l in range(topology.node_count):
+            ledger.send_global(l, k * dictionaries.shape[-1])
+        results.append(_broadcast(selected, topology, ledger, k))
+    return results
 
 
-def _run_mac(obs, meas, topology: Topology, k: int) -> RecoveryResult:
-    """OMP on the sum-channel output; no node-to-node messages to charge."""
-    selected = mac_omp(mac_aggregate(obs), meas.matrices[0], k)
-    return _broadcast(selected, topology, MessageLedger(topology), k)
+def _run_mac(draws, topology: Topology, k: int) -> list:
+    """OMP on the sum-channel output, one lane per trial; no node-to-node
+    messages to charge."""
+    zs = _stack([mac_aggregate(obs)[None] for obs, _ in draws])          # (T, 1, M)
+    dictionaries = _stack([meas.matrices[:1] for _, meas in draws])     # (T, 1, M, N)
+    return [_broadcast(selected, topology, MessageLedger(topology), k)
+            for selected in _lockstep_select(zs, dictionaries, k, pooled=True)[:, 0].tolist()]
+
+
+def _each_trial(solve) -> Callable:
+    """A runner calling `solve(obs, meas, topology, k)` once per trial."""
+    return lambda draws, topology, k: [solve(obs, meas, topology, k) for obs, meas in draws]
 
 
 ALGORITHMS = {
     # each node ships its k final indices network-wide
     "d-omp": Algorithm(
-        run=lambda obs, meas, topo, k: domp_majority(obs, meas, topo, k),
+        run=lambda draws, topo, k: domp_chunk(*_lanes(draws), topo, k),
         table1=lambda l_count, k, n, degrees, t_nodes: (0, k * (l_count - 1) * l_count)),
     # runs on the complete graph whatever the topology: one index to each of
     # the L-1 other nodes per round
     "dc-omp1": Algorithm(
-        run=lambda obs, meas, topo, k: dcomp1(obs, meas, complete_topology(topo.node_count),
-                                              k, mode="full"),
+        run=_each_trial(lambda obs, meas, topo, k: dcomp1(
+            obs, meas, complete_topology(topo.node_count), k, mode="full")),
         table1=lambda l_count, k, n, degrees, t_nodes: ((l_count - 1) * int(np.sum(t_nodes)), 0)),
     # one index to each neighbour per round: sum_l |G_l| T_l local
     "dc-omp1-nbr": Algorithm(
-        run=lambda obs, meas, topo, k: dcomp1(obs, meas, topo, k, mode="neighborhood"),
+        run=_each_trial(lambda obs, meas, topo, k: dcomp1(obs, meas, topo, k,
+                                                          mode="neighborhood")),
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)), 0)),
     # N values to each neighbour plus one global index per round
     "dc-omp2": Algorithm(
-        run=lambda obs, meas, topo, k: dcomp2(obs, meas, topo, k),
+        run=_each_trial(lambda obs, meas, topo, k: dcomp2(obs, meas, topo, k)),
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)) * n,
                                                         int((l_count - 1) * np.sum(t_nodes)))),
     # each node ships k*N correlation summaries network-wide

@@ -134,10 +134,14 @@ def _fusion_rounds(obs, meas, topology: Topology, k: int, fuse) -> RecoveryResul
              [idx for l in grown for idx in adopted[l]]] = True
         for size in sorted({len(supports[l]) for l in grown}):
             lanes = [l for l in grown if len(supports[l]) == size]
-            # when every node grew, views instead of gathered copies
-            rows = slice(None) if len(lanes) == l_count else lanes
-            residuals[rows] = ls_residual(obs.per_node[rows], meas.matrices[rows],
-                                          [supports[l] for l in lanes], check=size == k)
+            selected = [supports[l] for l in lanes]
+            if len(lanes) == l_count:   # every node grew: the dictionaries as they are
+                ys, dictionaries = obs.per_node, meas.matrices
+            else:                       # a subset: gather only the s columns each lane reads
+                ys = obs.per_node[lanes]
+                dictionaries = meas.matrices[np.array(lanes)[:, None], :, selected]
+                dictionaries, selected = np.swapaxes(dictionaries, 1, 2), range(size)
+            residuals[lanes] = ls_residual(ys, dictionaries, selected, check=size == k)
         rounds.append(FusionRound(iteration=round_no, proposals=proposals, fused=adopted))
 
     return RecoveryResult(per_node_support=[tuple(sorted(s)) for s in supports],
@@ -220,15 +224,25 @@ def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     Each node runs k OMP iterations on its own data, ships its k indices
     network-wide, and adopts the winning k-index set.
     """
-    l_count = obs.per_node.shape[0]
+    return domp_chunk(np.asarray(obs.per_node, dtype=float)[None],
+                      np.asarray(meas.matrices, dtype=float)[None], topology, k)[0]
+
+
+def domp_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
+               k: int) -> list:
+    """`domp_majority` on T trials at once: `ys (T, L, M)` against
+    `dictionaries (T, L, M, N)`, or `(T, 1, M, N)` for one shared matrix per
+    trial. Every node of every trial is one lane of one lockstep loop; the
+    vote and the ledger stay per trial. Returns T RecoveryResults."""
+    l_count = ys.shape[1]
     if topology.node_count != l_count:
         raise ValueError("topology size does not match observation count")
-    ledger = MessageLedger(topology)
-    estimates = _lockstep_select(np.asarray(obs.per_node, dtype=float),
-                                 np.asarray(meas.matrices, dtype=float), k,
-                                 pooled=False).tolist()
-    for l in range(l_count):
-        ledger.send_global(l, k)
-    fused = majority_vote(estimates, k)
-    return RecoveryResult(per_node_support=[fused] * l_count,
-                          iterations=[k] * l_count, ledger=ledger, rounds=[])
+    results = []
+    for estimates in _lockstep_select(ys, dictionaries, k, pooled=False).tolist():
+        ledger = MessageLedger(topology)
+        for l in range(l_count):
+            ledger.send_global(l, k)
+        fused = majority_vote(estimates, k)
+        results.append(RecoveryResult(per_node_support=[fused] * l_count,
+                                      iterations=[k] * l_count, ledger=ledger, rounds=[]))
+    return results

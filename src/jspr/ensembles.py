@@ -26,7 +26,7 @@ class JointSparseEnsemble:
 class MeasurementEnsemble:
     """Per-node measurement matrices and the noise level."""
 
-    matrices: np.ndarray      # (L, M, N)
+    matrices: np.ndarray      # (L, M, N); one read-only stride-0 view when shared
     noise_sigma2: float
 
 
@@ -96,12 +96,16 @@ def gen_orthoprojector(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def gen_measurements(n: int, m: int, l_count: int, sigma2: float,
                      rng: np.random.Generator, shared: bool = False) -> MeasurementEnsemble:
-    """Per-node orthoprojector matrices; one shared draw when `shared`."""
+    """Per-node orthoprojector matrices; one shared draw when `shared`.
+
+    A shared draw is stored once: `matrices` is then a read-only (L, M, N)
+    view of one (M, N) matrix (`np.broadcast_to`, stride 0 over the nodes).
+    """
     if sigma2 < 0:
         raise ValueError("noise variance must be nonnegative")
     if shared:
         a = gen_orthoprojector(m, n, rng)
-        mats = np.repeat(a[None, :, :], l_count, axis=0)
+        mats = np.broadcast_to(a, (l_count, m, n))
     else:
         mats = np.stack([gen_orthoprojector(m, n, rng) for _ in range(l_count)])
     return MeasurementEnsemble(matrices=mats, noise_sigma2=float(sigma2))

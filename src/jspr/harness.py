@@ -2,8 +2,8 @@
 
 Every trial draws a fresh ensemble, measurement matrices, and noise from
 purpose-split seed streams, so runs are reproducible byte-for-byte (also
-under parallel trial execution) and all algorithms at a sweep point consume
-identical data (paired trials).
+under parallel trial execution and whatever the chunk size) and all
+algorithms at a sweep point consume identical data (paired trials).
 """
 
 import contextlib
@@ -18,7 +18,7 @@ import numpy as np
 from . import seeding
 from .algorithms import ALGORITHMS
 from .config import ExperimentConfig
-from .decentralized import RecoveryResult, dcomp2
+from .decentralized import dcomp2
 from .ensembles import gen_measurements, gen_signals, gen_support, measure
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
@@ -39,6 +39,7 @@ COLUMNS = (
 CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 ORACLE_CAP = 10 ** 5
 _ORACLE_BLOCK = 256       # candidate supports per stacked SVD in the oracle
+_CHUNK_BYTES = 1 << 20    # distinct dictionary bytes per chunk of trials
 MAX_FAILED_FRACTION = 0.01
 
 
@@ -68,41 +69,74 @@ def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
     return ensemble, meas, obs
 
 
-def _run_algorithm(alg: str, obs, meas, topology: Topology, k: int) -> RecoveryResult:
-    return ALGORITHMS[alg].run(obs, meas, topology, k)
+def _shares_matrix(cfg: ExperimentConfig) -> bool:
+    """Whether a configured tag needs one measurement matrix shared by all nodes."""
+    return any(ALGORITHMS[tag].shared_matrix for tag in cfg.algorithms)
 
 
-def run_trial(task: TrialTask) -> dict:
-    """One paired trial; per algorithm a TrialRecord, or None on a
-    singular-projection failure. Any other exception is re-raised as a
-    TrialError naming the sweep point, algorithm, trial index and seed."""
-    cfg = task.cfg
-    alg = "(trial draw)"
+def _run_algorithm(alg: str, draws, topology: Topology, k: int) -> list:
+    return ALGORITHMS[alg].run(draws, topology, k)
+
+
+def _trial_error(task: TrialTask, alg: str, exc: Exception) -> TrialError:
+    return TrialError(
+        f"sweep point m={task.m}, L={task.l_count}, algorithm {alg}, "
+        f"trial {task.trial_index}, seed {task.cfg.master_seed}: "
+        f"{type(exc).__name__}: {exc}")
+
+
+def _solve(alg: str, tasks, draws) -> list:
+    """`alg`'s RecoveryResult on each trial of the chunk, None where it hit
+    a singular projection. If the chunk call raises anything, the chunk is
+    solved again trial by trial, so a failure is charged to its own trial
+    alone; on a single trial, any other exception becomes a TrialError."""
     try:
-        shared = any(ALGORITHMS[tag].shared_matrix for tag in cfg.algorithms)
-        ensemble, meas, obs = draw_trial(cfg, task.l_count, task.m, task.trial_index,
-                                         shared=shared)
+        return _run_algorithm(alg, [(obs, meas) for _, meas, obs in draws],
+                              tasks[0].topology, tasks[0].cfg.k)
+    except Exception as exc:
+        if len(tasks) == 1:
+            if isinstance(exc, SingularProjectionError):
+                return [None]
+            raise _trial_error(tasks[0], alg, exc) from exc
+    return [_solve(alg, [task], [draw])[0] for task, draw in zip(tasks, draws)]
 
-        out = {}
-        for alg in cfg.algorithms:
-            try:
-                result = _run_algorithm(alg, obs, meas, task.topology, cfg.k)
-            except SingularProjectionError:
-                out[alg] = None
-                continue
-            out[alg] = TrialRecord(
+
+def run_chunk(tasks) -> list:
+    """Paired trials of one sweep point (`tasks`, a sequence of TrialTask);
+    per trial, per algorithm a TrialRecord, or None on a singular-projection
+    failure. Any other exception is re-raised as a TrialError naming the
+    sweep point, algorithm, trial index and seed.
+
+    Each trial is drawn from its own seed streams. Each algorithm then runs
+    once on the whole chunk: the fixed-round tags take its trials as extra
+    lanes of one kernel loop, the collaborative tags go trial by trial. The
+    records do not depend on how trials are chunked."""
+    cfg = tasks[0].cfg
+    shared = _shares_matrix(cfg)
+    draws = []
+    for task in tasks:
+        try:
+            draws.append(draw_trial(cfg, task.l_count, task.m, task.trial_index,
+                                    shared=shared))
+        except Exception as exc:
+            raise _trial_error(task, "(trial draw)", exc) from exc
+    out = [{} for _ in tasks]
+    for alg in cfg.algorithms:
+        for trial, (ensemble, _, _), result in zip(out, draws, _solve(alg, tasks, draws)):
+            trial[alg] = None if result is None else TrialRecord(
                 true_support=ensemble.support,
                 per_node_supports=result.per_node_support,
                 iterations=list(result.iterations),
                 local_scalars=result.ledger.local_scalar_count,
                 global_scalars=result.ledger.global_scalar_count,
             )
-        return out
-    except Exception as exc:
-        raise TrialError(
-            f"sweep point m={task.m}, L={task.l_count}, algorithm {alg}, "
-            f"trial {task.trial_index}, seed {cfg.master_seed}: "
-            f"{type(exc).__name__}: {exc}") from exc
+    return out
+
+
+def run_trial(task: TrialTask) -> dict:
+    """One paired trial, a chunk of one: per algorithm a TrialRecord or None
+    (see run_chunk)."""
+    return run_chunk([task])[0]
 
 
 def _point_topology(cfg: ExperimentConfig, l_count: int, n0: int | None) -> Topology:
@@ -126,17 +160,26 @@ def _check_sparsity(cfg: ExperimentConfig, m_values) -> None:
             raise ConfigError(f"point m={m}: greedy recovery requires k <= M (k={cfg.k})")
 
 
+def _chunk_size(cfg: ExperimentConfig, l_count: int, m: int) -> int:
+    """Trials per chunk at one sweep point: a quarter of each worker's share
+    of the trials, for pool load balance, capped so that the chunk's
+    distinct dictionaries (one matrix per trial when shared, else one per
+    node) fit in _CHUNK_BYTES."""
+    trial_bytes = (1 if _shares_matrix(cfg) else l_count) * m * cfg.n * 8
+    return max(1, min(cfg.trials // (4 * cfg.workers), _CHUNK_BYTES // trial_bytes))
+
+
 def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
               topology: Topology, pool: ProcessPoolExecutor | None = None) -> list:
     """All configured algorithms on `trials` paired trials at one sweep point,
-    on `pool` if one is given, else serially in this process."""
+    in chunks of consecutive trials (run_chunk), on `pool` if one is given,
+    else serially in this process."""
     tasks = [TrialTask(cfg=cfg, l_count=l_count, m=m, topology=topology, trial_index=t)
              for t in range(cfg.trials)]
-    if pool is not None:
-        results = list(pool.map(run_trial, tasks,
-                                chunksize=max(1, cfg.trials // (cfg.workers * 4))))
-    else:
-        results = [run_trial(task) for task in tasks]
+    size = _chunk_size(cfg, l_count, m)
+    chunks = [tasks[start:start + size] for start in range(0, len(tasks), size)]
+    chunk_results = pool.map(run_chunk, chunks) if pool is not None else map(run_chunk, chunks)
+    results = [trial for chunk in chunk_results for trial in chunk]
 
     rows = []
     for alg in cfg.algorithms:

@@ -41,7 +41,7 @@ def test_ledger_totals_equal_table1(tag, topology, n, k, data):
                            master_seed=data.draw(SEEDS, label="seed"))
     _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=algorithm.shared_matrix)
     try:
-        result = algorithm.run(obs, meas, topology, k)
+        result = algorithm.run([(obs, meas)], topology, k)[0]
     except SingularProjectionError:
         assume(False)
     expected = table1_expected(tag, l_count, k, n, topology.adjacency, result.iterations)
@@ -99,12 +99,12 @@ def test_relabeling_nodes_permutes_result(tag):
         moved_obs = dataclasses.replace(obs, per_node=relabeled(pi, obs.per_node))
         moved_meas = dataclasses.replace(meas, matrices=relabeled(pi, meas.matrices))
         try:
-            result = algorithm.run(obs, meas, topology, k)
+            result = algorithm.run([(obs, meas)], topology, k)[0]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                algorithm.run(moved_obs, moved_meas, topology, k)
+                algorithm.run([(moved_obs, moved_meas)], topology, k)[0]
             return
-        moved = algorithm.run(moved_obs, moved_meas, topology, k)
+        moved = algorithm.run([(moved_obs, moved_meas)], topology, k)[0]
         if tag in NODE_ORDER_FALLBACK and (settled_by_fallback(result)
                                            or settled_by_fallback(moved)):
             return

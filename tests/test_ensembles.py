@@ -16,6 +16,7 @@ from jspr.ensembles import (
     mac_aggregate,
     measure,
 )
+from jspr.greedy import correlate, ls_residual
 
 
 def rng_of(seed):
@@ -158,6 +159,44 @@ class TestMeasure:
         meas = gen_measurements(12, 5, 4, 0.01, rng_of(19), shared=True)
         for l in range(1, 4):
             assert np.array_equal(meas.matrices[0], meas.matrices[l])
+
+
+class TestSharedMatrixView:
+    """A shared draw is one matrix seen by every node, not L copies."""
+
+    def draw(self, l_count=5, m=12, n=40, seed=31):
+        return gen_measurements(n, m, l_count, 0.01, rng_of(seed), shared=True).matrices
+
+    def test_equals_the_repeated_matrix(self):
+        repeated = np.repeat(gen_orthoprojector(12, 40, rng_of(31))[None], 5, axis=0)
+        view = self.draw()
+        assert view.shape == repeated.shape and np.array_equal(view, repeated)
+        assert view.strides[0] == 0                     # stored once
+
+    def test_read_only(self):
+        view = self.draw()
+        with pytest.raises(ValueError, match="read-only"):
+            view[1, 0, 0] = 1.0
+
+    def test_kernels_bit_identical_on_view_and_copy(self):
+        view = self.draw()
+        copy = np.repeat(view[:1], 5, axis=0)
+        rng = rng_of(32)
+        ys = rng.standard_normal((5, 12))
+        assert np.array_equal(correlate(ys, view), correlate(ys, copy))
+        for selected in ([3, 17, 4], np.stack([rng.choice(40, 3, replace=False)
+                                               for _ in range(5)])):
+            assert np.array_equal(ls_residual(ys, view, selected),
+                                  ls_residual(ys, copy, selected))
+        # and as a (T, 1, M, N) chunk that broadcasts over the nodes
+        chunk = np.stack([view[:1], self.draw(seed=33)[:1]])
+        chunk_ys = rng.standard_normal((2, 5, 12))
+        picks = np.array([[rng.choice(40, 4, replace=False) for _ in range(5)]
+                          for _ in range(2)])
+        expanded = np.repeat(chunk, 5, axis=1)
+        assert np.array_equal(correlate(chunk_ys, chunk), correlate(chunk_ys, expanded))
+        assert np.array_equal(ls_residual(chunk_ys, chunk, picks, check=False),
+                              ls_residual(chunk_ys, expanded, picks, check=False))
 
 
 class TestMacAggregate:

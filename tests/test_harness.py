@@ -1,5 +1,6 @@
 """Config parsing, sweep running, oracle, bound reports, and the CLI."""
 
+import dataclasses
 import itertools
 import json
 import pickle
@@ -10,8 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jspr.harness as harness
+from jspr import seeding
+from jspr.algorithms import MAC_COMPARE
 from jspr.cli import main
 from jspr.config import ExperimentConfig, parse_config
+from jspr.ensembles import MeasurementEnsemble, measure
 from jspr.errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                          TrialError)
 from jspr.harness import (
@@ -21,6 +25,7 @@ from jspr.harness import (
     exhaustive_oracle,
     rows_to_csv,
     rows_to_json,
+    run_chunk,
     run_point,
     run_sweep,
     run_trial,
@@ -84,9 +89,10 @@ class TestParseConfig:
         shared_seen = {}
         real = harness._run_algorithm
 
-        def spy(alg, obs, meas, topology, k):
-            shared_seen[alg] = all(np.array_equal(a, meas.matrices[0]) for a in meas.matrices)
-            return real(alg, obs, meas, topology, k)
+        def spy(alg, draws, topology, k):
+            shared_seen[alg] = all(np.array_equal(a, meas.matrices[0])
+                                   for _, meas in draws for a in meas.matrices)
+            return real(alg, draws, topology, k)
 
         monkeypatch.setattr(harness, "_run_algorithm", spy)
         for tags, shared in ((["d-omp", "s-omp"], False), (["s-omp", "mac-omp"], True),
@@ -178,7 +184,7 @@ class TestRunSweep:
     def test_sparsity_above_m_rejected_before_any_point_runs(self, monkeypatch):
         import jspr.harness as harness
         calls = []
-        monkeypatch.setattr(harness, "run_trial", calls.append)
+        monkeypatch.setattr(harness, "draw_trial", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ConfigError, match="m=1: greedy recovery requires k <= M"):
             run_sweep(tiny_config(m_values=[20, 1]), "m")
         assert calls == []
@@ -190,17 +196,18 @@ class TestRunSweep:
 
     def test_failed_trials_excluded_and_counted(self, monkeypatch):
         import jspr.harness as harness
-        calls = {"n": 0}
+        cfg = tiny_config(trials=100, algorithms=["d-omp"])
         real = harness._run_algorithm
+        # trial 37 fails, whatever chunk it is solved in: exactly one failure,
+        # within the 1% budget
+        doomed = harness.draw_trial(cfg, 3, 8, 37, shared=False)[2].per_node
 
-        def flaky(alg, obs, meas, topology, k):
-            calls["n"] += 1
-            if calls["n"] == 1:            # exactly one failure, within the 1% budget
+        def flaky(alg, draws, topology, k):
+            if any(np.array_equal(obs.per_node, doomed) for obs, _ in draws):
                 raise SingularProjectionError("forced")
-            return real(alg, obs, meas, topology, k)
+            return real(alg, draws, topology, k)
 
         monkeypatch.setattr(harness, "_run_algorithm", flaky)
-        cfg = tiny_config(trials=100, algorithms=["d-omp"])
         rows = run_sweep(cfg, "m")
         assert rows[0]["failed_trials"] == 1
         assert rows[0]["trials"] == 99
@@ -208,7 +215,7 @@ class TestRunSweep:
     def test_failing_trial_names_itself(self, monkeypatch, tmp_path, capsys):
         import jspr.harness as harness
 
-        def broken(alg, obs, meas, topology, k):
+        def broken(alg, draws, topology, k):
             raise ValueError("forced")
 
         monkeypatch.setattr(harness, "_run_algorithm", broken)
@@ -229,13 +236,136 @@ class TestRunSweep:
     def test_failure_rate_above_budget_aborts(self, monkeypatch):
         import jspr.harness as harness
 
-        def broken(alg, obs, meas, topology, k):
+        def broken(alg, draws, topology, k):
             raise SingularProjectionError("forced")
 
         monkeypatch.setattr(harness, "_run_algorithm", broken)
         with pytest.raises(RuntimeError, match="singular"):
             run_point(tiny_config(), sweep_var=8, l_count=3, m=8,
                       topology=complete_topology(3))
+
+
+def sweep_outcome(cfg, sweep="m"):
+    """The sweep's CSV, or the abort it raised."""
+    try:
+        return rows_to_csv(run_sweep(cfg, sweep))
+    except RuntimeError as exc:
+        return f"RuntimeError: {exc}"
+
+
+def fixed_chunks(mp, size):
+    """Make every sweep point run in chunks of `size` trials."""
+    mp.setattr(harness, "_chunk_size", lambda cfg, l_count, m: size)
+
+
+def collinear_trial(doomed):
+    """A draw_trial that gives trial `doomed` matrices whose columns are
+    near copies of their first column (column j scaled by 1 + 1e-7 j), so
+    any support of two or more columns is near-dependent. Other trials are
+    as drawn."""
+    real = harness.draw_trial
+
+    def draw(cfg, l_count, m, trial, *, shared):
+        ensemble, meas, obs = real(cfg, l_count, m, trial, shared=shared)
+        if trial != doomed:
+            return ensemble, meas, obs
+        mats = meas.matrices[..., :1] * (1.0 + 1e-7 * np.arange(cfg.n))
+        if shared:
+            mats = np.broadcast_to(mats[0], mats.shape)
+        meas = MeasurementEnsemble(matrices=mats, noise_sigma2=meas.noise_sigma2)
+        obs = measure(ensemble, meas, seeding.stream(cfg.master_seed, seeding.NOISE, trial))
+        return ensemble, meas, obs
+    return draw
+
+
+class TestChunks:
+    TAG_SETS = [list(MAC_COMPARE), ["d-omp", "s-omp", "dc-omp2"],
+                ["d-omp", "mac-omp", "dc-omp1-nbr"]]
+
+    @settings(max_examples=8, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), tags=st.sampled_from(TAG_SETS),
+           n=st.integers(10, 32), k=st.integers(1, 3), l_count=st.integers(2, 5),
+           extra_m=st.integers(0, 6), trials=st.integers(1, 40),
+           sigma2=st.sampled_from([0.01, 1.0]))
+    def test_output_does_not_depend_on_chunks_or_workers(self, seed, tags, n, k, l_count,
+                                                         extra_m, trials, sigma2):
+        cfg = tiny_config(n=n, k=k, l_values=[l_count], m_values=[k + extra_m, k + 3],
+                          trials=trials, algorithms=tags, sigma2=sigma2, master_seed=seed)
+        outputs = set()
+        with pytest.MonkeyPatch.context() as mp:
+            for size, workers in itertools.product((1, 4, 16), (1, 2)):
+                fixed_chunks(mp, size)
+                outputs.add(sweep_outcome(dataclasses.replace(cfg, workers=workers)))
+        assert len(outputs) == 1
+
+    @pytest.mark.parametrize("trials, workers, l_count, m, n, shared, size", [
+        (40, 1, 10, 15, 256, True, 10),     # mac: the pool share, 10
+        (40, 1, 10, 40, 256, True, 10),
+        (5, 1, 10, 60, 256, False, 1),      # fig-m: 5 trials give a share of 1
+        (20, 2, 4, 30, 256, False, 2),      # nodes-par: at most 2
+        (20, 2, 12, 30, 256, False, 1),
+        (500, 1, 10, 60, 256, False, 1),    # the paper's figure: 1.2 MB per trial
+        (500, 1, 10, 30, 256, False, 1),
+        (500, 1, 4, 30, 256, False, 4),     # the 1 MiB cap
+        (500, 4, 10, 20, 256, True, 25),
+    ])
+    def test_chunk_size_follows_from_the_input(self, trials, workers, l_count, m, n,
+                                               shared, size):
+        tags = list(MAC_COMPARE) if shared else ["d-omp", "dc-omp2"]
+        cfg = tiny_config(n=n, trials=trials, workers=workers, algorithms=tags)
+        assert harness._chunk_size(cfg, l_count, m) == size
+
+    ISOLATION = dict(n=32, k=3, l_values=[4], m_values=[10], trials=48, master_seed=5,
+                     algorithms=["mac-omp", "s-omp", "d-omp", "dc-omp2"])
+
+    def test_singular_trial_fails_alone_in_its_chunk(self, monkeypatch):
+        cfg = tiny_config(**self.ISOLATION)
+        monkeypatch.setattr(harness, "draw_trial", collinear_trial(37))
+        chunk_calls = []
+        real = harness._run_algorithm
+
+        def spy(alg, draws, topology, k):
+            try:
+                return real(alg, draws, topology, k)
+            except SingularProjectionError:
+                chunk_calls.append((alg, len(draws)))
+                raise
+
+        monkeypatch.setattr(harness, "_run_algorithm", spy)
+        tasks = [TrialTask(cfg=cfg, l_count=4, m=10, topology=complete_topology(4),
+                           trial_index=t) for t in range(32, 48)]
+        alone = [run_trial(task) for task in tasks]
+        assert alone[5] == dict.fromkeys(cfg.algorithms)          # trial 37 fails everywhere
+        assert all(None not in trial.values() for i, trial in enumerate(alone) if i != 5)
+        chunk_calls.clear()
+        assert run_chunk(tasks) == alone
+        # each tag's chunk call raised, then its trials ran one by one
+        assert sorted(chunk_calls) == sorted([(alg, 16) for alg in cfg.algorithms]
+                                             + [(alg, 1) for alg in cfg.algorithms])
+
+        rows = {}
+        for size in (1, 16):
+            fixed_chunks(monkeypatch, size)
+            rows[size] = run_point(dataclasses.replace(cfg, trials=100), sweep_var=10,
+                                   l_count=4, m=10, topology=complete_topology(4))
+        assert rows[16] == rows[1]
+        assert [row["failed_trials"] for row in rows[1]] == [1] * len(cfg.algorithms)
+
+    def test_failing_trial_in_a_chunk_names_itself(self, monkeypatch):
+        cfg = tiny_config(**self.ISOLATION)
+        doomed = harness.draw_trial(cfg, 4, 10, 37, shared=True)[2].per_node
+        real = harness._run_algorithm
+
+        def broken(alg, draws, topology, k):
+            if any(np.array_equal(obs.per_node, doomed) for obs, _ in draws):
+                raise ValueError("forced")
+            return real(alg, draws, topology, k)
+
+        monkeypatch.setattr(harness, "_run_algorithm", broken)
+        fixed_chunks(monkeypatch, 16)
+        with pytest.raises(TrialError, match="algorithm mac-omp, trial 37, seed 5: "
+                                             "ValueError: forced"):
+            run_sweep(cfg, "m")
 
 
 def degenerate_instance(rng, data, l_count, m, n, k):
@@ -444,10 +574,10 @@ class TestCli:
     def test_bad_config_exits_before_any_trial(self, tmp_path, monkeypatch, text):
         import jspr.harness as harness
 
-        def no_trial(task):
+        def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "run_trial", no_trial)
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\ntrials=2\n" + text)
         assert main(["sweep-m", "--config", cfg]) == 1
 
@@ -457,10 +587,10 @@ class TestCli:
                                              flag, value, key):
         import jspr.harness as harness
 
-        def no_trial(task):
+        def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "run_trial", no_trial)
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\nl=3\nm=8\n")
         assert main(["sweep-m", "--config", cfg, flag, value]) == 1
         assert f"key '{key}'" in capsys.readouterr().err

@@ -121,11 +121,11 @@ class TestBatchedLsResidual:
         assert ys[0, 0] == 1.0
 
 
-def instance(seed, n, k, l_count, m, sigma2=0.01):
+def instance(seed, n, k, l_count, m, sigma2=0.01, shared=False):
     rng = np.random.default_rng(seed)
     support = gen_support(n, k, rng)
     ensemble = gen_signals(support, n, l_count, 10.0, 15.0, rng)
-    meas = gen_measurements(n, m, l_count, sigma2, rng)
+    meas = gen_measurements(n, m, l_count, sigma2, rng, shared=shared)
     return meas, measure(ensemble, meas, rng)
 
 
@@ -142,6 +142,30 @@ class TestLockstepOmp:
         assert picks.tolist() == expected
         result = domp_majority(obs, meas, complete_topology(l_count), k)
         assert result.per_node_support == [majority_vote(expected, k)] * l_count
+
+    @settings(max_examples=40, deadline=None)
+    @given(seeds=st.lists(SEEDS, min_size=1, max_size=5), l_count=st.integers(1, 6),
+           m=st.integers(2, 12), extra=st.integers(1, 12), k_frac=st.floats(0.0, 1.0),
+           shared=st.booleans(), pooled=st.booleans())
+    def test_chunk_lanes_equal_per_trial_calls(self, seeds, l_count, m, extra, k_frac,
+                                               shared, pooled):
+        # trials as extra lanes, a shared matrix stacked once per trial as
+        # (T, 1, M, N): the picks of T separate calls on (L, M, N) copies
+        n = m + extra
+        k = 1 + int(k_frac * (min(m, n - 1) - 1))
+        trials = [instance(seed, n, k, l_count, m, shared=shared) for seed in seeds]
+        ys = np.stack([obs.per_node for _, obs in trials])
+        dictionaries = np.stack([meas.matrices[:1] if shared else meas.matrices
+                                 for meas, _ in trials])
+        try:
+            expected = [_lockstep_select(obs.per_node, np.ascontiguousarray(meas.matrices),
+                                         k, pooled=pooled) for meas, obs in trials]
+        except SingularProjectionError:
+            with pytest.raises(SingularProjectionError):
+                _lockstep_select(ys, dictionaries, k, pooled=pooled)
+            return
+        assert np.array_equal(_lockstep_select(ys, dictionaries, k, pooled=pooled),
+                              np.stack(expected))
 
     def test_ties_go_to_smallest_unpicked_index(self):
         # the last node's residual vanishes after one pick: every score ties at 0
@@ -213,7 +237,7 @@ class TestDcomp1Neighborhood:
         assume(n0 > 1 or l_count == 2)
         topology = RULE_TOPOLOGIES[rule](l_count, n0)
         meas, obs = instance(seed, 32, k, l_count, m, sigma2)
-        result = ALGORITHMS[rule].run(obs, meas, topology, k)
+        result = ALGORITHMS[rule].run([(obs, meas)], topology, k)[0]
         supports, iterations, local, global_ = reference_collaborative(
             rule, obs, meas, topology, k)
         assert result.per_node_support == supports
