@@ -49,11 +49,13 @@ def ls_residual(y: np.ndarray, dictionary: np.ndarray, selected, *,
     onto its own columns and the result has y's shape. The lane axes
     broadcast, so one dictionary can serve many lanes: `y (T, L, M)` against
     `dictionary (T, 1, M, N)` reads T matrices, not T*L copies. `selected`
-    is one index list shared by all lanes, or an `(..., s)` array with one
-    row per lane. The lanes' sub-dictionaries, Gram matrices and right-hand
-    sides are each built in one call, and the normal equations of all lanes
-    are solved in one batched `np.linalg.solve` (LAPACK gesv, LU with
-    partial pivoting).
+    is one index list shared by all lanes, or an `(..., s)` array of rows
+    whose lane axes broadcast too. Sub-dictionaries, Gram matrices and
+    condition numbers span only the dictionaries' and rows' lane axes, so
+    one row per trial on a shared matrix costs one Gram per trial. The
+    lanes' right-hand sides are built in one call, and the normal equations
+    of all lanes are solved in one batched `np.linalg.solve` (LAPACK gesv,
+    LU with partial pivoting).
 
     With `check` (the default), the 2-norm condition number
     (`np.linalg.cond`, an SVD) of every lane's Gram matrix is checked against
