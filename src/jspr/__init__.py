@@ -45,16 +45,10 @@ from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionEr
 from .greedy import correlate, ls_residual, omp, somp
 from .harness import exhaustive_oracle, run_sweep
 from .macbounds import (
-    BlockDictionary,
-    XiEstimate,
-    block_coefficients,
     block_rip_measurement_bound,
-    build_block_dictionary,
     fano_pe_lower,
     gamma_c_min,
     gauss_necessary_bound,
-    kl_pair_mac,
-    kl_pair_pac,
     mac_omp,
     sbar_min,
     xi_average,
@@ -72,7 +66,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateStats",
-    "BlockDictionary",
     "ConfigError",
     "EnumerationTooLargeError",
     "ExperimentConfig",
@@ -86,11 +79,8 @@ __all__ = [
     "Topology",
     "TrialError",
     "TrialRecord",
-    "XiEstimate",
     "aggregate",
-    "block_coefficients",
     "block_rip_measurement_bound",
-    "build_block_dictionary",
     "build_topology",
     "complete_topology",
     "correlate",
@@ -108,8 +98,6 @@ __all__ = [
     "gen_support",
     "index_fusion_full",
     "index_fusion_neighborhood",
-    "kl_pair_mac",
-    "kl_pair_pac",
     "load_config",
     "ls_residual",
     "mac_aggregate",

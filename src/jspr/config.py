@@ -35,7 +35,6 @@ class ExperimentConfig:
     out_format: str = "csv"
     delta0: float = 0.5
     slack_t: float = 1.0
-    xi_pairs: int = 2000
     workers: int = 1
 
 
@@ -84,7 +83,6 @@ _KEYS = {
     "format": ("out_format", _parse_str),
     "delta0": ("delta0", _parse_float),
     "slack_t": ("slack_t", _parse_float),
-    "xi_pairs": ("xi_pairs", _parse_int),
     "workers": ("workers", _parse_int),
 }
 
@@ -173,8 +171,6 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'delta0': must be in (0, 1)")
     if cfg.slack_t <= 0:
         raise ConfigError("key 'slack_t': must be positive")
-    if cfg.xi_pairs < 2:
-        raise ConfigError("key 'xi_pairs': must be at least 2")
     if cfg.workers < 1:
         raise ConfigError("key 'workers': must be positive")
 

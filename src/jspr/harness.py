@@ -317,9 +317,7 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
                for key in ("sigma2", "amp_low", "amp_high", "delta0", "slack_t")},
             "seed": cfg.master_seed,
         },
-        "bounds": bound_report(ensemble, meas, delta0=cfg.delta0, slack_t=cfg.slack_t,
-                               sample_pairs=cfg.xi_pairs,
-                               rng=seeding.stream(cfg.master_seed, seeding.SAMPLING)),
+        "bounds": bound_report(ensemble, meas, delta0=cfg.delta0, slack_t=cfg.slack_t),
     }
 
 

@@ -14,7 +14,6 @@ AMPLITUDES = 1
 MATRICES = 2
 NOISE = 3
 TOPOLOGY = 4
-SAMPLING = 5
 
 
 def stream(master_seed: int, stream_id: int, trial: int = 0) -> np.random.Generator:

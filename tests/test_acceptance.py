@@ -165,6 +165,7 @@ def test_criterion_5_kl_inequalities():
     tol = 1e-10
     worst_gap = 0.0
     worst_eq = 0.0
+    worst_rel = 0.0
     for _ in range(1000):
         n = int(rng.integers(5, 11))
         k = int(rng.integers(1, 3))
@@ -185,19 +186,25 @@ def test_criterion_5_kl_inequalities():
         worst_gap = max(worst_gap, float(np.max(mac_sq / l_count - pac_sq)))
         assert np.all(mac_sq / l_count <= pac_sq + tol)
 
-        xi_mac = xi_average(ensemble, meas, "mac").value
-        xi_pac = xi_average(ensemble, meas, "pac").value
+        # the closed form against the enumerated pair averages
+        xi_mac = xi_average(ensemble, meas, "mac")
+        xi_pac = xi_average(ensemble, meas, "pac")
+        for closed, enumerated in ((xi_mac, mac_sq.mean() / (2 * l_count)),
+                                   (xi_pac, pac_sq.mean() / 2)):
+            worst_rel = max(worst_rel, abs(closed - enumerated) / enumerated)
+        assert worst_rel <= 1e-12
         assert xi_mac <= xi_pac + tol
 
         ensemble.signals = np.repeat(ensemble.signals[:1], l_count, axis=0)
-        eq_mac = xi_average(ensemble, meas, "mac").value
-        eq_pac = xi_average(ensemble, meas, "pac").value
+        eq_mac = xi_average(ensemble, meas, "mac")
+        eq_pac = xi_average(ensemble, meas, "pac")
         worst_eq = max(worst_eq, abs(eq_mac - eq_pac))
         assert abs(eq_mac - eq_pac) <= tol
     assert show(5, True, "1000 random shared-matrix ensembles satisfied the "
                          "aggregate-vs-separate KL inequality pairwise and on "
                          f"average (worst pairwise slack {worst_gap:.2e}; worst "
-                         f"identical-signal asymmetry {worst_eq:.2e})")
+                         f"identical-signal asymmetry {worst_eq:.2e}; closed-form "
+                         f"xi within {worst_rel:.1e} of enumeration)")
 
 
 def reference_omp(y, dictionary, k):

@@ -6,8 +6,8 @@ the case was added. Together the cases run every algorithm tag: the five
 network solvers on a ring through sweep-m, sweep-l and sweep-neighborhood
 (the last as JSON), on a random topology through sweep-l with trials sent
 to a two-worker pool, and mac-omp with s-omp through mac-compare. They
-also pin the bound report, with an exact and with a sampled xi, and the
-oracle check. A change that is meant to alter what the
+also pin the bound report, on a small and on a larger support space, and
+the oracle check. A change that is meant to alter what the
 solvers compute must re-record these digests and say why; any other change
 must leave them as they are.
 
@@ -68,12 +68,11 @@ m = 6
 sigma2 = 0.1
 seed = 5
 """),
-    "bounds-sampled": ("bounds", """
+    "bounds-large": ("bounds", """
 n = 64
 k = 3
 l = 4
 m = 16
-xi_pairs = 300
 seed = 8
 """),
     "sweep-n0-ring-json": ("sweep-neighborhood", f"""
@@ -113,8 +112,8 @@ seed = 2
 }
 
 DIGESTS = {
-    "bounds-exact": "7820a5029b0bc2aa95635e19a6af947dc8eb4eec3476ca73317a05a656f52b5c",
-    "bounds-sampled": "2698cdf6704567da107e19d3a0b7a30a0a5f1fac60a40729709f8338cc0f03e5",
+    "bounds-exact": "8bef6d973154de074c08a7e723aba7984d1e1837395083a5e39f0415aecf854c",
+    "bounds-large": "56c95827aceabeba630e6a2a11d945643aab416f1b4702b8865004ddb1e24456",
     "mac-compare": "36148e72c98368c80949199580e3c6b6c2d5d71278b2de7b7a00d504846ade5d",
     "oracle-check": "1613178889f6e604eb4b63221b9b426dd978e3f7118b7ddf3f0cc75ff517653d",
     "sweep-l-random": "084ba23a4e656d0200d918e67c32107d4bfe59a9fe700a4e94a53bf1b5798b16",

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import json
+import math
 import pickle
 
 import numpy as np
@@ -103,9 +104,12 @@ class TestParseConfig:
             assert shared_seen == dict.fromkeys(tags, shared)
 
         cfg = tmp_path / "exp.cfg"
-        cfg.write_text("algorithms=mac-omp,s-omp\nmac_mode=true\n")
-        assert main(["mac-compare", "--config", str(cfg)]) == 1
-        assert "unknown key 'mac_mode'" in capsys.readouterr().err
+        for command, text, key in (("mac-compare", "algorithms=mac-omp,s-omp\nmac_mode=true\n",
+                                    "mac_mode"),
+                                   ("bounds", "xi_pairs = 2000\n", "xi_pairs")):
+            cfg.write_text(text)
+            assert main([command, "--config", str(cfg)]) == 1
+            assert f"unknown key '{key}'" in capsys.readouterr().err
 
     def test_unknown_algorithm(self):
         with pytest.raises(ConfigError, match="unknown tag"):
@@ -473,18 +477,18 @@ class TestBoundsReport:
         for name in ("m_block_rip", "m_gauss_lower", "fano_pe_lower",
                      "xi_mac", "xi_pac", "gamma_c_min", "sbar_min"):
             assert "value" in bounds[name] and "formula" in bounds[name]
-        assert bounds["xi_mac"]["exact"] is True
         assert bounds["xi_mac"]["value"] <= bounds["xi_pac"]["value"] + 1e-10
         assert 0.0 <= bounds["fano_pe_lower"]["value"] < 1.0
         assert json.loads(json.dumps(doc)) == doc
 
-    def test_sampled_mode_for_large_spaces(self):
-        cfg = tiny_config(n=128, k=4, l_values=[3], m_values=[16],
-                          xi_pairs=50, sigma2=0.01)
-        doc = bounds_report(cfg)
-        assert doc["bounds"]["xi_mac"]["exact"] is False
-        assert doc["bounds"]["xi_mac"]["pairs"] == 50
-        assert doc["bounds"]["xi_mac"]["stderr"] > 0
+    def test_xi_exact_at_paper_scale(self):
+        # C(256, 10)^2 support pairs: far beyond any enumeration
+        bounds = bounds_report(tiny_config(n=256, k=10, l_values=[10],
+                                           m_values=[25]))["bounds"]
+        for name in ("xi_mac", "xi_pac"):
+            assert set(bounds[name]) == {"value", "formula"}
+            assert math.isfinite(bounds[name]["value"])
+        assert bounds["xi_mac"]["value"] <= bounds["xi_pac"]["value"]
 
     def test_noise_free_rejected(self):
         with pytest.raises(ConfigError, match="sigma2"):
