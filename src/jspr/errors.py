@@ -25,6 +25,8 @@ class TrialError(RuntimeError):
     """A trial failed for a reason other than a singular projection.
 
     The message names the sweep point (m, L), the algorithm tag, the trial
-    index and the master seed, so the trial can be replayed alone; it is the
-    only constructor argument, so the error pickles across a process pool.
+    index and the master seed, so the trial can be replayed alone; in
+    `oracle-check` it names the trial index, the master seed and the failing
+    comparison. The message is the only constructor argument, so the error
+    pickles across a process pool.
     """

@@ -22,7 +22,7 @@ from .decentralized import dcomp2
 from .ensembles import gen_measurements, gen_signals, gen_support, measure
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
-from .greedy import omp, somp
+from .greedy import _lockstep_select
 from .macbounds import bound_report
 from .metrics import TrialRecord, aggregate
 from .network import Topology, build_topology, complete_topology
@@ -245,11 +245,15 @@ def rows_to_json(rows) -> str:
     return json.dumps(rows, indent=2, sort_keys=False) + "\n"
 
 
-def _check_oracle_cap(n: int, k: int) -> None:
-    """Reject an exhaustive search over more than ORACLE_CAP candidate supports."""
-    if math.comb(n, k) > ORACLE_CAP:
+def _candidates(n: int, k: int) -> np.ndarray:
+    """The C(n, k) candidate supports of an exhaustive search as a `(C, k)`
+    array, in lexicographic (`itertools.combinations`) order; more than
+    ORACLE_CAP of them raise EnumerationTooLargeError."""
+    count = math.comb(n, k)
+    if count > ORACLE_CAP:
         raise EnumerationTooLargeError(
-            f"C({n},{k}) = {math.comb(n, k)} candidate supports exceed the cap {ORACLE_CAP}")
+            f"C({n},{k}) = {count} candidate supports exceed the cap {ORACLE_CAP}")
+    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(count, k)
 
 
 def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
@@ -294,10 +298,7 @@ def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
     if ys.ndim == 1:
         ys = ys[None, :]
         dictionaries = dictionaries[None, :, :]
-    n = dictionaries.shape[2]
-    _check_oracle_cap(n, k)
-    candidates = np.array(list(itertools.combinations(range(n), k)),    # lexicographic
-                          dtype=np.intp).reshape(math.comb(n, k), k)
+    candidates = _candidates(dictionaries.shape[2], k)
     costs = _candidate_costs(ys, dictionaries, candidates).sum(axis=1)
     return tuple(candidates[np.argmin(costs)].tolist())
 
@@ -321,31 +322,71 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     }
 
 
+def _oracle_error(cfg: ExperimentConfig, trial: int, comparison: str,
+                  exc: Exception) -> TrialError:
+    return TrialError(f"oracle-check trial {trial}, seed {cfg.master_seed}, "
+                      f"comparison {comparison}: {type(exc).__name__}: {exc}")
+
+
+def _oracle_picks(cfg: ExperimentConfig, trials, comparison: str, ys: np.ndarray,
+                  dictionaries: np.ndarray) -> list:
+    """The k pooled picks of each trial of a chunk, its trials as the lanes
+    of one lockstep loop: `ys (T, L, M)` against `dictionaries (T, L, M, N)`.
+    If the chunk call raises, the chunk is solved again trial by trial, so
+    the TrialError names the failing trial and `comparison`."""
+    try:
+        return _lockstep_select(ys, dictionaries, cfg.k, pooled=True)[:, 0].tolist()
+    except Exception as exc:
+        if len(trials) == 1:
+            raise _oracle_error(cfg, trials[0], comparison, exc) from exc
+    return [_oracle_picks(cfg, trials[i:i + 1], comparison, ys[i:i + 1],
+                          dictionaries[i:i + 1])[0] for i in range(len(trials))]
+
+
 def oracle_check(cfg: ExperimentConfig) -> dict:
     """Agreement of the greedy solvers with the exhaustive oracle on
-    noiseless desk-scale trials, plus the dcomp2/somp equivalence count."""
+    noiseless desk-scale trials, plus the dcomp2/somp equivalence count.
+
+    Trials run in chunks whose per-node matrices fit in _CHUNK_BYTES. Node-0
+    OMP and S-OMP each run once per chunk, its trials as lanes. Per trial,
+    one `(C, L)` candidate-cost table serves both oracles: node 0's is the
+    first minimum of column 0, the MMV oracle's the first minimum of the row
+    sums. The table's columns are factored independently, so column 0 equals
+    a node-0-only search bit for bit. DC-OMP 2 runs trial by trial. A
+    failure raises a TrialError naming its trial, the seed and the
+    comparison."""
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
     try:
-        _check_oracle_cap(cfg.n, cfg.k)
+        candidates = _candidates(cfg.n, cfg.k)
     except EnumerationTooLargeError as exc:
         raise ConfigError(f"keys 'n', 'k': {exc}") from None
     topo = complete_topology(l_count)
     noiseless = dataclasses.replace(cfg, sigma2=0.0)
+    size = max(1, _CHUNK_BYTES // (l_count * m * cfg.n * 8))
     omp_agree = somp_agree = dcomp2_match = 0
-    for t in range(cfg.trials):
-        _, meas, obs = draw_trial(noiseless, l_count, m, t, shared=False)
-
-        single_oracle = exhaustive_oracle(obs.per_node[0], meas.matrices[0], cfg.k)
-        if set(omp(obs.per_node[0], meas.matrices[0], cfg.k)) == set(single_oracle):
-            omp_agree += 1
-        mmv_oracle = exhaustive_oracle(obs.per_node, meas.matrices, cfg.k)
-        somp_sel = somp(obs, meas, cfg.k)
-        if set(somp_sel) == set(mmv_oracle):
-            somp_agree += 1
-        if dcomp2(obs, meas, topo, cfg.k).common_support == tuple(sorted(somp_sel)):
-            dcomp2_match += 1
+    for start in range(0, cfg.trials, size):
+        trials = range(start, min(start + size, cfg.trials))
+        draws = []
+        for t in trials:
+            try:
+                draws.append(draw_trial(noiseless, l_count, m, t, shared=False))
+            except Exception as exc:
+                raise _oracle_error(cfg, t, "(trial draw)", exc) from exc
+        ys = np.stack([obs.per_node for _, _, obs in draws])                # (T, L, M)
+        dictionaries = np.stack([meas.matrices for _, meas, _ in draws])    # (T, L, M, N)
+        omp_picks = _oracle_picks(cfg, trials, "omp", ys[:, :1], dictionaries[:, :1])
+        somp_picks = _oracle_picks(cfg, trials, "s-omp", ys, dictionaries)
+        for t, (_, meas, obs), omp_sel, somp_sel in zip(trials, draws, omp_picks, somp_picks):
+            costs = _candidate_costs(obs.per_node, meas.matrices, candidates)   # (C, L)
+            omp_agree += set(omp_sel) == set(candidates[np.argmin(costs[:, 0])].tolist())
+            somp_agree += set(somp_sel) == set(candidates[np.argmin(costs.sum(axis=1))].tolist())
+            try:
+                fused = dcomp2(obs, meas, topo, cfg.k).common_support
+            except Exception as exc:
+                raise _oracle_error(cfg, t, "dc-omp2", exc) from exc
+            dcomp2_match += fused == tuple(sorted(somp_sel))
     return {
         "trials": cfg.trials,
         "params": {"n": cfg.n, "k": cfg.k, "l": l_count, "m": m, "seed": cfg.master_seed},

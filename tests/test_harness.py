@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import pickle
+import re
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from jspr.harness import (
     TrialTask,
     bounds_report,
     exhaustive_oracle,
+    oracle_check,
     rows_to_csv,
     rows_to_json,
     run_chunk,
@@ -444,6 +446,30 @@ class TestExhaustiveOracle:
         k = data.draw(st.integers(1, n), label="k")
         assert_costs_match_lstsq(*degenerate_instance(rng, data, l_count, m, n, k), k)
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), l_count=st.integers(2, 4),
+           m=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
+    def test_node_columns_equal_single_node_tables(self, seed, l_count, m, n, data):
+        # oracle_check reads node 0's oracle from column 0 of the all-node table
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n), label="k")
+        ys, dictionaries = degenerate_instance(rng, data, l_count, m, n, k)
+        # nodes of very different scales, so a rank cut-off shared across
+        # nodes would show
+        exponents = data.draw(st.lists(st.integers(-10, 10), min_size=l_count,
+                                       max_size=l_count), label="node scales")
+        dictionaries *= 10.0 ** np.array(exponents)[:, None, None]
+        candidates = harness._candidates(n, k)
+        costs = harness._candidate_costs(ys, dictionaries, candidates)
+        for l in range(l_count):
+            alone = harness._candidate_costs(ys[l:l + 1], dictionaries[l:l + 1], candidates)
+            assert np.array_equal(costs[:, l], alone[:, 0])
+
+    def test_candidates_are_lexicographic(self):
+        assert harness._candidates(5, 3).tolist() == [
+            list(c) for c in itertools.combinations(range(5), 3)]
+        assert harness._candidates(4, 4).shape == (1, 4)
+
     def test_duplicated_column_matches_lstsq(self):
         # the rank-1 candidate (0, 1): a plain stacked QR puts a direction
         # outside its span into Q and undercuts lstsq's cost by 0.28
@@ -465,6 +491,73 @@ class TestExhaustiveOracle:
         assert np.array_equal(harness._candidate_costs(ys, dictionaries, candidates),
                               reference)
         assert exhaustive_oracle(ys, dictionaries, 3) == expected_support
+
+
+class TestOracleCheck:
+    CFG = dict(n=10, k=3, l_values=[3], m_values=[6], trials=7, master_seed=2)
+    TRIAL_BYTES = 3 * 6 * 10 * 8          # one trial's per-node matrices
+
+    def test_document_does_not_depend_on_chunk_size(self, monkeypatch):
+        cfg = tiny_config(**self.CFG)
+        real = harness._lockstep_select
+        lanes = []
+
+        def spy(ys, dictionaries, k, *, pooled):
+            lanes.append(len(ys))
+            return real(ys, dictionaries, k, pooled=pooled)
+
+        monkeypatch.setattr(harness, "_lockstep_select", spy)
+        docs = []
+        for size, chunks in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
+            monkeypatch.setattr(harness, "_CHUNK_BYTES", size * self.TRIAL_BYTES)
+            lanes.clear()
+            docs.append(oracle_check(cfg))
+            # node-0 OMP, then S-OMP, once per chunk
+            assert lanes == [t for t in chunks for _ in range(2)]
+        assert docs[0] == docs[1] == docs[2]
+
+    @pytest.mark.parametrize("comparison", ["(trial draw)", "omp", "s-omp", "dc-omp2"])
+    def test_failing_trial_names_itself(self, monkeypatch, comparison):
+        cfg = tiny_config(**self.CFG)
+        noiseless = dataclasses.replace(cfg, sigma2=0.0)
+        doomed = harness.draw_trial(noiseless, 3, 6, 4, shared=False)[2].per_node
+
+        def forced():
+            raise ValueError("forced")
+
+        real_draw, real_select, real_dcomp2 = (harness.draw_trial, harness._lockstep_select,
+                                               harness.dcomp2)
+
+        def draw(cfg, l_count, m, trial, *, shared):
+            if comparison == "(trial draw)" and trial == 4:
+                forced()
+            return real_draw(cfg, l_count, m, trial, shared=shared)
+
+        def select(ys, dictionaries, k, *, pooled):
+            nodes = {"omp": 1, "s-omp": 3}.get(comparison)
+            if ys.shape[-2] == nodes and any(np.array_equal(y, doomed[:nodes]) for y in ys):
+                forced()
+            return real_select(ys, dictionaries, k, pooled=pooled)
+
+        def dcomp2(obs, meas, topology, k):
+            if comparison == "dc-omp2" and np.array_equal(obs.per_node, doomed):
+                forced()
+            return real_dcomp2(obs, meas, topology, k)
+
+        monkeypatch.setattr(harness, "draw_trial", draw)
+        monkeypatch.setattr(harness, "_lockstep_select", select)
+        monkeypatch.setattr(harness, "dcomp2", dcomp2)
+        expected = f"oracle-check trial 4, seed 2, comparison {comparison}: ValueError: forced"
+        with pytest.raises(TrialError, match=re.escape(expected)):
+            oracle_check(cfg)
+
+    def test_singular_trial_fails_the_cli_with_its_name(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(harness, "draw_trial", collinear_trial(4))
+        cfg = tmp_path / "oracle.cfg"
+        cfg.write_text("n=10\nk=3\nl=3\nm=6\nsigma2=0\ntrials=7\nseed=2\n")
+        assert main(["oracle-check", "--config", str(cfg)]) == 2
+        assert ("error: oracle-check trial 4, seed 2, comparison omp: SingularProjectionError: "
+                "selected columns nearly dependent") in capsys.readouterr().err
 
 
 class TestBoundsReport:
