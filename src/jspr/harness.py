@@ -18,11 +18,9 @@ import numpy as np
 from . import seeding
 from .algorithms import ALGORITHMS
 from .config import ExperimentConfig
-from .decentralized import dcomp2
 from .ensembles import gen_measurements, gen_signals, gen_support, measure
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
-from .greedy import _lockstep_select
 from .macbounds import bound_report
 from .metrics import TrialRecord, aggregate
 from .network import Topology, build_topology, complete_topology
@@ -78,27 +76,21 @@ def _run_algorithm(alg: str, draws, topology: Topology, k: int) -> list:
     return ALGORITHMS[alg].run(draws, topology, k)
 
 
-def _trial_error(task: TrialTask, alg: str, exc: Exception) -> TrialError:
-    return TrialError(
-        f"sweep point m={task.m}, L={task.l_count}, algorithm {alg}, "
-        f"trial {task.trial_index}, seed {task.cfg.master_seed}: "
-        f"{type(exc).__name__}: {exc}")
-
-
-def _solve(alg: str, tasks, draws) -> list:
-    """`alg`'s RecoveryResult on each trial of the chunk, None where it hit
-    a singular projection. If the chunk call raises anything, the chunk is
-    solved again trial by trial, so a failure is charged to its own trial
-    alone; on a single trial, any other exception becomes a TrialError."""
+def _per_trial(run, trials, inputs, lead, tolerated=()) -> list:
+    """`run(inputs)`, one result per trial of a chunk (`trials` labels them,
+    `inputs` holds what `run` takes, one entry each). If that call raises,
+    the trials run again one by one, so a failure is charged to its own
+    trial: there an error of a `tolerated` type gives None, and any other
+    becomes a TrialError whose message starts with `lead(trial)`."""
     try:
-        return _run_algorithm(alg, [(obs, meas) for _, meas, obs in draws],
-                              tasks[0].topology, tasks[0].cfg.k)
+        return run(inputs)
     except Exception as exc:
-        if len(tasks) == 1:
-            if isinstance(exc, SingularProjectionError):
+        if len(inputs) == 1:
+            if isinstance(exc, tolerated):
                 return [None]
-            raise _trial_error(tasks[0], alg, exc) from exc
-    return [_solve(alg, [task], [draw])[0] for task, draw in zip(tasks, draws)]
+            raise TrialError(f"{lead(trials[0])}: {type(exc).__name__}: {exc}") from exc
+    return [_per_trial(run, [trial], [entry], lead, tolerated)[0]
+            for trial, entry in zip(trials, inputs)]
 
 
 def run_chunk(tasks) -> list:
@@ -109,20 +101,25 @@ def run_chunk(tasks) -> list:
 
     Each trial is drawn from its own seed streams. Each algorithm then runs
     once on the whole chunk: the fixed-round tags take its trials as extra
-    lanes of one kernel loop, the collaborative tags go trial by trial. The
-    records do not depend on how trials are chunked."""
+    lanes of one kernel loop, the collaborative tags go trial by trial. A
+    chunk call that raises is run again trial by trial (`_per_trial`), so
+    the records do not depend on how trials are chunked."""
     cfg = tasks[0].cfg
     shared = _shares_matrix(cfg)
-    draws = []
-    for task in tasks:
-        try:
-            draws.append(draw_trial(cfg, task.l_count, task.m, task.trial_index,
-                                    shared=shared))
-        except Exception as exc:
-            raise _trial_error(task, "(trial draw)", exc) from exc
+
+    def lead(alg):
+        return lambda task: (f"sweep point m={task.m}, L={task.l_count}, algorithm {alg}, "
+                             f"trial {task.trial_index}, seed {cfg.master_seed}")
+
+    draws = _per_trial(lambda chunk: [draw_trial(cfg, task.l_count, task.m, task.trial_index,
+                                                 shared=shared) for task in chunk],
+                       tasks, tasks, lead("(trial draw)"))
+    pairs = [(obs, meas) for _, meas, obs in draws]
     out = [{} for _ in tasks]
     for alg in cfg.algorithms:
-        for trial, (ensemble, _, _), result in zip(out, draws, _solve(alg, tasks, draws)):
+        results = _per_trial(lambda chunk: _run_algorithm(alg, chunk, tasks[0].topology, cfg.k),
+                             tasks, pairs, lead(alg), SingularProjectionError)
+        for trial, (ensemble, _, _), result in zip(out, draws, results):
             trial[alg] = None if result is None else TrialRecord(
                 true_support=ensemble.support,
                 per_node_supports=result.per_node_support,
@@ -322,39 +319,20 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _oracle_error(cfg: ExperimentConfig, trial: int, comparison: str,
-                  exc: Exception) -> TrialError:
-    return TrialError(f"oracle-check trial {trial}, seed {cfg.master_seed}, "
-                      f"comparison {comparison}: {type(exc).__name__}: {exc}")
-
-
-def _oracle_picks(cfg: ExperimentConfig, trials, comparison: str, ys: np.ndarray,
-                  dictionaries: np.ndarray) -> list:
-    """The k pooled picks of each trial of a chunk, its trials as the lanes
-    of one lockstep loop: `ys (T, L, M)` against `dictionaries (T, L, M, N)`.
-    If the chunk call raises, the chunk is solved again trial by trial, so
-    the TrialError names the failing trial and `comparison`."""
-    try:
-        return _lockstep_select(ys, dictionaries, cfg.k, pooled=True)[:, 0].tolist()
-    except Exception as exc:
-        if len(trials) == 1:
-            raise _oracle_error(cfg, trials[0], comparison, exc) from exc
-    return [_oracle_picks(cfg, trials[i:i + 1], comparison, ys[i:i + 1],
-                          dictionaries[i:i + 1])[0] for i in range(len(trials))]
-
-
 def oracle_check(cfg: ExperimentConfig) -> dict:
     """Agreement of the greedy solvers with the exhaustive oracle on
     noiseless desk-scale trials, plus the dcomp2/somp equivalence count.
 
-    Trials run in chunks whose per-node matrices fit in _CHUNK_BYTES. Node-0
-    OMP and S-OMP each run once per chunk, its trials as lanes. Per trial,
-    one `(C, L)` candidate-cost table serves both oracles: node 0's is the
-    first minimum of column 0, the MMV oracle's the first minimum of the row
-    sums. The table's columns are factored independently, so column 0 equals
-    a node-0-only search bit for bit. DC-OMP 2 runs trial by trial. A
-    failure raises a TrialError naming its trial, the seed and the
-    comparison."""
+    Trials run in chunks whose per-node matrices fit in _CHUNK_BYTES. Each
+    comparison runs once per chunk through the sweeps' algorithm table
+    (`_run_algorithm`): `s-omp` and `dc-omp2` on the complete graph, and
+    node-0 OMP as `s-omp` on each trial's node-0 slice, a one-node network.
+    Per trial, one `(C, L)` candidate-cost table serves both oracles: node
+    0's is the first minimum of column 0, the MMV oracle's the first minimum
+    of the row sums. The table's columns are factored independently, so
+    column 0 equals a node-0-only search bit for bit. A chunk that raises is
+    run again trial by trial (`_per_trial`, tolerating nothing), so the
+    TrialError names the failing trial, the seed and the comparison."""
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
@@ -362,31 +340,35 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         candidates = _candidates(cfg.n, cfg.k)
     except EnumerationTooLargeError as exc:
         raise ConfigError(f"keys 'n', 'k': {exc}") from None
-    topo = complete_topology(l_count)
+    network, node0 = complete_topology(l_count), complete_topology(1)
     noiseless = dataclasses.replace(cfg, sigma2=0.0)
     size = max(1, _CHUNK_BYTES // (l_count * m * cfg.n * 8))
+
+    def compare(comparison, run, trials, inputs):
+        return _per_trial(run, trials, inputs, lambda t: (
+            f"oracle-check trial {t}, seed {cfg.master_seed}, comparison {comparison}"))
+
+    def supports(alg, topology):
+        return lambda chunk: [result.common_support
+                              for result in _run_algorithm(alg, chunk, topology, cfg.k)]
+
     omp_agree = somp_agree = dcomp2_match = 0
     for start in range(0, cfg.trials, size):
         trials = range(start, min(start + size, cfg.trials))
-        draws = []
-        for t in trials:
-            try:
-                draws.append(draw_trial(noiseless, l_count, m, t, shared=False))
-            except Exception as exc:
-                raise _oracle_error(cfg, t, "(trial draw)", exc) from exc
-        ys = np.stack([obs.per_node for _, _, obs in draws])                # (T, L, M)
-        dictionaries = np.stack([meas.matrices for _, meas, _ in draws])    # (T, L, M, N)
-        omp_picks = _oracle_picks(cfg, trials, "omp", ys[:, :1], dictionaries[:, :1])
-        somp_picks = _oracle_picks(cfg, trials, "s-omp", ys, dictionaries)
-        for t, (_, meas, obs), omp_sel, somp_sel in zip(trials, draws, omp_picks, somp_picks):
+        draws = compare("(trial draw)", lambda chunk: [
+            draw_trial(noiseless, l_count, m, t, shared=False) for t in chunk], trials, trials)
+        pairs = [(obs, meas) for _, meas, obs in draws]
+        firsts = [(dataclasses.replace(obs, per_node=obs.per_node[:1]),
+                   dataclasses.replace(meas, matrices=meas.matrices[:1])) for obs, meas in pairs]
+        omp_picks = compare("omp", supports("s-omp", node0), trials, firsts)
+        somp_picks = compare("s-omp", supports("s-omp", network), trials, pairs)
+        fused = compare("dc-omp2", supports("dc-omp2", network), trials, pairs)
+        for (obs, meas), omp_sel, somp_sel, fused_sel in zip(pairs, omp_picks, somp_picks,
+                                                              fused):
             costs = _candidate_costs(obs.per_node, meas.matrices, candidates)   # (C, L)
             omp_agree += set(omp_sel) == set(candidates[np.argmin(costs[:, 0])].tolist())
             somp_agree += set(somp_sel) == set(candidates[np.argmin(costs.sum(axis=1))].tolist())
-            try:
-                fused = dcomp2(obs, meas, topo, cfg.k).common_support
-            except Exception as exc:
-                raise _oracle_error(cfg, t, "dc-omp2", exc) from exc
-            dcomp2_match += fused == tuple(sorted(somp_sel))
+            dcomp2_match += fused_sel == somp_sel
     return {
         "trials": cfg.trials,
         "params": {"n": cfg.n, "k": cfg.k, "l": l_count, "m": m, "seed": cfg.master_seed},

@@ -63,10 +63,11 @@ def base_config(**overrides):
 @pytest.fixture(scope="module")
 def fig12_rows():
     """Shared 500-trial sweep for criteria 2 and 3: M in {15..40} plus the
-    saturation point M=60; DC-OMP 2 on a 7-neighbor ring, DC-OMP 1 full."""
+    saturation point M=60; DC-OMP 2 on a 7-neighbor ring, DC-OMP 1 full.
+    Two workers: the rows do not depend on `workers` (criterion 9)."""
     cfg = base_config(m_values=[15, 20, 25, 30, 40, 60],
                       topology_kind="ring", n0_values=[7],
-                      algorithms=["d-omp", "dc-omp1", "dc-omp2", "s-omp"])
+                      algorithms=["d-omp", "dc-omp1", "dc-omp2", "s-omp"], workers=2)
     rows = run_sweep(cfg, "m")
     return {(row["sweep_var"], row["algorithm"]): row for row in rows}
 
@@ -137,7 +138,7 @@ def test_criterion_4_mac_vs_pac():
     def mac_rows(amp_low, amp_high, seed):
         cfg = base_config(k=5, m_values=[15, 20, 25, 30, 40],
                           amp_low=amp_low, amp_high=amp_high, master_seed=seed,
-                          algorithms=["mac-omp", "s-omp"])
+                          algorithms=["mac-omp", "s-omp"], workers=2)
         rows = run_sweep(cfg, "m")
         return {(row["sweep_var"], row["algorithm"]): row["p_d"] for row in rows}
 
@@ -327,7 +328,8 @@ def test_criterion_7_bound_formulas():
 
 def test_criterion_8_node_scaling():
     cfg = base_config(m_values=[30], l_values=[4, 6, 8, 10, 12],
-                      algorithms=["d-omp", "dc-omp1"], master_seed=MASTER_SEED + 6)
+                      algorithms=["d-omp", "dc-omp1"], master_seed=MASTER_SEED + 6,
+                      workers=2)
     rows = run_sweep(cfg, "l")
     by = {(row["sweep_var"], row["algorithm"]): row for row in rows}
     ls = [4, 6, 8, 10, 12]

@@ -497,24 +497,41 @@ class TestOracleCheck:
     CFG = dict(n=10, k=3, l_values=[3], m_values=[6], trials=7, master_seed=2)
     TRIAL_BYTES = 3 * 6 * 10 * 8          # one trial's per-node matrices
 
+    @staticmethod
+    def spy_runs(monkeypatch):
+        """Record each `_run_algorithm` call as (tag, nodes per draw, nodes
+        of the topology, trials)."""
+        real = harness._run_algorithm
+        calls = []
+
+        def spy(alg, draws, topology, k):
+            calls.append((alg, len(draws[0][0].per_node), topology.node_count, len(draws)))
+            return real(alg, draws, topology, k)
+
+        monkeypatch.setattr(harness, "_run_algorithm", spy)
+        return calls
+
     def test_document_does_not_depend_on_chunk_size(self, monkeypatch):
         cfg = tiny_config(**self.CFG)
-        real = harness._lockstep_select
-        lanes = []
-
-        def spy(ys, dictionaries, k, *, pooled):
-            lanes.append(len(ys))
-            return real(ys, dictionaries, k, pooled=pooled)
-
-        monkeypatch.setattr(harness, "_lockstep_select", spy)
+        calls = self.spy_runs(monkeypatch)
         docs = []
         for size, chunks in ((1, [1] * 7), (3, [3, 3, 1]), (7, [7])):
             monkeypatch.setattr(harness, "_CHUNK_BYTES", size * self.TRIAL_BYTES)
-            lanes.clear()
+            calls.clear()
             docs.append(oracle_check(cfg))
-            # node-0 OMP, then S-OMP, once per chunk
-            assert lanes == [t for t in chunks for _ in range(2)]
+            # node-0 OMP, S-OMP and DC-OMP 2, once per chunk
+            assert [trials for *_, trials in calls] == [t for t in chunks for _ in range(3)]
         assert docs[0] == docs[1] == docs[2]
+
+    def test_comparisons_run_the_sweep_runners(self, monkeypatch):
+        cfg = tiny_config(**self.CFG)
+        calls = self.spy_runs(monkeypatch)
+        monkeypatch.setattr(harness, "_CHUNK_BYTES", 3 * self.TRIAL_BYTES)
+        oracle_check(cfg)
+        # per chunk: node-0 OMP as s-omp on a one-node network, then s-omp
+        # and dc-omp2 on the complete graph of all three nodes
+        assert calls == [call for t in (3, 3, 1) for call in (
+            ("s-omp", 1, 1, t), ("s-omp", 3, 3, t), ("dc-omp2", 3, 3, t))]
 
     @pytest.mark.parametrize("comparison", ["(trial draw)", "omp", "s-omp", "dc-omp2"])
     def test_failing_trial_names_itself(self, monkeypatch, comparison):
@@ -525,28 +542,25 @@ class TestOracleCheck:
         def forced():
             raise ValueError("forced")
 
-        real_draw, real_select, real_dcomp2 = (harness.draw_trial, harness._lockstep_select,
-                                               harness.dcomp2)
+        real_draw, real_run = harness.draw_trial, harness._run_algorithm
 
         def draw(cfg, l_count, m, trial, *, shared):
             if comparison == "(trial draw)" and trial == 4:
                 forced()
             return real_draw(cfg, l_count, m, trial, shared=shared)
 
-        def select(ys, dictionaries, k, *, pooled):
-            nodes = {"omp": 1, "s-omp": 3}.get(comparison)
-            if ys.shape[-2] == nodes and any(np.array_equal(y, doomed[:nodes]) for y in ys):
-                forced()
-            return real_select(ys, dictionaries, k, pooled=pooled)
+        # the runner call of `comparison`: its tag and its network's size
+        target = {"omp": ("s-omp", 1), "s-omp": ("s-omp", 3), "dc-omp2": ("dc-omp2", 3)}
 
-        def dcomp2(obs, meas, topology, k):
-            if comparison == "dc-omp2" and np.array_equal(obs.per_node, doomed):
+        def run(alg, draws, topology, k):
+            nodes = topology.node_count
+            if target.get(comparison) == (alg, nodes) and any(
+                    np.array_equal(obs.per_node, doomed[:nodes]) for obs, _ in draws):
                 forced()
-            return real_dcomp2(obs, meas, topology, k)
+            return real_run(alg, draws, topology, k)
 
         monkeypatch.setattr(harness, "draw_trial", draw)
-        monkeypatch.setattr(harness, "_lockstep_select", select)
-        monkeypatch.setattr(harness, "dcomp2", dcomp2)
+        monkeypatch.setattr(harness, "_run_algorithm", run)
         expected = f"oracle-check trial 4, seed 2, comparison {comparison}: ValueError: forced"
         with pytest.raises(TrialError, match=re.escape(expected)):
             oracle_check(cfg)
