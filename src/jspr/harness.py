@@ -36,7 +36,8 @@ COLUMNS = (
 )
 CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 ORACLE_CAP = 10 ** 5
-_ORACLE_BLOCK = 256       # candidate supports per stacked SVD in the oracle
+_ORACLE_BLOCK = 256       # candidate supports per stacked QR in the oracle
+_KAPPA_MAX = 1e4          # condition bound under which the oracle trusts its QR costs
 _CHUNK_BYTES = 1 << 20    # distinct dictionary bytes per chunk of trials
 MAX_FAILED_FRACTION = 0.01
 
@@ -244,13 +245,50 @@ def rows_to_json(rows) -> str:
 
 def _candidates(n: int, k: int) -> np.ndarray:
     """The C(n, k) candidate supports of an exhaustive search as a `(C, k)`
-    array, in lexicographic (`itertools.combinations`) order; more than
-    ORACLE_CAP of them raise EnumerationTooLargeError."""
+    array, in lexicographic (`itertools.combinations`) order. A k outside
+    [1, n] raises ValueError; more than ORACLE_CAP candidates raise
+    EnumerationTooLargeError."""
+    if not 1 <= k <= n:
+        raise ValueError(f"support size k={k} outside [1, N] for N={n} columns")
     count = math.comb(n, k)
     if count > ORACLE_CAP:
         raise EnumerationTooLargeError(
             f"C({n},{k}) = {count} candidate supports exceed the cap {ORACLE_CAP}")
     return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(count, k)
+
+
+def _screen_tau(k: int) -> float:
+    """τ_k = (k^{3/2}·2^{k−1}/_KAPPA_MAX)^{1/k}, the threshold of the oracle's
+    QR screen for k columns. It is below 1 only for k ≤ 9."""
+    return (k ** 1.5 * 2.0 ** (k - 1) / _KAPPA_MAX) ** (1 / k)
+
+
+def _well_conditioned(r: np.ndarray, tau: float) -> np.ndarray:
+    """Mask over a stack of upper-triangular `(..., k, k)` R factors: True
+    where every |R_ii| exceeds tau·max_j ‖R[:, j]‖. With tau = τ_k
+    (`_screen_tau`) and τ_k < 1 that proves κ₂(R) ≤ _KAPPA_MAX.
+
+    With D = diag(R) and U = D⁻¹R, the screen makes every off-diagonal
+    |U_ij| < 1/τ, so κ₂(R) ≤ k^{3/2}·(1 + 1/τ)^{k−1}/τ ≤ k^{3/2}·2^{k−1}/τ^k
+    for τ ≤ 1, and τ_k sets that to _KAPPA_MAX."""
+    diag = np.square(np.diagonal(r, axis1=-2, axis2=-1))
+    widest = np.square(r).sum(axis=-2).max(axis=-1, keepdims=True)
+    return (diag > tau * tau * widest).all(axis=-1)
+
+
+def _svd_costs(subs: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares residual ‖y − P y‖² of each `(..., M, k)` matrix of a
+    stack against its `(..., M)` observation (broadcast against the stack),
+    from its SVD. Left singular vectors whose singular value is at most
+    eps·max(M, k)·σ_max are dropped, `np.linalg.lstsq`'s rank rule for
+    rcond=None, so a rank-deficient matrix costs what lstsq's residual does.
+    LAPACK factors each matrix of the stack on its own."""
+    rcond = np.finfo(float).eps * max(subs.shape[-2:])
+    u, s, _ = np.linalg.svd(subs, full_matrices=False)
+    coef = u.swapaxes(-1, -2) @ y[..., None]                             # (..., r, 1)
+    coef[s <= rcond * s[..., :1]] = 0.0
+    resid = (y[..., None] - u @ coef)[..., 0]                            # (..., M)
+    return np.square(resid).sum(axis=-1)
 
 
 def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
@@ -259,25 +297,39 @@ def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
     support (a row of `candidates (C, k)`) on every node, where P projects
     onto the span of that node's candidate columns.
 
-    One stacked SVD per block of _ORACLE_BLOCK candidates. Left singular
-    vectors whose singular value is at most eps·max(M, k)·σ_max are dropped,
-    `np.linalg.lstsq`'s rank rule for rcond=None, so a rank-deficient
-    candidate costs what lstsq's residual does. LAPACK factors each matrix of
-    a stack on its own, so the costs do not depend on the block size.
+    Per block of _ORACLE_BLOCK candidates, one stacked QR (mode "r") of the
+    augmented matrices [A | y], `(c, L, M, k+1)`: an entry costs R[k, k]²
+    when its A passes the conditioning screen (`_well_conditioned`, which
+    proves κ₂(A) ≤ _KAPPA_MAX = 1e4). There the cost differs from the SVD
+    rule's by about eps·κ·‖y‖², and A lies far from lstsq's rank cut-off.
+    Every other entry is scored by `_svd_costs`, lstsq's SVD rank rule, so a
+    rank-deficient candidate costs what lstsq's residual does. When M ≤ k
+    (R has no [k, k]) or k ≥ 10 (τ_k ≥ 1, so nothing can pass the screen),
+    no QR is run and every entry takes the SVD rule. LAPACK factors each
+    matrix of a stack on its own, so a column of the table equals that
+    node's table alone, and the costs do not depend on the block size.
     """
-    l_count, m, _ = dictionaries.shape
+    l_count, m, n = dictionaries.shape
     k = candidates.shape[1]
-    rcond = np.finfo(float).eps * max(m, k)
-    y = ys[:, :, None]                                                   # (L, M, 1)
+    tau = _screen_tau(k)
     costs = np.empty((len(candidates), l_count))
+    if m <= k or tau >= 1:
+        for start in range(0, len(candidates), _ORACLE_BLOCK):
+            block = candidates[start:start + _ORACLE_BLOCK]
+            subs = dictionaries[:, :, block].transpose(2, 0, 1, 3)       # (c, L, M, k)
+            costs[start:start + len(block)] = _svd_costs(subs, ys)
+        return costs
+    augmented = np.concatenate([dictionaries, ys[:, :, None]], axis=2)  # (L, M, N+1)
     for start in range(0, len(candidates), _ORACLE_BLOCK):
         block = candidates[start:start + _ORACLE_BLOCK]
-        subs = dictionaries[:, :, block].transpose(2, 0, 1, 3)           # (c, L, M, k)
-        u, s, _ = np.linalg.svd(subs, full_matrices=False)
-        coef = u.transpose(0, 1, 3, 2) @ y                               # (c, L, r, 1)
-        coef[s <= rcond * s[..., :1]] = 0.0
-        resid = (y - u @ coef)[..., 0]                                   # (c, L, M)
-        costs[start:start + len(block)] = np.square(resid).sum(axis=-1)
+        columns = np.concatenate([block, np.full((len(block), 1), n)], axis=1)
+        stacks = augmented[:, :, columns].transpose(2, 0, 1, 3)          # (c, L, M, k+1)
+        r = np.linalg.qr(stacks, mode="r")                               # (c, L, k+1, k+1)
+        out = costs[start:start + len(block)]
+        out[...] = np.square(r[..., k, k])
+        flagged = ~_well_conditioned(r[..., :k, :k], tau)
+        if flagged.any():
+            out[flagged] = _svd_costs(stacks[..., :k][flagged], stacks[..., k][flagged])
     return costs
 
 
@@ -286,9 +338,10 @@ def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
     candidates (summed over nodes when several observations are given).
 
     Independent of the greedy path: the candidates' residuals come from
-    stacked SVDs with `np.linalg.lstsq`'s rank rule, not from the normal
-    equations of `ls_residual`. Ties keep the lexicographically smallest
-    support.
+    `_candidate_costs` (stacked QRs of [A | y], and `np.linalg.lstsq`'s SVD
+    rank rule wherever a conditioning screen cannot prove κ₂(A) ≤ 1e4), not
+    from the normal equations of `ls_residual`. Ties keep the
+    lexicographically smallest support. A k outside [1, N] raises ValueError.
     """
     ys = np.asarray(ys, dtype=float)
     dictionaries = np.asarray(dictionaries, dtype=float)
@@ -327,12 +380,14 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     comparison runs once per chunk through the sweeps' algorithm table
     (`_run_algorithm`): `s-omp` and `dc-omp2` on the complete graph, and
     node-0 OMP as `s-omp` on each trial's node-0 slice, a one-node network.
-    Per trial, one `(C, L)` candidate-cost table serves both oracles: node
-    0's is the first minimum of column 0, the MMV oracle's the first minimum
-    of the row sums. The table's columns are factored independently, so
-    column 0 equals a node-0-only search bit for bit. A chunk that raises is
-    run again trial by trial (`_per_trial`, tolerating nothing), so the
-    TrialError names the failing trial, the seed and the comparison."""
+    Per trial, one `(C, L)` candidate-cost table (`_candidate_costs`: QR of
+    [A | y] where a screen proves κ₂(A) ≤ 1e4, lstsq's SVD rule elsewhere)
+    serves both oracles: node 0's is the first minimum of column 0, the MMV
+    oracle's the first minimum of the row sums. Every entry of the table is
+    factored on its own, so column 0 equals a node-0-only search bit for
+    bit. A chunk that raises is run again trial by trial (`_per_trial`,
+    tolerating nothing), so the TrialError names the failing trial, the seed
+    and the comparison."""
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])

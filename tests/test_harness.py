@@ -374,17 +374,24 @@ class TestChunks:
             run_sweep(cfg, "m")
 
 
-def degenerate_instance(rng, data, l_count, m, n, k):
+def degenerate_instance(rng, data, l_count, m, n, k, near_duplicates=False):
     """(ys, dictionaries) with duplicated, scaled and all-zero columns drawn
-    into random dictionaries; each y is noise or lies in the span of k columns."""
+    into random dictionaries; each y is noise or lies in the span of k columns.
+    With `near_duplicates`, a column may also be its source plus noise of
+    scale 1e-12 to 1e-3, so candidates reach the QR screen's boundary."""
+    kinds = ["duplicate", "scale", "zero"] + ["near-duplicate"] * near_duplicates
     dictionaries = rng.standard_normal((l_count, m, n))
     for l in range(l_count):
         for _ in range(data.draw(st.integers(0, n), label="edits")):
             src, dst = rng.integers(n, size=2)
-            kind = data.draw(st.sampled_from(["duplicate", "scale", "zero"]), label="kind")
-            dictionaries[l, :, dst] = {"duplicate": dictionaries[l, :, src],
-                                       "scale": -2.5 * dictionaries[l, :, src],
-                                       "zero": 0.0}[kind]
+            kind = data.draw(st.sampled_from(kinds), label="kind")
+            if kind == "near-duplicate":
+                scale = 10.0 ** data.draw(st.floats(-12, -3), label="offset exponent")
+                dictionaries[l, :, dst] = dictionaries[l, :, src] + scale * rng.standard_normal(m)
+            else:
+                dictionaries[l, :, dst] = {"duplicate": dictionaries[l, :, src],
+                                           "scale": -2.5 * dictionaries[l, :, src],
+                                           "zero": 0.0}[kind]
     if data.draw(st.booleans(), label="in span"):
         support = rng.choice(n, size=k, replace=False)
         ys = np.einsum("lmk,lk->lm", dictionaries[:, :, support],
@@ -446,6 +453,32 @@ class TestExhaustiveOracle:
         k = data.draw(st.integers(1, n), label="k")
         assert_costs_match_lstsq(*degenerate_instance(rng, data, l_count, m, n, k), k)
 
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), l_count=st.integers(1, 3),
+           m=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
+    def test_near_duplicates_take_the_svd_rule_or_match_lstsq(self, seed, l_count, m, n,
+                                                              data):
+        # near-duplicated columns push κ to ~1e12, where lstsq's own residual
+        # is only good to about eps·κ·‖y‖²: an entry the screen flags must be
+        # the SVD rule's bit for bit, and one it passes (κ ≤ 1e4) lstsq's cost
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(1, n), label="k")
+        ys, dictionaries = degenerate_instance(rng, data, l_count, m, n, k,
+                                               near_duplicates=True)
+        candidates = harness._candidates(n, k)
+        costs = harness._candidate_costs(ys, dictionaries, candidates)
+        subs = dictionaries[:, :, candidates].transpose(2, 0, 1, 3)          # (C, L, M, k)
+        obs = np.broadcast_to(ys, costs.shape + (m,))                         # (C, L, M)
+        passes = np.zeros(costs.shape, dtype=bool)
+        if m > k:
+            r = np.linalg.qr(np.concatenate([subs, obs[..., None]], axis=-1), mode="r")
+            passes = harness._well_conditioned(r[..., :k, :k], harness._screen_tau(k))
+        assert np.array_equal(costs[~passes], harness._svd_costs(subs[~passes], obs[~passes]))
+        scale = float(np.sum(ys ** 2)) + 1.0
+        np.testing.assert_allclose(costs[passes],
+                                   lstsq_costs(ys, dictionaries, candidates)[passes],
+                                   rtol=0, atol=1e-10 * scale)
+
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), l_count=st.integers(2, 4),
            m=st.integers(1, 6), n=st.integers(1, 6), data=st.data())
@@ -477,6 +510,73 @@ class TestExhaustiveOracle:
         dictionaries = rng.standard_normal((1, 5, 4))
         dictionaries[0, :, 1] = dictionaries[0, :, 0]
         assert_costs_match_lstsq(rng.standard_normal((1, 5)), dictionaries, 2)
+
+    @pytest.mark.parametrize("k", [0, 5])
+    def test_support_size_outside_one_to_n_rejected(self, k):
+        with pytest.raises(ValueError, match=f"k={k} outside \\[1, N\\] for N=4"):
+            exhaustive_oracle(np.ones(3), np.ones((3, 4)), k)
+
+    @staticmethod
+    def boundary_instance(fraction):
+        """(y, A) with M=6, k=3: two orthogonal columns of norm 2 and a third
+        of norm below 2 whose part outside their span is fraction·τ_3·2, so
+        the QR screen's margin on R[2, 2] is `fraction`."""
+        rng = np.random.default_rng(8)
+        basis, _ = np.linalg.qr(rng.standard_normal((6, 3)))
+        tau = harness._screen_tau(3)
+        a = np.column_stack([2 * basis[:, 0], 2 * basis[:, 1],
+                             0.5 * basis[:, 0] + fraction * tau * 2 * basis[:, 2]])
+        return rng.standard_normal(6), a
+
+    def test_screen_boundary(self):
+        # just below the screen's threshold the entry takes the SVD rule,
+        # bit for bit; just above, it costs R[k, k]² of the stacked QR
+        (y_in, a_in), (y_out, a_out) = map(self.boundary_instance, (0.9, 1.1))
+        ys, dictionaries = np.stack([y_in, y_out]), np.stack([a_in, a_out])
+        passes = harness._well_conditioned(np.linalg.qr(dictionaries, mode="r"),
+                                   harness._screen_tau(3))
+        assert passes.tolist() == [False, True]
+        costs = harness._candidate_costs(ys, dictionaries, np.array([[0, 1, 2]]))
+        assert costs[0, 0] == harness._svd_costs(a_in[None], y_in[None])[0]
+        r = np.linalg.qr(np.column_stack([a_out, y_out]), mode="r")
+        assert costs[0, 1] == r[3, 3] ** 2
+        assert_costs_match_lstsq(ys, dictionaries, 3)
+
+    def test_ten_columns_take_the_svd_rule_without_a_qr(self, monkeypatch):
+        # τ_10 > 1, so no entry could pass the screen: no QR is run
+        rng = np.random.default_rng(12)
+        ys, dictionaries = rng.standard_normal((2, 12)), rng.standard_normal((2, 12, 11))
+        dictionaries[1, :, 3] = dictionaries[1, :, 7]
+        candidates = harness._candidates(11, 10)
+        subs = dictionaries[:, :, candidates].transpose(2, 0, 1, 3)
+        expected = harness._svd_costs(subs, ys)
+        with monkeypatch.context() as patch:
+            patch.setattr(np.linalg, "qr", lambda *args, **kwargs: pytest.fail("QR ran"))
+            assert np.array_equal(harness._candidate_costs(ys, dictionaries, candidates),
+                                  expected)
+        assert_costs_match_lstsq(ys, dictionaries, 10)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), k=st.integers(1, 9),
+           adversarial=st.booleans(), data=st.data())
+    def test_screened_triangles_are_well_conditioned(self, seed, k, adversarial, data):
+        # columns of norm at most 1 whose diagonals exceed τ_k pass the
+        # screen; the adversarial ones sit on its threshold with every
+        # off-diagonal entry negative and as large as the norm allows
+        rng = np.random.default_rng(seed)
+        tau = harness._screen_tau(k)
+        margin = 1e-9 if adversarial else data.draw(st.floats(1e-9, 1.0), label="margin")
+        r = np.zeros((k, k))
+        for j in range(k):
+            r[j, j] = tau * (1 + margin) * rng.choice([-1.0, 1.0])
+            room = np.sqrt(max(1.0 - r[j, j] ** 2, 0.0))
+            if adversarial:
+                r[:j, j] = -room / np.sqrt(max(j, 1))
+            else:
+                part = rng.standard_normal(j)
+                r[:j, j] = room * rng.uniform() * part / max(np.linalg.norm(part), 1e-300)
+        assert harness._well_conditioned(r, tau)
+        assert np.linalg.cond(r) <= harness._KAPPA_MAX
 
     @pytest.mark.parametrize("block", [1, 7, harness._ORACLE_BLOCK])
     def test_costs_do_not_depend_on_block_size(self, block, monkeypatch):
@@ -564,6 +664,27 @@ class TestOracleCheck:
         expected = f"oracle-check trial 4, seed 2, comparison {comparison}: ValueError: forced"
         with pytest.raises(TrialError, match=re.escape(expected)):
             oracle_check(cfg)
+
+    def test_svd_rule_everywhere_gives_the_same_documents(self, monkeypatch):
+        # the QR screen flagging every entry sends the whole table through
+        # the SVD rule: same documents, costs within 1e-12·(‖y‖² + 1)
+        real = harness._candidate_costs
+        tables = []
+
+        def recording(ys, dictionaries, candidates):
+            tables.append((ys, real(ys, dictionaries, candidates)))
+            return tables[-1][1]
+
+        monkeypatch.setattr(harness, "_candidate_costs", recording)
+        configs = [tiny_config(**dict(self.CFG, trials=40, master_seed=seed))
+                   for seed in range(10)]
+        default = [oracle_check(cfg) for cfg in configs]
+        monkeypatch.setattr(harness, "_well_conditioned",
+                            lambda r, tau: np.zeros(r.shape[:-2], dtype=bool))
+        assert [oracle_check(cfg) for cfg in configs] == default
+        assert len(tables) == 2 * 400
+        for (ys, costs), (_, svd) in zip(tables[:400], tables[400:]):
+            assert np.all(np.abs(costs - svd) <= 1e-12 * (np.sum(ys ** 2, axis=1) + 1.0))
 
     def test_singular_trial_fails_the_cli_with_its_name(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "draw_trial", collinear_trial(4))
