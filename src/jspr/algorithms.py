@@ -4,11 +4,10 @@ and needs, read by the config check, the trial harness and
 
 A runner solves a chunk of trials, a list of per-trial `(obs, meas)`
 pairs, and returns one RecoveryResult per trial; a single trial is a chunk
-of one. The fixed-round tags (`s-omp`, `d-omp`, `mac-omp`) run the whole
-chunk in one lockstep loop, its trials as extra lanes. The collaborative
-tags call their solver once per trial through this module's global name at
-call time, so whatever re-points that name (a tracer, a test double) sees
-every call.
+of one. Every runner takes the whole chunk at once, its trials as extra
+lanes: the fixed-round tags (`s-omp`, `d-omp`, `mac-omp`) in one lockstep
+loop, the collaborative tags (`dc-omp1`, `dc-omp1-nbr`, `dc-omp2`) in one
+fusion-round loop (`decentralized._fusion_rounds`).
 """
 
 from dataclasses import dataclass
@@ -16,7 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decentralized import RecoveryResult, dcomp1, dcomp2, domp_chunk
+from .decentralized import RecoveryResult, dcomp1_chunk, dcomp2_chunk, domp_chunk
 from .ensembles import mac_aggregate
 from .greedy import _lockstep_select
 from .network import MessageLedger, Topology, complete_topology
@@ -77,11 +76,6 @@ def _run_mac(draws, topology: Topology, k: int) -> list:
             for selected in _lockstep_select(zs, dictionaries, k, pooled=True)[:, 0].tolist()]
 
 
-def _each_trial(solve) -> Callable:
-    """A runner calling `solve(obs, meas, topology, k)` once per trial."""
-    return lambda draws, topology, k: [solve(obs, meas, topology, k) for obs, meas in draws]
-
-
 ALGORITHMS = {
     # each node ships its k final indices network-wide
     "d-omp": Algorithm(
@@ -90,17 +84,16 @@ ALGORITHMS = {
     # runs on the complete graph whatever the topology: one index to each of
     # the L-1 other nodes per round
     "dc-omp1": Algorithm(
-        run=_each_trial(lambda obs, meas, topo, k: dcomp1(
-            obs, meas, complete_topology(topo.node_count), k, mode="full")),
+        run=lambda draws, topo, k: dcomp1_chunk(
+            *_lanes(draws), complete_topology(topo.node_count), k, mode="full"),
         table1=lambda l_count, k, n, degrees, t_nodes: ((l_count - 1) * int(np.sum(t_nodes)), 0)),
     # one index to each neighbour per round: sum_l |G_l| T_l local
     "dc-omp1-nbr": Algorithm(
-        run=_each_trial(lambda obs, meas, topo, k: dcomp1(obs, meas, topo, k,
-                                                          mode="neighborhood")),
+        run=lambda draws, topo, k: dcomp1_chunk(*_lanes(draws), topo, k, mode="neighborhood"),
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)), 0)),
     # N values to each neighbour plus one global index per round
     "dc-omp2": Algorithm(
-        run=_each_trial(lambda obs, meas, topo, k: dcomp2(obs, meas, topo, k)),
+        run=lambda draws, topo, k: dcomp2_chunk(*_lanes(draws), topo, k),
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)) * n,
                                                         int((l_count - 1) * np.sum(t_nodes)))),
     # each node ships k*N correlation summaries network-wide

@@ -11,9 +11,13 @@ Three schemes over a connected topology:
 * domp_majority -- no collaboration during recovery: independent per-node OMP
   followed by one majority vote over the completed supports.
 
-The first two share one round loop, `_fusion_rounds`, and state only their
-fusion rules. Multi-index fusion rounds let them terminate in fewer than k
-iterations; every transmission is charged to a MessageLedger.
+The first two share one round loop, `_fusion_rounds`, which runs a chunk of
+trials with every node of every trial as one lane, and state only their
+fusion rules: network-wide fusion (`dcomp1` in full mode, `dcomp2`) and
+`dcomp2`'s neighbourhood sum are array operations over all trials at once;
+`dcomp1`'s one-hop rule runs node by node. Multi-index fusion rounds let
+them terminate in fewer than k iterations; every transmission is charged to
+a MessageLedger.
 """
 
 from collections import Counter
@@ -21,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import _lockstep_select, correlate, ls_residual
+from .greedy import _lane_index, _lockstep_select, correlate, ls_residual
 from .network import MessageLedger, Topology
 
 
@@ -57,7 +61,8 @@ def index_fusion_full(proposals) -> set:
     When all proposals are distinct, every node must still act on one common
     index; the deterministic pick is the proposal of the smallest node id, so
     no extra coordination traffic is needed. No proposal is ever held: the
-    round loop masks held indices.
+    round loop masks held indices. The scalar specification of
+    `_fuse_network_wide`.
     """
     counts = Counter(proposals)
     return {idx for idx, c in counts.items() if c >= 2} or {proposals[0]}
@@ -70,7 +75,11 @@ def index_fusion_neighborhood(own: int, received, prior) -> set:
     not already hold, so an index is never selected twice; with no such
     agreement the node keeps its own proposal.
     """
-    counts = Counter([own, *received])
+    return _agreed(Counter([own, *received]), own, prior)
+
+
+def _agreed(counts: Counter, own: int, prior) -> set:
+    """`index_fusion_neighborhood` from the counts of the heard proposals."""
     return {idx for idx, c in counts.items() if c >= 2}.difference(prior) or {own}
 
 
@@ -88,64 +97,120 @@ def _admit(fused, need: int, counts: Counter, scores=None) -> list:
     return sorted(fused, key=key)[:need]
 
 
-def _fuse_network_wide(proposals, need: int) -> tuple:
-    """Network-wide fusion of one proposal per node: `(proposals, adopted)`
-    in which every node adopts the same indices in the same order, since no
-    per-node score breaks count ties."""
-    admitted = _admit(index_fusion_full(proposals), need, Counter(proposals))
-    return proposals, [admitted] * len(proposals)
+def _fuse_network_wide(proposals: np.ndarray, active, needs, n: int) -> list:
+    """Network-wide fusion of the trials `active` of `proposals (T, L)`, one
+    index in [0, n) per node, trial `active[i]` admitting at most `needs[i]`
+    indices. Per active trial `(proposals, adopted)`, in which every node
+    adopts the same indices in the same order, `_admit(index_fusion_full(p),
+    need, Counter(p))` on the trial's row p.
 
-
-def _fusion_rounds(obs, meas, topology: Topology, k: int, fuse) -> RecoveryResult:
-    """The round loop of the collaborative solvers.
-
-    Each round, every node still short of k indices correlates its residual
-    with its own dictionary; `fuse(scores, supports, ledger)` gets the (L, N)
-    scores with held indices at -inf, charges what the nodes send and returns
-    the per-node `(proposals, adopted)` lists, None for a node that has
-    stopped. The nodes that adopted indices then deflate their residuals, one
-    kernel call per distinct support size.
+    An L×L equality count gives each node's proposal its multiplicity c; the
+    key p - c·n orders by descending count, then ascending index, so one
+    row-wise sort puts the repeated proposals first, each as a run of equal
+    keys below -n. With none, node 0's proposal is kept.
     """
-    l_count, m = obs.per_node.shape
+    l_count = proposals.shape[1]
+    counts = (proposals[:, :, None] == proposals[:, None, :]).sum(axis=2)
+    ranked = np.sort(proposals - counts * n, axis=1).tolist()
+    rows = proposals.tolist()
+    out = []
+    for t, need in zip(active, needs):
+        fused = [key % n for key in dict.fromkeys(ranked[t]) if key < -n] or rows[t][:1]
+        out.append((rows[t], [fused[:need]] * l_count))
+    return out
+
+
+def _neighbor_table(topology: Topology) -> np.ndarray:
+    """`(L, max(1, max degree))` sorted neighbour ids per node, padded with
+    L, the row a neighbourhood sum appends as zeros."""
+    l_count = topology.node_count
+    width = max(1, *map(len, topology.adjacency))
+    return np.array([[*nbrs] + [l_count] * (width - len(nbrs)) for nbrs in topology.adjacency],
+                    dtype=np.intp)
+
+
+def _neighborhood_sum(f: np.ndarray, table: np.ndarray) -> np.ndarray:
+    """`f[:, l] + f[:, nbrs].sum(axis=1)` for every node l of every trial of
+    `f (T, L, N)`, N ≥ 2, bit for bit: the neighbours are added in sorted
+    order, as numpy reduces a C-contiguous `(degree, N)` array over its first
+    axis, a padded slot adds an exact zero, and the node's own row comes
+    last."""
+    padded = np.concatenate([f, np.zeros_like(f[:, :1])], axis=1)
+    total = padded[:, table[:, 0]]
+    for column in table.T[1:]:
+        total += padded[:, column]
+    total += f
+    return total
+
+
+def _fusion_rounds(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
+                   fuse) -> list:
+    """The round loop of the collaborative solvers, on a chunk of T trials:
+    `ys (T, L, M)` against `dictionaries (T, L, M, N)`, or `(T, 1, M, N)`
+    for one shared matrix per trial, as `algorithms._lanes` stacks them.
+    Every node of every trial is one lane. Returns T RecoveryResults.
+
+    Each round, one `correlate` call scores every lane, finished ones too
+    (reading each matrix once costs less than gathering the active ones),
+    and held indices are set to -inf. `fuse(scores, supports, ledgers,
+    active)` gets the (T, L, N) scores, each trial's per-node support lists
+    and ledger, and the indices of the trials still running; it charges what
+    their nodes send and returns, per running trial, the per-node
+    `(proposals, adopted)` lists, None for a node that has stopped. The
+    lanes that adopted indices then deflate their residuals, one kernel call
+    per distinct support size across the chunk.
+    """
+    t_count, l_count, m = ys.shape
     if not 1 <= k <= m:
         raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
     if topology.node_count != l_count:
         raise ValueError("topology size does not match observation count")
 
-    ledger = MessageLedger(topology)
-    residuals = np.array(obs.per_node, dtype=float, copy=True)
-    supports = [[] for _ in range(l_count)]
-    held = np.zeros((l_count, meas.matrices.shape[2]), dtype=bool)   # supports as a mask
-    iterations = [0] * l_count
-    rounds = []
+    ledgers = [MessageLedger(topology) for _ in range(t_count)]
+    residuals = np.array(ys, dtype=float, copy=True)
+    lane_dictionaries = np.broadcast_to(dictionaries, (t_count, l_count, *dictionaries.shape[2:]))
+    supports = [[[] for _ in range(l_count)] for _ in range(t_count)]
+    held = np.zeros(residuals.shape[:2] + dictionaries.shape[3:], dtype=bool)
+    every_lane = _lane_index((t_count, l_count))
+    iterations = [[0] * l_count for _ in range(t_count)]
+    rounds = [[] for _ in range(t_count)]
+    active = list(range(t_count))
     round_no = 0
-    while any(len(s) < k for s in supports):
+    while active:
         round_no += 1
-        # every node's row, finished ones discarded: reading each matrix once
-        # costs less than gathering the active ones
-        scores = correlate(residuals, meas.matrices)
+        scores = correlate(residuals, dictionaries)
         scores[held] = -np.inf
-        proposals, adopted = fuse(scores, supports, ledger)
-        grown = [l for l in range(l_count) if adopted[l] is not None]
-        for l in grown:
-            supports[l].extend(adopted[l])
-            iterations[l] = round_no
-        held[[l for l in grown for _ in adopted[l]],
-             [idx for l in grown for idx in adopted[l]]] = True
-        for size in sorted({len(supports[l]) for l in grown}):
-            lanes = [l for l in grown if len(supports[l]) == size]
-            selected = [supports[l] for l in lanes]
-            if len(lanes) == l_count:   # every node grew: the dictionaries as they are
-                ys, dictionaries = obs.per_node, meas.matrices
-            else:                       # a subset: gather only the s columns each lane reads
-                ys = obs.per_node[lanes]
-                dictionaries = meas.matrices[np.array(lanes)[:, None], :, selected]
-                dictionaries, selected = np.swapaxes(dictionaries, 1, 2), range(size)
-            residuals[lanes] = ls_residual(ys, dictionaries, selected, check=size == k)
-        rounds.append(FusionRound(iteration=round_no, proposals=proposals, fused=adopted))
+        grown = {}      # support size -> the (trial, node) lanes that reached it
+        for t, (proposals, adopted) in zip(active, fuse(scores, supports, ledgers, active)):
+            rounds[t].append(FusionRound(iteration=round_no, proposals=proposals, fused=adopted))
+            for l, new in enumerate(adopted):
+                if new is not None:
+                    supports[t][l].extend(new)
+                    iterations[t][l] = round_no
+                    grown.setdefault(len(supports[t][l]), []).append((t, l))
+        for size, lanes in grown.items():
+            selected = np.array([supports[t][l] for t, l in lanes], dtype=np.intp)
+            if len(lanes) == t_count * l_count:     # every lane: the dictionaries as they are
+                selected = selected.reshape(t_count, l_count, size)
+                held[(*every_lane, selected)] = True
+                residuals = ls_residual(ys, dictionaries, selected, check=size == k)
+            else:                                   # gather only the s columns each lane reads
+                trials, nodes = np.array(lanes).T
+                held[trials[:, None], nodes[:, None], selected] = True
+                columns = lane_dictionaries[trials[:, None], nodes[:, None], :, selected]
+                residuals[trials, nodes] = ls_residual(ys[trials, nodes], columns.swapaxes(1, 2),
+                                                       range(size), check=size == k)
+        active = [t for t in active if any(len(s) < k for s in supports[t])]
 
-    return RecoveryResult(per_node_support=[tuple(sorted(s)) for s in supports],
-                          iterations=iterations, ledger=ledger, rounds=rounds)
+    return [RecoveryResult(per_node_support=[tuple(sorted(s)) for s in supports[t]],
+                           iterations=iterations[t], ledger=ledgers[t], rounds=rounds[t])
+            for t in range(t_count)]
+
+
+def _chunk_of_one(obs, meas) -> tuple:
+    """One trial's observations and matrices as a chunk of one."""
+    return (np.asarray(obs.per_node, dtype=float)[None],
+            np.asarray(meas.matrices, dtype=float)[None])
 
 
 def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
@@ -157,33 +222,50 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
     mode="neighborhood" fuses within each node's one-hop neighborhood, so
     estimates (and termination rounds) may differ across nodes.
     """
+    return dcomp1_chunk(*_chunk_of_one(obs, meas), topology, k, mode)[0]
+
+
+def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
+                 mode: str = "full") -> list:
+    """`dcomp1` on T trials at once, as lanes of `_fusion_rounds` (which
+    gives the shapes); returns T RecoveryResults."""
     if mode not in ("full", "neighborhood"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full" and not topology.is_complete():
         raise ValueError("full mode requires a complete topology")
-    l_count = topology.node_count
+    l_count, n = topology.node_count, dictionaries.shape[-1]
 
-    def fuse(scores, supports, ledger):
-        picks = scores.argmax(axis=1)
-        proposals = [None] * l_count
-        for l in range(l_count):
-            if len(supports[l]) < k:
-                proposals[l] = int(picks[l])
-                ledger.send_local(l, 1)
-        if mode == "full":   # every node active, one shared support
-            return _fuse_network_wide(proposals, k - len(supports[0]))
-        adopted = [None] * l_count
-        for l in range(l_count):
-            if proposals[l] is not None:
-                # every neighbour that proposed this round is heard, as send_local charged
-                received = [proposals[j] for j in topology.adjacency[l]
-                            if proposals[j] is not None]
-                fused = index_fusion_neighborhood(proposals[l], received, supports[l])
-                adopted[l] = _admit(fused, k - len(supports[l]),
-                                    Counter([proposals[l], *received]), scores=scores[l])
-        return proposals, adopted
+    def fuse_full(scores, supports, ledgers, active):
+        # every node of a running trial is active and holds the trial's one support
+        for t in active:
+            ledgers[t].send_all(1, 0)
+        return _fuse_network_wide(scores.argmax(axis=2), active,
+                                  [k - len(supports[t][0]) for t in active], n)
 
-    return _fusion_rounds(obs, meas, topology, k, fuse)
+    def fuse_neighborhood(scores, supports, ledgers, active):
+        picks = scores.argmax(axis=2).tolist()
+        out = []
+        for t in active:
+            ledger, own_supports = ledgers[t], supports[t]
+            proposals = [None] * l_count
+            for l in range(l_count):
+                if len(own_supports[l]) < k:
+                    proposals[l] = picks[t][l]
+                    ledger.send_local(l, 1)
+            adopted = [None] * l_count
+            for l, own in enumerate(proposals):
+                if own is not None:
+                    # every neighbour that proposed this round is heard, as send_local charged
+                    counts = Counter([own, *(proposals[j] for j in topology.adjacency[l]
+                                             if proposals[j] is not None)])
+                    prior = own_supports[l]
+                    adopted[l] = _admit(_agreed(counts, own, prior), k - len(prior), counts,
+                                        scores=scores[t, l])
+            out.append((proposals, adopted))
+        return out
+
+    return _fusion_rounds(ys, dictionaries, topology, k,
+                          fuse_full if mode == "full" else fuse_neighborhood)
 
 
 def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
@@ -195,18 +277,23 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     multiplicity, so every node applies the identical update and all final
     supports agree.
     """
-    l_count, n = topology.node_count, meas.matrices.shape[2]
-    neighbors = [list(nbrs) for nbrs in topology.adjacency]
+    return dcomp2_chunk(*_chunk_of_one(obs, meas), topology, k)[0]
 
-    def fuse(f, supports, ledger):
-        proposals = []
-        for l in range(l_count):
-            ledger.send_local(l, n)
-            ledger.send_global(l, 1)
-            proposals.append(int(np.argmax(f[l] + f[neighbors[l]].sum(axis=0))))
-        return _fuse_network_wide(proposals, k - len(supports[0]))
 
-    return _fusion_rounds(obs, meas, topology, k, fuse)
+def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
+                 k: int) -> list:
+    """`dcomp2` on T trials at once, as lanes of `_fusion_rounds` (which
+    gives the shapes); returns T RecoveryResults."""
+    n = dictionaries.shape[-1]
+    table = _neighbor_table(topology)
+
+    def fuse(f, supports, ledgers, active):
+        for t in active:
+            ledgers[t].send_all(n, 1)
+        return _fuse_network_wide(_neighborhood_sum(f, table).argmax(axis=2), active,
+                                  [k - len(supports[t][0]) for t in active], n)
+
+    return _fusion_rounds(ys, dictionaries, topology, k, fuse)
 
 
 def majority_vote(estimates, k: int) -> tuple:
@@ -224,8 +311,7 @@ def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     Each node runs k OMP iterations on its own data, ships its k indices
     network-wide, and adopts the winning k-index set.
     """
-    return domp_chunk(np.asarray(obs.per_node, dtype=float)[None],
-                      np.asarray(meas.matrices, dtype=float)[None], topology, k)[0]
+    return domp_chunk(*_chunk_of_one(obs, meas), topology, k)[0]
 
 
 def domp_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,

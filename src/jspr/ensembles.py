@@ -112,8 +112,10 @@ def gen_measurements(n: int, m: int, l_count: int, sigma2: float,
 
 
 def measure(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble,
-            rng: np.random.Generator) -> ObservationSet:
-    """Observe y_l = B_l s_l + v_l with iid Gaussian noise of variance sigma2."""
+            rng: np.random.Generator | None) -> ObservationSet:
+    """Observe y_l = B_l s_l + v_l with iid Gaussian noise of variance sigma2.
+
+    `rng` is read only when sigma2 > 0, so a noiseless draw may pass None."""
     l_count, m, n = meas.matrices.shape
     if n != ensemble.n or l_count != ensemble.l_count:
         raise ValueError(

@@ -38,6 +38,7 @@ CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 ORACLE_CAP = 10 ** 5
 _ORACLE_BLOCK = 256       # candidate supports per stacked QR in the oracle
 _KAPPA_MAX = 1e4          # condition bound under which the oracle trusts its QR costs
+_TABLE_BYTES = 1 << 18    # stacked [A | y] bytes per oracle-check cost-table call
 _CHUNK_BYTES = 1 << 20    # distinct dictionary bytes per chunk of trials
 MAX_FAILED_FRACTION = 0.01
 
@@ -64,8 +65,9 @@ def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
                            seeding.stream(seed, seeding.AMPLITUDES, trial))
     meas = gen_measurements(cfg.n, m, l_count, cfg.sigma2,
                             seeding.stream(seed, seeding.MATRICES, trial), shared=shared)
-    obs = measure(ensemble, meas, seeding.stream(seed, seeding.NOISE, trial))
-    return ensemble, meas, obs
+    # a noiseless draw reads no noise, so it builds no noise stream
+    noise = seeding.stream(seed, seeding.NOISE, trial) if cfg.sigma2 > 0 else None
+    return ensemble, meas, measure(ensemble, meas, noise)
 
 
 def _shares_matrix(cfg: ExperimentConfig) -> bool:
@@ -383,11 +385,14 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     Per trial, one `(C, L)` candidate-cost table (`_candidate_costs`: QR of
     [A | y] where a screen proves κ₂(A) ≤ 1e4, lstsq's SVD rule elsewhere)
     serves both oracles: node 0's is the first minimum of column 0, the MMV
-    oracle's the first minimum of the row sums. Every entry of the table is
-    factored on its own, so column 0 equals a node-0-only search bit for
-    bit. A chunk that raises is run again trial by trial (`_per_trial`,
-    tolerating nothing), so the TrialError names the failing trial, the seed
-    and the comparison."""
+    oracle's the first minimum of the row sums. The tables of a group of
+    trials come from one `_candidate_costs` call on their nodes stacked as
+    rows, the group's stacked [A | y] blocks capped at _TABLE_BYTES. Every
+    entry is factored on its own, so each trial's table, and its column 0,
+    equal the trial's or node 0's search alone bit for bit. A chunk that
+    raises is run again trial by trial (`_per_trial`, tolerating nothing),
+    so the TrialError names the failing trial, the seed and the
+    comparison."""
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
@@ -398,6 +403,8 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     network, node0 = complete_topology(l_count), complete_topology(1)
     noiseless = dataclasses.replace(cfg, sigma2=0.0)
     size = max(1, _CHUNK_BYTES // (l_count * m * cfg.n * 8))
+    group = max(1, _TABLE_BYTES // (min(len(candidates), _ORACLE_BLOCK) * l_count * m
+                                    * (cfg.k + 1) * 8))
 
     def compare(comparison, run, trials, inputs):
         return _per_trial(run, trials, inputs, lambda t: (
@@ -418,12 +425,18 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         omp_picks = compare("omp", supports("s-omp", node0), trials, firsts)
         somp_picks = compare("s-omp", supports("s-omp", network), trials, pairs)
         fused = compare("dc-omp2", supports("dc-omp2", network), trials, pairs)
-        for (obs, meas), omp_sel, somp_sel, fused_sel in zip(pairs, omp_picks, somp_picks,
-                                                              fused):
-            costs = _candidate_costs(obs.per_node, meas.matrices, candidates)   # (C, L)
-            omp_agree += set(omp_sel) == set(candidates[np.argmin(costs[:, 0])].tolist())
-            somp_agree += set(somp_sel) == set(candidates[np.argmin(costs.sum(axis=1))].tolist())
-            dcomp2_match += fused_sel == somp_sel
+        for first in range(0, len(pairs), group):
+            part = slice(first, first + group)
+            stacked = _candidate_costs(np.concatenate([obs.per_node for obs, _ in pairs[part]]),
+                                       np.concatenate([meas.matrices for _, meas in pairs[part]]),
+                                       candidates)                      # (C, G·L)
+            tables = stacked.reshape(len(candidates), -1, l_count).swapaxes(0, 1)  # (G, C, L)
+            for costs, omp_sel, somp_sel, fused_sel in zip(tables, omp_picks[part],
+                                                            somp_picks[part], fused[part]):
+                omp_agree += set(omp_sel) == set(candidates[np.argmin(costs[:, 0])].tolist())
+                somp_agree += set(somp_sel) == set(
+                    candidates[np.argmin(costs.sum(axis=1))].tolist())
+                dcomp2_match += fused_sel == somp_sel
     return {
         "trials": cfg.trials,
         "params": {"n": cfg.n, "k": cfg.k, "l": l_count, "m": m, "seed": cfg.master_seed},

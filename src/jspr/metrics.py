@@ -58,18 +58,22 @@ def aggregate(records) -> AggregateStats:
         raise ValueError("records disagree on node count")
     l_count = node_counts.pop()
 
-    success = np.empty((len(records), l_count))
-    frac = np.empty((len(records), l_count))
-    iters = np.empty((len(records), l_count))
-    local = np.empty(len(records))
-    glob = np.empty(len(records))
-    for i, rec in enumerate(records):
-        for l, est in enumerate(rec.per_node_supports):
-            success[i, l] = exact_recovery(est, rec.true_support)
-            frac[i, l] = support_fraction(est, rec.true_support)
-        iters[i] = rec.iterations
-        local[i] = rec.local_scalars
-        glob[i] = rec.global_scalars
+    success, frac = [], []
+    for rec in records:
+        # the global tags repeat one support at every node: score each distinct one once
+        scored = {}
+        for est in map(tuple, rec.per_node_supports):
+            if est not in scored:
+                scored[est] = (exact_recovery(est, rec.true_support),
+                               support_fraction(est, rec.true_support))
+            hit, part = scored[est]
+            success.append(hit)
+            frac.append(part)
+    success = np.array(success, dtype=float).reshape(len(records), l_count)
+    frac = np.array(frac, dtype=float).reshape(len(records), l_count)
+    iters = np.array([rec.iterations for rec in records], dtype=float)
+    local = np.array([rec.local_scalars for rec in records], dtype=float)
+    glob = np.array([rec.global_scalars for rec in records], dtype=float)
 
     p_d = float(success.mean())
     n = len(records)

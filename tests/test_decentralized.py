@@ -1,13 +1,20 @@
 """Fusion rules and the collaborative recovery algorithms."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jspr.algorithms import table1_expected
+from jspr.algorithms import ALGORITHMS, table1_expected
 from jspr.decentralized import (
+    _admit,
+    _fuse_network_wide,
+    _neighbor_table,
+    _neighborhood_sum,
     dcomp1,
+    dcomp1_chunk,
     dcomp2,
     domp_majority,
     index_fusion_full,
@@ -22,8 +29,9 @@ from jspr.ensembles import (
     gen_support,
     measure,
 )
+from jspr.errors import SingularProjectionError
 from jspr.greedy import correlate, omp, somp
-from jspr.network import complete_topology, ring_topology
+from jspr.network import complete_topology, random_connected_topology, ring_topology
 
 
 def rng_of(seed):
@@ -49,6 +57,54 @@ class TestIndexFusionFull:
 
     def test_two_agreement_groups(self):
         assert index_fusion_full([2, 2, 8, 8, 8]) == {2, 8}
+
+
+class TestNetworkWideArrayRule:
+    """`_fuse_network_wide` fuses many trials at once; on every trial it
+    admits what the scalar rule `index_fusion_full` and `_admit` do."""
+
+    def test_all_distinct_adopts_node_zero(self):
+        assert _fuse_network_wide(np.array([[3, 7, 9]]), [0], [2], 10) == [([3, 7, 9], [[3]] * 3)]
+
+    def test_count_then_index_order(self):
+        rows = np.array([[8, 2, 8, 2, 2, 5], [1, 1, 0, 0, 4, 4]])
+        assert _fuse_network_wide(rows, [0, 1], [3, 2], 9) == [
+            ([8, 2, 8, 2, 2, 5], [[2, 8]] * 6), ([1, 1, 0, 0, 4, 4], [[0, 1]] * 6)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(n=st.integers(1, 12), t_count=st.integers(1, 5), l_count=st.integers(1, 8),
+           data=st.data())
+    def test_equals_scalar_rule(self, n, t_count, l_count, data):
+        # a small index range makes repeats common; all-distinct rows take the fallback
+        rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=l_count,
+                                           max_size=l_count),
+                                  min_size=t_count, max_size=t_count), label="proposals")
+        active = data.draw(st.sets(st.integers(0, t_count - 1)), label="active")
+        active = sorted(active)
+        needs = [data.draw(st.integers(1, l_count + 1), label="need") for _ in active]
+        fused = _fuse_network_wide(np.array(rows, dtype=np.intp).reshape(t_count, l_count),
+                                   active, needs, n)
+        assert len(fused) == len(active)
+        for t, need, (proposals, adopted) in zip(active, needs, fused):
+            assert proposals == rows[t]
+            assert adopted == [_admit(index_fusion_full(rows[t]), need, Counter(rows[t]))] * l_count
+
+
+class TestNeighborhoodSum:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t_count=st.integers(1, 3),
+           l_count=st.integers(1, 12), n=st.integers(2, 40), p=st.floats(0.2, 1.0))
+    def test_equals_per_node_sum_bit_for_bit(self, seed, t_count, l_count, n, p):
+        # random connected graphs have unequal degrees, so the table is padded
+        rng = rng_of(seed)
+        topology = (random_connected_topology(l_count, p, rng) if l_count > 1
+                    else complete_topology(1))
+        f = np.abs(rng.standard_normal((t_count, l_count, n))) * 10.0 ** rng.integers(
+            -6, 6, size=(t_count, l_count, 1))
+        f[rng.random(f.shape) < 0.2] = -np.inf          # held indices
+        want = [[f[t, l] + f[t, list(topology.adjacency[l])].sum(axis=0)
+                 for l in range(l_count)] for t in range(t_count)]
+        assert np.array_equal(_neighborhood_sum(f, _neighbor_table(topology)), np.array(want))
 
 
 class TestIndexFusionNeighborhood:
@@ -137,6 +193,21 @@ class TestDcomp1:
         assert result.per_node_support == [(0, 1, 2, 3)] * 3
         assert result.iterations == [4] * 3
 
+    @pytest.mark.parametrize("mode", ["full", "neighborhood"])
+    def test_zero_residual_in_a_chunk_of_unequal_sizes(self, mode):
+        # trial 1 adopts two agreed indices in round 1 and trial 0 one, so
+        # the chunk's lanes deflate in two support-size groups; once a
+        # residual is exactly 0, only the held mask of those groups keeps a
+        # node from proposing an index it already holds
+        ys = np.zeros((2, 4, 6))
+        ys[0, :, :2] = [3.0, 2.0]
+        ys[1, :2, :2] = [3.0, 2.0]
+        ys[1, 2:, :2] = [2.0, 3.0]
+        results = dcomp1_chunk(ys, np.broadcast_to(np.eye(6), (2, 4, 6, 6)),
+                               complete_topology(4), 4, mode=mode)
+        assert [r.per_node_support for r in results] == [[(0, 1, 2, 3)] * 4] * 2
+        assert [r.iterations for r in results] == [[4] * 4, [3] * 4]
+
     def test_ledger_matches_expected_formula(self):
         ensemble, meas, obs = make_instance(30, l_count=6, k=4)
         topo = complete_topology(6)
@@ -215,6 +286,38 @@ class TestDcomp2:
                 assert result.iterations[0] < 4
                 shortened = True
         assert shortened   # the regime must actually exercise multi-index rounds
+
+
+class TestChunkLanes:
+    """A chunk's trials run as lanes of one fusion-round loop; each trial's
+    RecoveryResult (supports, iterations, ledger and every FusionRound) is
+    the one it gets as a chunk of one."""
+
+    @pytest.mark.parametrize("tag", ["dc-omp1", "dc-omp1-nbr", "dc-omp2"])
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t_count=st.integers(1, 6),
+           l_count=st.integers(1, 7), k=st.integers(1, 4), extra_m=st.integers(0, 8),
+           p=st.floats(0.3, 1.0), shared=st.booleans(),
+           sigma2=st.sampled_from([0.0, 0.01, 5.0]))
+    def test_each_trial_equals_its_chunk_of_one(self, tag, seed, t_count, l_count, k,
+                                                extra_m, p, shared, sigma2):
+        rng = rng_of(seed)
+        topology = (random_connected_topology(l_count, p, rng) if l_count > 1
+                    else complete_topology(1))
+        draws = []
+        for _ in range(t_count):
+            _, meas, obs = make_instance(int(rng.integers(2 ** 32)), n=24, k=k,
+                                         l_count=l_count, m=k + extra_m, sigma2=sigma2,
+                                         shared=shared)
+            draws.append((obs, meas))
+        run = ALGORITHMS[tag].run
+        try:
+            alone = [run([draw], topology, k)[0] for draw in draws]
+        except SingularProjectionError:
+            with pytest.raises(SingularProjectionError):
+                run(draws, topology, k)
+            return
+        assert run(draws, topology, k) == alone
 
 
 class TestDompMajority:

@@ -17,7 +17,7 @@ from jspr import seeding
 from jspr.algorithms import MAC_COMPARE
 from jspr.cli import main
 from jspr.config import ExperimentConfig, parse_config
-from jspr.ensembles import MeasurementEnsemble, measure
+from jspr.ensembles import MeasurementEnsemble, gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                          TrialError)
 from jspr.harness import (
@@ -284,9 +284,43 @@ def collinear_trial(doomed):
     return draw
 
 
+class TestDrawTrial:
+    @staticmethod
+    def four_stream_draw(cfg, l_count, m, trial, shared):
+        """A draw that builds all four seed streams, the noise stream too."""
+        streams = [seeding.stream(cfg.master_seed, purpose, trial) for purpose in
+                   (seeding.SUPPORT, seeding.AMPLITUDES, seeding.MATRICES, seeding.NOISE)]
+        support = gen_support(cfg.n, cfg.k, streams[0])
+        ensemble = gen_signals(support, cfg.n, l_count, cfg.amp_low, cfg.amp_high, streams[1])
+        meas = gen_measurements(cfg.n, m, l_count, cfg.sigma2, streams[2], shared=shared)
+        return ensemble, meas, measure(ensemble, meas, streams[3])
+
+    @pytest.mark.parametrize("sigma2", [0.0, 0.01])
+    @pytest.mark.parametrize("shared", [False, True])
+    def test_noise_stream_only_when_noisy(self, monkeypatch, sigma2, shared):
+        cfg = tiny_config(sigma2=sigma2, master_seed=7)
+        purposes = []
+        real = seeding.stream
+
+        def spy(seed, purpose, *rest):
+            purposes.append(purpose)
+            return real(seed, purpose, *rest)
+
+        monkeypatch.setattr(seeding, "stream", spy)
+        for trial in range(5):
+            purposes.clear()
+            got = harness.draw_trial(cfg, 3, 8, trial, shared=shared)
+            assert (seeding.NOISE in purposes) == (sigma2 > 0)
+            want = self.four_stream_draw(cfg, 3, 8, trial, shared)
+            assert got[0].support == want[0].support
+            assert np.array_equal(got[0].signals, want[0].signals)
+            assert np.array_equal(got[1].matrices, want[1].matrices)
+            assert np.array_equal(got[2].per_node, want[2].per_node)
+
+
 class TestChunks:
     TAG_SETS = [list(MAC_COMPARE), ["d-omp", "s-omp", "dc-omp2"],
-                ["d-omp", "mac-omp", "dc-omp1-nbr"]]
+                ["d-omp", "mac-omp", "dc-omp1-nbr"], ["dc-omp1", "s-omp"]]
 
     @settings(max_examples=8, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), tags=st.sampled_from(TAG_SETS),
@@ -667,7 +701,8 @@ class TestOracleCheck:
 
     def test_svd_rule_everywhere_gives_the_same_documents(self, monkeypatch):
         # the QR screen flagging every entry sends the whole table through
-        # the SVD rule: same documents, costs within 1e-12·(‖y‖² + 1)
+        # the SVD rule: same documents, costs within 1e-12·(‖y‖² + 1) at
+        # every node of every trial
         real = harness._candidate_costs
         tables = []
 
@@ -682,8 +717,10 @@ class TestOracleCheck:
         monkeypatch.setattr(harness, "_well_conditioned",
                             lambda r, tau: np.zeros(r.shape[:-2], dtype=bool))
         assert [oracle_check(cfg) for cfg in configs] == default
-        assert len(tables) == 2 * 400
-        for (ys, costs), (_, svd) in zip(tables[:400], tables[400:]):
+        # 40 trials in 13 groups of 3 and one of 1, their 3 nodes stacked as rows
+        assert [len(ys) for ys, _ in tables] == 2 * 10 * ([9] * 13 + [3])
+        half = len(tables) // 2
+        for (ys, costs), (_, svd) in zip(tables[:half], tables[half:]):
             assert np.all(np.abs(costs - svd) <= 1e-12 * (np.sum(ys ** 2, axis=1) + 1.0))
 
     def test_singular_trial_fails_the_cli_with_its_name(self, tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from jspr.algorithms import table1_expected
@@ -107,6 +108,21 @@ class TestAggregate:
         assert stats.iters_min == 2 and stats.iters_max == 4
         assert stats.local_scalars == 20.0
         assert stats.global_scalars == 6.0
+
+    def test_means_equal_per_node_scoring(self):
+        # each distinct support is scored once per record; the means are those
+        # of scoring every node on its own
+        truth = (1, 5, 7)
+        per_node = [[truth] * 4, [(1, 5, 9)] * 4, [truth, (1, 2, 3), truth, [5, 7, 1]],
+                    [(0, 2, 4), (1, 5, 9), (0, 2, 4), (1, 5, 9)]] * 3
+        records = [record(supports, truth=truth) for supports in per_node]
+        stats = aggregate(records)
+        success = np.array([[exact_recovery(est, truth) for est in supports]
+                            for supports in per_node], dtype=float)
+        frac = np.array([[support_fraction(est, truth) for est in supports]
+                         for supports in per_node])
+        assert stats.p_d == float(success.mean())
+        assert stats.fraction == float(frac.mean())
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):

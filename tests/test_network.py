@@ -101,6 +101,21 @@ class TestMessageLedger:
             second.send_local(sender, payload)
         assert first.local_scalar_count == second.local_scalar_count
 
+    @pytest.mark.parametrize("topology", [complete_topology(5), ring_topology(6, 2),
+                                          random_connected_topology(7, 0.4,
+                                                                    np.random.default_rng(3))])
+    def test_send_all_is_one_send_per_node(self, topology):
+        each, at_once = MessageLedger(topology), MessageLedger(topology)
+        for sender in range(topology.node_count):
+            each.send_local(sender, 256)
+            each.send_global(sender, 1)
+        at_once.send_all(256, 1)
+        assert at_once == each
+        at_once.send_all(1, 0)
+        assert at_once.global_scalar_count == each.global_scalar_count
+        with pytest.raises(ValueError):
+            at_once.send_all(-1, 0)
+
     def test_invalid_payload(self):
         ledger = MessageLedger(complete_topology(3))
         with pytest.raises(ValueError):
