@@ -5,9 +5,8 @@ and needs, read by the config check, the trial harness and
 A runner solves a chunk of trials, a list of per-trial `(obs, meas)`
 pairs, and returns one RecoveryResult per trial; a single trial is a chunk
 of one. Every runner takes the whole chunk at once, its trials as extra
-lanes: the fixed-round tags (`s-omp`, `d-omp`, `mac-omp`) in one lockstep
-loop, the collaborative tags (`dc-omp1`, `dc-omp1-nbr`, `dc-omp2`) in one
-fusion-round loop (`decentralized._fusion_rounds`).
+lanes of the one round loop (`decentralized.solve_chunk`), and states only
+its tag's rule.
 """
 
 from dataclasses import dataclass
@@ -15,10 +14,10 @@ from typing import Callable
 
 import numpy as np
 
-from .decentralized import RecoveryResult, dcomp1_chunk, dcomp2_chunk, domp_chunk
+from .decentralized import dcomp1_chunk, dcomp2_chunk, domp_chunk, solve_chunk
 from .ensembles import mac_aggregate
-from .greedy import _lockstep_select
-from .network import MessageLedger, Topology, complete_topology
+from .greedy import pooled_argmax
+from .network import Topology, complete_topology
 
 
 @dataclass(frozen=True)
@@ -47,33 +46,22 @@ def _lanes(draws) -> tuple:
     return ys, dictionaries
 
 
-def _broadcast(selected, topology: Topology, ledger: MessageLedger, k: int) -> RecoveryResult:
-    """Every node adopts one centrally selected support after k rounds."""
-    l_count = topology.node_count
-    return RecoveryResult(per_node_support=[tuple(sorted(selected))] * l_count,
-                          iterations=[k] * l_count, ledger=ledger)
-
-
 def _run_somp(draws, topology: Topology, k: int) -> list:
-    """Centralized simultaneous OMP, charged as each node shipping its k*N
-    correlation summaries network-wide."""
+    """Centralized simultaneous OMP (`pooled_argmax`), charged as each node
+    shipping its k*N correlation summaries network-wide."""
     ys, dictionaries = _lanes(draws)
-    results = []
-    for selected in _lockstep_select(ys, dictionaries, k, pooled=True)[:, 0].tolist():
-        ledger = MessageLedger(topology)
-        for l in range(topology.node_count):
-            ledger.send_global(l, k * dictionaries.shape[-1])
-        results.append(_broadcast(selected, topology, ledger, k))
+    results = solve_chunk(ys, dictionaries, topology, k, pooled_argmax)
+    for result in results:
+        result.ledger.send_all(0, k * dictionaries.shape[-1])
     return results
 
 
 def _run_mac(draws, topology: Topology, k: int) -> list:
-    """OMP on the sum-channel output, one lane per trial; no node-to-node
-    messages to charge."""
+    """OMP on the sum-channel output, one lane per trial whose support every
+    node adopts; no node-to-node messages to charge."""
     zs = _stack([mac_aggregate(obs)[None] for obs, _ in draws])          # (T, 1, M)
     dictionaries = _stack([meas.matrices[:1] for _, meas in draws])     # (T, 1, M, N)
-    return [_broadcast(selected, topology, MessageLedger(topology), k)
-            for selected in _lockstep_select(zs, dictionaries, k, pooled=True)[:, 0].tolist()]
+    return solve_chunk(zs, dictionaries, topology, k, pooled_argmax)
 
 
 ALGORITHMS = {

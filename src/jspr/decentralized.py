@@ -11,13 +11,13 @@ Three schemes over a connected topology:
 * domp_majority -- no collaboration during recovery: independent per-node OMP
   followed by one majority vote over the completed supports.
 
-The first two share one round loop, `_fusion_rounds`, which runs a chunk of
-trials with every node of every trial as one lane, and state only their
-fusion rules: network-wide fusion (`dcomp1` in full mode, `dcomp2`) and
-`dcomp2`'s neighbourhood sum are array operations over all trials at once;
-`dcomp1`'s one-hop rule runs node by node. Multi-index fusion rounds let
-them terminate in fewer than k iterations; every transmission is charged to
-a MessageLedger.
+All three, and every other tag, run a chunk of trials through the one round
+loop (`solve_chunk` over `greedy.greedy_rounds`) and state only their rule:
+what a node scores, what it charges to its trial's MessageLedger and what it
+adopts. Network-wide fusion (`dcomp1` in full mode, `dcomp2`) and `dcomp2`'s
+neighbourhood sum are array operations over all trials at once; `dcomp1`'s
+one-hop rule runs node by node. Multi-index fusion rounds let them terminate
+in fewer than k iterations.
 """
 
 from collections import Counter
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import _lane_index, _lockstep_select, correlate, ls_residual
+from .greedy import greedy_rounds
 from .network import MessageLedger, Topology
 
 
@@ -143,68 +143,41 @@ def _neighborhood_sum(f: np.ndarray, table: np.ndarray) -> np.ndarray:
     return total
 
 
-def _fusion_rounds(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
-                   fuse) -> list:
-    """The round loop of the collaborative solvers, on a chunk of T trials:
-    `ys (T, L, M)` against `dictionaries (T, L, M, N)`, or `(T, 1, M, N)`
-    for one shared matrix per trial, as `algorithms._lanes` stacks them.
-    Every node of every trial is one lane. Returns T RecoveryResults.
+def solve_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
+                rule, rows: int = 1) -> list:
+    """One tag on a chunk of T trials (shapes and `rows` as in
+    `greedy.greedy_rounds`): T RecoveryResults, a one-row support being
+    every node's. `rule(scores, supports, active, results)` is the loop's
+    rule; it also charges and records each running trial on `results`."""
+    copies = topology.node_count // rows
+    results = [RecoveryResult([], [], MessageLedger(topology)) for _ in range(len(ys))]
+    supports, iterations = greedy_rounds(ys, dictionaries, k, lambda scores, supports, active:
+                                         rule(scores, supports, active, results), rows=rows)
+    for result, own, last in zip(results, supports, iterations):
+        result.per_node_support = [tuple(sorted(s)) for s in own] * copies
+        result.iterations = last * copies
+    return results
 
-    Each round, one `correlate` call scores every lane, finished ones too
-    (reading each matrix once costs less than gathering the active ones),
-    and held indices are set to -inf. `fuse(scores, supports, ledgers,
-    active)` gets the (T, L, N) scores, each trial's per-node support lists
-    and ledger, and the indices of the trials still running; it charges what
-    their nodes send and returns, per running trial, the per-node
-    `(proposals, adopted)` lists, None for a node that has stopped. The
-    lanes that adopted indices then deflate their residuals, one kernel call
-    per distinct support size across the chunk.
-    """
-    t_count, l_count, m = ys.shape
-    if not 1 <= k <= m:
-        raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
-    if topology.node_count != l_count:
+
+def _check_nodes(ys: np.ndarray, topology: Topology) -> None:
+    if topology.node_count != ys.shape[1]:
         raise ValueError("topology size does not match observation count")
 
-    ledgers = [MessageLedger(topology) for _ in range(t_count)]
-    residuals = np.array(ys, dtype=float, copy=True)
-    lane_dictionaries = np.broadcast_to(dictionaries, (t_count, l_count, *dictionaries.shape[2:]))
-    supports = [[[] for _ in range(l_count)] for _ in range(t_count)]
-    held = np.zeros(residuals.shape[:2] + dictionaries.shape[3:], dtype=bool)
-    every_lane = _lane_index((t_count, l_count))
-    iterations = [[0] * l_count for _ in range(t_count)]
-    rounds = [[] for _ in range(t_count)]
-    active = list(range(t_count))
-    round_no = 0
-    while active:
-        round_no += 1
-        scores = correlate(residuals, dictionaries)
-        scores[held] = -np.inf
-        grown = {}      # support size -> the (trial, node) lanes that reached it
-        for t, (proposals, adopted) in zip(active, fuse(scores, supports, ledgers, active)):
-            rounds[t].append(FusionRound(iteration=round_no, proposals=proposals, fused=adopted))
-            for l, new in enumerate(adopted):
-                if new is not None:
-                    supports[t][l].extend(new)
-                    iterations[t][l] = round_no
-                    grown.setdefault(len(supports[t][l]), []).append((t, l))
-        for size, lanes in grown.items():
-            selected = np.array([supports[t][l] for t, l in lanes], dtype=np.intp)
-            if len(lanes) == t_count * l_count:     # every lane: the dictionaries as they are
-                selected = selected.reshape(t_count, l_count, size)
-                held[(*every_lane, selected)] = True
-                residuals = ls_residual(ys, dictionaries, selected, check=size == k)
-            else:                                   # gather only the s columns each lane reads
-                trials, nodes = np.array(lanes).T
-                held[trials[:, None], nodes[:, None], selected] = True
-                columns = lane_dictionaries[trials[:, None], nodes[:, None], :, selected]
-                residuals[trials, nodes] = ls_residual(ys[trials, nodes], columns.swapaxes(1, 2),
-                                                       range(size), check=size == k)
-        active = [t for t in active if any(len(s) < k for s in supports[t])]
 
-    return [RecoveryResult(per_node_support=[tuple(sorted(s)) for s in supports[t]],
-                           iterations=iterations[t], ledger=ledgers[t], rounds=rounds[t])
-            for t in range(t_count)]
+def _network_wide(proposals: np.ndarray, sent: tuple, supports, active, results, k: int,
+                  n: int) -> list:
+    """The one-row rule of network-wide fusion: every node of each running
+    trial sends `sent`, (one-hop, network-wide) scalars, the trials' `(T, L)`
+    proposals are fused (`_fuse_network_wide`), and each trial records its
+    round and adopts the fused indices."""
+    out = []
+    for t, (proposed, fused) in zip(active, _fuse_network_wide(
+            proposals, active, [k - len(supports[t][0]) for t in active], n)):
+        results[t].ledger.send_all(*sent)
+        rounds = results[t].rounds
+        rounds.append(FusionRound(len(rounds) + 1, proposed, fused))
+        out.append(fused[:1])
+    return out
 
 
 def _chunk_of_one(obs, meas) -> tuple:
@@ -227,26 +200,24 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
 
 def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
                  mode: str = "full") -> list:
-    """`dcomp1` on T trials at once, as lanes of `_fusion_rounds` (which
-    gives the shapes); returns T RecoveryResults."""
+    """`dcomp1` on T trials at once, as lanes of the round loop (see
+    `solve_chunk`); returns T RecoveryResults."""
     if mode not in ("full", "neighborhood"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full" and not topology.is_complete():
         raise ValueError("full mode requires a complete topology")
+    _check_nodes(ys, topology)
     l_count, n = topology.node_count, dictionaries.shape[-1]
 
-    def fuse_full(scores, supports, ledgers, active):
-        # every node of a running trial is active and holds the trial's one support
-        for t in active:
-            ledgers[t].send_all(1, 0)
-        return _fuse_network_wide(scores.argmax(axis=2), active,
-                                  [k - len(supports[t][0]) for t in active], n)
+    def fuse_full(scores, supports, active, results):
+        # every node of a running trial proposes one index to every other
+        return _network_wide(scores.argmax(axis=2), (1, 0), supports, active, results, k, n)
 
-    def fuse_neighborhood(scores, supports, ledgers, active):
+    def fuse_neighborhood(scores, supports, active, results):
         picks = scores.argmax(axis=2).tolist()
         out = []
         for t in active:
-            ledger, own_supports = ledgers[t], supports[t]
+            ledger, own_supports, rounds = results[t].ledger, supports[t], results[t].rounds
             proposals = [None] * l_count
             for l in range(l_count):
                 if len(own_supports[l]) < k:
@@ -261,11 +232,12 @@ def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k
                     prior = own_supports[l]
                     adopted[l] = _admit(_agreed(counts, own, prior), k - len(prior), counts,
                                         scores=scores[t, l])
-            out.append((proposals, adopted))
+            rounds.append(FusionRound(len(rounds) + 1, proposals, adopted))
+            out.append(adopted)
         return out
 
-    return _fusion_rounds(ys, dictionaries, topology, k,
-                          fuse_full if mode == "full" else fuse_neighborhood)
+    rule, rows = (fuse_full, 1) if mode == "full" else (fuse_neighborhood, l_count)
+    return solve_chunk(ys, dictionaries, topology, k, rule, rows)
 
 
 def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
@@ -282,18 +254,17 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
 
 def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
                  k: int) -> list:
-    """`dcomp2` on T trials at once, as lanes of `_fusion_rounds` (which
-    gives the shapes); returns T RecoveryResults."""
+    """`dcomp2` on T trials at once, as lanes of the round loop (see
+    `solve_chunk`); returns T RecoveryResults."""
+    _check_nodes(ys, topology)
     n = dictionaries.shape[-1]
     table = _neighbor_table(topology)
 
-    def fuse(f, supports, ledgers, active):
-        for t in active:
-            ledgers[t].send_all(n, 1)
-        return _fuse_network_wide(_neighborhood_sum(f, table).argmax(axis=2), active,
-                                  [k - len(supports[t][0]) for t in active], n)
+    def fuse(f, supports, active, results):
+        return _network_wide(_neighborhood_sum(f, table).argmax(axis=2), (n, 1), supports,
+                             active, results, k, n)
 
-    return _fusion_rounds(ys, dictionaries, topology, k, fuse)
+    return solve_chunk(ys, dictionaries, topology, k, fuse)
 
 
 def majority_vote(estimates, k: int) -> tuple:
@@ -316,19 +287,18 @@ def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
 
 def domp_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
                k: int) -> list:
-    """`domp_majority` on T trials at once: `ys (T, L, M)` against
-    `dictionaries (T, L, M, N)`, or `(T, 1, M, N)` for one shared matrix per
-    trial. Every node of every trial is one lane of one lockstep loop; the
-    vote and the ledger stay per trial. Returns T RecoveryResults."""
-    l_count = ys.shape[1]
-    if topology.node_count != l_count:
-        raise ValueError("topology size does not match observation count")
-    results = []
-    for estimates in _lockstep_select(ys, dictionaries, k, pooled=False).tolist():
-        ledger = MessageLedger(topology)
-        for l in range(l_count):
-            ledger.send_global(l, k)
-        fused = majority_vote(estimates, k)
-        results.append(RecoveryResult(per_node_support=[fused] * l_count,
-                                      iterations=[k] * l_count, ledger=ledger, rounds=[]))
+    """`domp_majority` on T trials at once, as lanes of the round loop (see
+    `solve_chunk`): each node is a row of its own and adopts its own argmax
+    every round. After k rounds every node ships its k indices network-wide
+    and adopts the vote. Returns T RecoveryResults."""
+    _check_nodes(ys, topology)
+    results = solve_chunk(ys, dictionaries, topology, k, _own_argmax, rows=topology.node_count)
+    for result in results:
+        result.ledger.send_all(0, k)
+        result.per_node_support = [majority_vote(result.per_node_support, k)] * topology.node_count
     return results
+
+
+def _own_argmax(scores: np.ndarray, *_) -> list:
+    """D-OMP's rule: every node adopts the argmax of its own scores."""
+    return [[[i] for i in row] for row in scores.argmax(axis=2).tolist()]

@@ -1,10 +1,10 @@
-"""Greedy support recovery: OMP on a single vector and simultaneous OMP
-across nodes with per-node dictionaries.
+"""Greedy support recovery: the two kernels, the one round loop every
+solver runs, and OMP and simultaneous OMP on it.
 
-Both run exactly k iterations: pick the column (most) correlated with the
-residual(s), then deflate each residual by least squares onto everything
-selected so far. `correlate` and `ls_residual` are the two kernels every
-greedy solver in the package is built on.
+Each round, `greedy_rounds` scores every lane (`correlate`), lets a rule
+pick what each support adopts, and deflates the lanes that grew by least
+squares onto their support (`ls_residual`). OMP and S-OMP adopt the argmax
+of the scores summed over a trial's nodes (`pooled_argmax`).
 """
 
 import numpy as np
@@ -95,33 +95,75 @@ def ls_residual(y: np.ndarray, dictionary: np.ndarray, selected, *,
     return ys - (coef.swapaxes(-1, -2) @ sub_t)[..., 0, :]
 
 
-def _lockstep_select(ys: np.ndarray, dictionaries: np.ndarray, k: int, *,
-                     pooled: bool) -> np.ndarray:
-    """k rounds of OMP on lanes `ys (..., L, M)` in lockstep, one `correlate`
-    and one `ls_residual` call per round for all lanes; `dictionaries
-    (..., L, M, N)` broadcasts as in those kernels. `pooled` sums the scores
-    over the L axis, so the lanes of one group (the nodes of one trial) take
-    the same pick (S-OMP); otherwise each lane picks its own. Held indices
-    are masked; ties go to the smallest index. Returns the (..., L, k) picks
-    in selection order."""
-    m = ys.shape[-1]
+def greedy_rounds(ys: np.ndarray, dictionaries: np.ndarray, k: int, rule, *,
+                  rows: int = 1) -> tuple:
+    """The round loop of every solver on a chunk of T trials: `ys (T, L, M)`
+    against `dictionaries (T, L, M, N)`, or `(T, 1, M, N)` for one shared
+    matrix per trial. Every node of every trial is one lane; each trial
+    holds `rows` supports, one that all its nodes share or one per node.
+
+    Each round, one `correlate` call scores every lane, finished ones too,
+    with each row's held indices at -inf. `rule(scores, supports, active)`
+    gets the (T, L, N) scores, the per-trial, per-row support lists and the
+    running trials, and returns per running trial the indices each row
+    adopts (None for none). Lanes whose row grew deflate, one `ls_residual`
+    call per distinct support size (a one-row support is one row per trial,
+    so a shared matrix costs one Gram per trial); only the call completing
+    a support is cond-checked. A trial runs until every row holds k indices.
+    Returns per trial and row the indices in adoption order (supports) and
+    the round of the last adoption (iterations).
+    """
+    t_count, _, m = ys.shape
     if not 1 <= k <= m:
         raise ValueError(f"sparsity k must satisfy 1 <= k <= M, got k={k}, M={m}")
-    picks = np.empty((*ys.shape[:-1], k), dtype=np.intp)
-    rows = 1 if pooled else ys.shape[-2]        # rows of scores, and of picks, per group
-    held = _lane_index((*ys.shape[:-2], rows))
-    residuals = ys
-    for t in range(k):
+    n = dictionaries.shape[-1]
+    residuals = np.array(ys, dtype=float, copy=True)
+    supports = [[[] for _ in range(rows)] for _ in range(t_count)]
+    iterations = [[0] * rows for _ in range(t_count)]
+    held = np.zeros((t_count, rows, n), dtype=bool)
+    every_row = _lane_index((t_count, rows))
+    # each row's lanes, and the columns of their dictionaries, for deflating some rows only
+    by_row = (t_count, rows, -1, m)
+    per_row = dictionaries.shape[1] // rows or 1
+    columns_by_row = np.broadcast_to(dictionaries.reshape(t_count, -1, per_row, m, n),
+                                     (t_count, rows, per_row, m, n)).swapaxes(-1, -2)
+    active = list(range(t_count))
+    round_no = 0
+    while active:
+        round_no += 1
         scores = correlate(residuals, dictionaries)
-        if pooled:
-            scores = scores.sum(axis=-2, keepdims=True)
-        scores[(*held, picks[..., :rows, :t])] = -np.inf
-        picks[..., t] = scores.argmax(axis=-1)
-        # pooled picks are one row per group: the kernel then gathers and
-        # checks one Gram per distinct dictionary, not one per lane
-        residuals = ls_residual(ys, dictionaries, picks[..., :rows, :t + 1],
-                                check=t == k - 1)
-    return picks
+        np.copyto(scores, -np.inf, where=held)
+        picked = rule(scores, supports, active)
+        del scores      # freed first, the next round's scores reuse its memory
+        grown = {}      # support size -> the (trial, row) pairs that reached it
+        for t, adopted in zip(active, picked):
+            for r, new in enumerate(adopted):
+                if new:
+                    supports[t][r].extend(new)
+                    iterations[t][r] = round_no
+                    grown.setdefault(len(supports[t][r]), []).append((t, r))
+        for size, lanes in grown.items():
+            if len(lanes) == t_count * rows:        # every row: the dictionaries as they are
+                selected = np.array(supports, dtype=np.intp)
+                held[(*every_row, selected)] = True
+                residuals = ls_residual(ys, dictionaries, selected, check=size == k)
+            else:                                   # gather only the s columns each lane reads
+                selected = np.array([supports[t][r] for t, r in lanes], dtype=np.intp)
+                trials, grew = np.array(lanes).T
+                held[trials[:, None], grew[:, None], selected] = True
+                columns = columns_by_row[trials[:, None, None], grew[:, None, None],
+                                         np.arange(per_row)[:, None], selected[:, None, :]]
+                residuals.reshape(by_row)[trials, grew] = ls_residual(
+                    ys.reshape(by_row)[trials, grew], columns.swapaxes(-1, -2), range(size),
+                    check=size == k)
+        active = [t for t in active if any(len(s) < k for s in supports[t])]
+    return supports, iterations
+
+
+def pooled_argmax(scores: np.ndarray, *_) -> list:
+    """S-OMP's rule, for a one-row loop: each trial's node scores summed,
+    every node adopts the argmax. OMP is S-OMP on one lane."""
+    return [[[i]] for i in scores.sum(axis=1).argmax(axis=1).tolist()]
 
 
 def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
@@ -129,13 +171,14 @@ def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
 
     Ties in the correlation argmax go to the smallest column index.
     """
-    y = np.asarray(y, dtype=float)
-    dictionary = np.asarray(dictionary, dtype=float)
-    return _lockstep_select(y[None, :], dictionary[None, :, :], k, pooled=True)[0].tolist()
+    supports, _ = greedy_rounds(np.asarray(y, dtype=float)[None, None],
+                                np.asarray(dictionary, dtype=float)[None, None], k, pooled_argmax)
+    return supports[0][0]
 
 
 def somp(obs, meas, k: int) -> list:
     """Simultaneous OMP: per-iteration score is the sum over nodes of each
     node's absolute residual correlation against its own dictionary."""
-    return _lockstep_select(np.asarray(obs.per_node, dtype=float),
-                            np.asarray(meas.matrices, dtype=float), k, pooled=True)[0].tolist()
+    supports, _ = greedy_rounds(np.asarray(obs.per_node, dtype=float)[None],
+                                np.asarray(meas.matrices, dtype=float)[None], k, pooled_argmax)
+    return supports[0][0]

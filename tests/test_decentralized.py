@@ -289,11 +289,11 @@ class TestDcomp2:
 
 
 class TestChunkLanes:
-    """A chunk's trials run as lanes of one fusion-round loop; each trial's
-    RecoveryResult (supports, iterations, ledger and every FusionRound) is
-    the one it gets as a chunk of one."""
+    """A chunk's trials run as lanes of the one round loop; under every tag,
+    each trial's RecoveryResult (supports, iterations, ledger and every
+    FusionRound) is the one it gets as a chunk of one."""
 
-    @pytest.mark.parametrize("tag", ["dc-omp1", "dc-omp1-nbr", "dc-omp2"])
+    @pytest.mark.parametrize("tag", sorted(ALGORITHMS))
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), t_count=st.integers(1, 6),
            l_count=st.integers(1, 7), k=st.integers(1, 4), extra_m=st.integers(0, 8),

@@ -1,26 +1,35 @@
 """Golden outputs: the CLI's bytes for small pinned configurations.
 
 Each case runs one CLI command on a pinned config, seed and trial count
-and compares the sha256 of the output file with the digest recorded when
-the case was added. Together the cases run every algorithm tag: the five
-network solvers on a ring through sweep-m, sweep-l and sweep-neighborhood
-(the last as JSON), on a random topology through sweep-l with trials sent
-to a two-worker pool, and mac-omp with s-omp through mac-compare. They
-also pin the bound report, on a small and on a larger support space, and
-the oracle check. A change that is meant to alter what the
-solvers compute must re-record these digests and say why; any other change
-must leave them as they are.
+and compares the output, byte for byte, with the file stored for it under
+`tests/golden/<case>.out`; each stored file must hash to the sha256 digest
+recorded for it in DIGESTS, so the two change together. Together the
+cases run every algorithm tag: the five network solvers on a ring through
+sweep-m, sweep-l and sweep-neighborhood (the last as JSON), on a random
+topology through sweep-l with trials sent to a two-worker pool, and
+mac-omp with s-omp through mac-compare. They also pin the bound report,
+on a small and on a larger support space, and the oracle check. A change
+that is meant to alter what the solvers compute must re-record the files
+and digests and say why; any other change must leave them as they are.
+On a mismatch the failure shows the first differing lines, each with its
+row's sweep_var and algorithm, and the numpy and BLAS versions.
 
-To print the current digests: `PYTHONPATH=src python tests/test_golden.py`.
+To rewrite the stored files and print their digests:
+`PYTHONPATH=src python tests/test_golden.py`.
 """
 
 import hashlib
+import itertools
 import pathlib
 import tempfile
 
+import numpy as np
 import pytest
 
 from jspr.cli import main
+
+GOLDEN = pathlib.Path(__file__).parent / "golden"
+SHOWN_LINES = 4           # differing lines a mismatch report shows
 
 NETWORK_ALGORITHMS = "d-omp, dc-omp1, dc-omp1-nbr, dc-omp2, s-omp"
 
@@ -123,21 +132,83 @@ DIGESTS = {
 }
 
 
-def output_digest(name: str, tmp_dir) -> str:
+def case_output(name: str, tmp_dir) -> bytes:
     command, text = CASES[name]
     cfg = tmp_dir / f"{name}.cfg"
     cfg.write_text(text)
     out = tmp_dir / f"{name}.out"
     assert main([command, "--config", str(cfg), "--out", str(out)]) == 0
-    return hashlib.sha256(out.read_bytes()).hexdigest()
+    return out.read_bytes()
+
+
+def output_digest(name: str, tmp_dir) -> str:
+    return hashlib.sha256(case_output(name, tmp_dir)).hexdigest()
+
+
+def row_of(lines, i: int) -> str:
+    """The sweep_var and algorithm of the row holding line i of a sweep's CSV
+    or JSON output (rows_to_json lists those two keys first); '-' for a line
+    of a document without rows."""
+    if not lines[0].startswith(("[", "{")):
+        var, alg = (lines[i].split(",") + ["", ""])[:2]
+    else:
+        opening = max((j for j in range(i + 1) if lines[j].strip() == "{"), default=-1)
+        if opening < 0 or not lines[opening + 1].strip().startswith('"sweep_var":'):
+            return "-"
+        var, alg = (lines[j].split(":", 1)[1].strip(' ,"') for j in (opening + 1, opening + 2))
+    return f"sweep_var={var} algorithm={alg}"
+
+
+def mismatch_report(name: str, got: bytes, want: bytes) -> str:
+    """The first differing lines of a case's output against its stored file,
+    each with its row, and the numpy and BLAS versions."""
+    got_lines, want_lines = got.decode().splitlines(), want.decode().splitlines()
+    differing = [i for i, (g, w) in enumerate(itertools.zip_longest(got_lines, want_lines))
+                 if g != w]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    report = [f"{name}: {len(differing)} of {len(want_lines)} lines differ from "
+              f"tests/golden/{name}.out (numpy {np.__version__}, "
+              f"BLAS {blas.get('name')} {blas.get('version')})"]
+    for i in differing[:SHOWN_LINES]:
+        lines = want_lines if i < len(want_lines) else got_lines
+        report += [f"  line {i + 1} ({row_of(lines, i)}):",
+                   f"    want {want_lines[i] if i < len(want_lines) else '(none)'}",
+                   f"    got  {got_lines[i] if i < len(got_lines) else '(none)'}"]
+    return "\n".join(report)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_digest_unchanged(name, tmp_path):
-    assert output_digest(name, tmp_path) == DIGESTS[name]
+    stored = (GOLDEN / f"{name}.out").read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == DIGESTS[name], \
+        f"tests/golden/{name}.out does not hash to its digest"
+    got = case_output(name, tmp_path)
+    assert got == stored, mismatch_report(name, got, stored)
+
+
+def test_mismatch_report_names_the_rows_that_moved():
+    csv = (GOLDEN / "sweep-m-ring.out").read_text().splitlines()
+    moved = csv[:2] + [csv[2].replace(",", ",x", 2)] + csv[3:]
+    report = mismatch_report("sweep-m-ring", "\n".join(moved).encode(),
+                             "\n".join(csv).encode())
+    var, alg = csv[2].split(",")[:2]
+    assert f"1 of {len(csv)} lines differ" in report
+    assert f"line 3 (sweep_var={var} algorithm={alg})" in report
+    assert f"numpy {np.__version__}" in report
+    rows = (GOLDEN / "sweep-n0-ring-json.out").read_text().splitlines()
+    p_d = next(i for i, line in enumerate(rows) if '"p_d":' in line)
+    moved = rows[:p_d] + ['    "p_d": -1.0,'] + rows[p_d + 1:]
+    report = mismatch_report("sweep-n0-ring-json", "\n".join(moved).encode(),
+                             "\n".join(rows).encode())
+    var = rows[p_d - 2].split(":", 1)[1].strip(" ,")
+    alg = rows[p_d - 1].split(":", 1)[1].strip(' ,"')
+    assert f"line {p_d + 1} (sweep_var={var} algorithm={alg})" in report
 
 
 if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
     with tempfile.TemporaryDirectory() as tmp:
         for case in sorted(CASES):
-            print(f'    "{case}": "{output_digest(case, pathlib.Path(tmp))}",')
+            output = case_output(case, pathlib.Path(tmp))
+            (GOLDEN / f"{case}.out").write_bytes(output)
+            print(f'    "{case}": "{hashlib.sha256(output).hexdigest()}",')

@@ -723,6 +723,14 @@ class TestOracleCheck:
         for (ys, costs), (_, svd) in zip(tables[:half], tables[half:]):
             assert np.all(np.abs(costs - svd) <= 1e-12 * (np.sum(ys ** 2, axis=1) + 1.0))
 
+    def test_k_equal_m_counts_tied_candidates(self):
+        # at k = M every k columns span R^M, so every candidate costs rounding
+        # noise: the greedy supports tie the least cost and agree
+        cfg = tiny_config(n=8, k=3, l_values=[2], m_values=[3], sigma2=0.0, trials=3,
+                          master_seed=0)
+        doc = oracle_check(cfg)
+        assert doc["omp_oracle_agreement"] == doc["somp_oracle_agreement"] == 3
+
     def test_singular_trial_fails_the_cli_with_its_name(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(harness, "draw_trial", collinear_trial(4))
         cfg = tmp_path / "oracle.cfg"

@@ -1,8 +1,9 @@
 """Properties of the batched least-squares kernel and the solvers built on it.
 
 The batched `ls_residual` is checked lane by lane against its single-vector
-form and against `np.linalg.lstsq`; the lockstep per-node OMP of
-`domp_majority` against `omp` on each node; `dc-omp1`, `dc-omp1-nbr` and
+form and against `np.linalg.lstsq`; the round loop under D-OMP's per-node
+rule against `omp` on each node, and on a chunk of trials against one call
+per trial; `dc-omp1`, `dc-omp1-nbr` and
 `dc-omp2` against a per-node reference that updates one node's residual at a
 time; and every solver, which checks the Gram conditioning only on the
 support it returns, against the same solver checking it on every round.
@@ -16,12 +17,12 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from jspr import decentralized, greedy
+from jspr import greedy
 from jspr.algorithms import ALGORITHMS
-from jspr.decentralized import _admit, dcomp1, dcomp2, domp_majority, majority_vote
+from jspr.decentralized import _admit, _own_argmax, dcomp1, dcomp2, domp_majority, majority_vote
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
-from jspr.greedy import _lockstep_select, ls_residual, omp, somp
+from jspr.greedy import greedy_rounds, ls_residual, omp, pooled_argmax, somp
 from jspr.network import MessageLedger, complete_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -129,7 +130,18 @@ def instance(seed, n, k, l_count, m, sigma2=0.01, shared=False):
     return meas, measure(ensemble, meas, rng)
 
 
+def lockstep_picks(ys, dictionaries, k, pooled):
+    """The round loop on `ys (T, L, M)`: S-OMP's pooled rule (one row per
+    trial) or D-OMP's per-node rule (one row per node); per trial and row the
+    picks in order, then the rounds of each row's last pick."""
+    rule, rows = (pooled_argmax, 1) if pooled else (_own_argmax, ys.shape[1])
+    return greedy_rounds(ys, dictionaries, k, rule, rows=rows)
+
+
 class TestLockstepOmp:
+    """The fixed-round rules of the one round loop: every lane of every trial
+    picks once a round, in lockstep, for k rounds."""
+
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, l_count=st.integers(1, 6), m=st.integers(2, 12),
            extra=st.integers(1, 12), k_frac=st.floats(0.0, 1.0))
@@ -138,8 +150,10 @@ class TestLockstepOmp:
         k = 1 + int(k_frac * (min(m, n - 1) - 1))
         meas, obs = instance(seed, n, k, l_count, m)
         expected = [omp(obs.per_node[l], meas.matrices[l], k) for l in range(l_count)]
-        picks = _lockstep_select(obs.per_node, meas.matrices, k, pooled=False)
-        assert picks.tolist() == expected
+        picks, iterations = lockstep_picks(obs.per_node[None], meas.matrices[None], k,
+                                           pooled=False)
+        assert picks == [expected]
+        assert iterations == [[k] * l_count]
         result = domp_majority(obs, meas, complete_topology(l_count), k)
         assert result.per_node_support == [majority_vote(expected, k)] * l_count
 
@@ -158,14 +172,16 @@ class TestLockstepOmp:
         dictionaries = np.stack([meas.matrices[:1] if shared else meas.matrices
                                  for meas, _ in trials])
         try:
-            expected = [_lockstep_select(obs.per_node, np.ascontiguousarray(meas.matrices),
-                                         k, pooled=pooled) for meas, obs in trials]
+            expected = [lockstep_picks(obs.per_node[None],
+                                       np.ascontiguousarray(meas.matrices)[None], k, pooled)
+                        for meas, obs in trials]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                _lockstep_select(ys, dictionaries, k, pooled=pooled)
+                lockstep_picks(ys, dictionaries, k, pooled)
             return
-        assert np.array_equal(_lockstep_select(ys, dictionaries, k, pooled=pooled),
-                              np.stack(expected))
+        picks, iterations = lockstep_picks(ys, dictionaries, k, pooled)
+        assert picks == [trial_picks[0] for trial_picks, _ in expected]
+        assert iterations == [trial_iterations[0] for _, trial_iterations in expected]
 
     def test_ties_go_to_smallest_unpicked_index(self):
         # the last node's residual vanishes after one pick: every score ties at 0
@@ -173,7 +189,8 @@ class TestLockstepOmp:
         dictionaries = np.repeat(np.eye(4)[None, :, :], 3, axis=0)
         expected = [omp(ys[l], dictionaries[l], 2) for l in range(3)]
         assert expected == [[1, 2], [0, 3], [0, 1]]
-        assert _lockstep_select(ys, dictionaries, 2, pooled=False).tolist() == expected
+        picks, _ = lockstep_picks(ys[None], dictionaries[None], 2, pooled=False)
+        assert picks == [expected]
 
 
 # each collaborative rule and the topology its reference is checked on
@@ -302,7 +319,6 @@ def every_round_checked(path, meas, obs, k, node):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(greedy, "ls_residual", checked)
-        mp.setattr(decentralized, "ls_residual", checked)
         return solver_outcome(path, meas, obs, k, node)
 
 
