@@ -164,20 +164,22 @@ def _check_nodes(ys: np.ndarray, topology: Topology) -> None:
         raise ValueError("topology size does not match observation count")
 
 
-def _network_wide(proposals: np.ndarray, sent: tuple, supports, active, results, k: int,
-                  n: int) -> list:
-    """The one-row rule of network-wide fusion: every node of each running
-    trial sends `sent`, (one-hop, network-wide) scalars, the trials' `(T, L)`
-    proposals are fused (`_fuse_network_wide`), and each trial records its
-    round and adopts the fused indices."""
-    out = []
-    for t, (proposed, fused) in zip(active, _fuse_network_wide(
-            proposals, active, [k - len(supports[t][0]) for t in active], n)):
-        results[t].ledger.send_all(*sent)
-        rounds = results[t].rounds
-        rounds.append(FusionRound(len(rounds) + 1, proposed, fused))
-        out.append(fused[:1])
-    return out
+def _network_wide(propose, sent: tuple, k: int, n: int):
+    """The one-row rule of a network-wide fusion tag: every node of each
+    running trial sends `sent`, its (one-hop, network-wide) scalar counts,
+    the `(T, L)` proposals `propose(scores)` are fused
+    (`_fuse_network_wide`), and each trial records its round and adopts the
+    fused indices."""
+    def rule(scores, supports, active, results):
+        out = []
+        for t, (proposed, fused) in zip(active, _fuse_network_wide(
+                propose(scores), active, [k - len(supports[t][0]) for t in active], n)):
+            results[t].ledger.send_all(*sent)
+            rounds = results[t].rounds
+            rounds.append(FusionRound(len(rounds) + 1, proposed, fused))
+            out.append(fused[:1])
+        return out
+    return rule
 
 
 def _chunk_of_one(obs, meas) -> tuple:
@@ -209,9 +211,8 @@ def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k
     _check_nodes(ys, topology)
     l_count, n = topology.node_count, dictionaries.shape[-1]
 
-    def fuse_full(scores, supports, active, results):
-        # every node of a running trial proposes one index to every other
-        return _network_wide(scores.argmax(axis=2), (1, 0), supports, active, results, k, n)
+    # every node of a running trial proposes one index to every other
+    fuse_full = _network_wide(lambda scores: scores.argmax(axis=2), (1, 0), k, n)
 
     def fuse_neighborhood(scores, supports, active, results):
         picks = scores.argmax(axis=2).tolist()
@@ -257,13 +258,8 @@ def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
     """`dcomp2` on T trials at once, as lanes of the round loop (see
     `solve_chunk`); returns T RecoveryResults."""
     _check_nodes(ys, topology)
-    n = dictionaries.shape[-1]
-    table = _neighbor_table(topology)
-
-    def fuse(f, supports, active, results):
-        return _network_wide(_neighborhood_sum(f, table).argmax(axis=2), (n, 1), supports,
-                             active, results, k, n)
-
+    n, table = dictionaries.shape[-1], _neighbor_table(topology)
+    fuse = _network_wide(lambda f: _neighborhood_sum(f, table).argmax(axis=2), (n, 1), k, n)
     return solve_chunk(ys, dictionaries, topology, k, fuse)
 
 

@@ -398,9 +398,9 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     [A | y] where a screen proves κ₂(A) ≤ 1e4, lstsq's SVD rule elsewhere)
     serves both oracles: node 0's costs are column 0, the MMV oracle's the
     row sums, and a greedy support agrees when its cost ties the least
-    (`_least_cost`). The tables of a group of
-    trials come from one `_candidate_costs` call on their nodes stacked as
-    rows, the group's stacked [A | y] blocks capped at _TABLE_BYTES. Every
+    (`_least_cost`). The tables of a group of trials come from one
+    `_candidate_costs` call on their nodes stacked as rows, the group's
+    stacked [A | y] blocks capped at _TABLE_BYTES. Every
     entry is factored on its own, so each trial's table, and its column 0,
     equal the trial's or node 0's search alone bit for bit. A chunk that
     raises is run again trial by trial (`_per_trial`, tolerating nothing),

@@ -3,10 +3,10 @@
 The batched `ls_residual` is checked lane by lane against its single-vector
 form and against `np.linalg.lstsq`; the round loop under D-OMP's per-node
 rule against `omp` on each node, and on a chunk of trials against one call
-per trial; `dc-omp1`, `dc-omp1-nbr` and
-`dc-omp2` against a per-node reference that updates one node's residual at a
-time; and every solver, which checks the Gram conditioning only on the
-support it returns, against the same solver checking it on every round.
+per trial; `dc-omp1`, `dc-omp1-nbr` and `dc-omp2` against a per-node
+reference that updates one node's residual at a time; and every solver,
+which checks the Gram conditioning only on the support it returns, against
+the same solver checking it on every round.
 """
 
 import warnings
@@ -259,6 +259,7 @@ class TestDcomp1Neighborhood:
             rule, obs, meas, topology, k)
         assert result.per_node_support == supports
         assert result.iterations == iterations
+        assert [r.iteration for r in result.rounds] == list(range(1, max(iterations) + 1))
         assert result.ledger.local_scalar_count == local
         assert result.ledger.global_scalar_count == global_
 
