@@ -156,7 +156,8 @@ def greedy_rounds(ys: np.ndarray, dictionaries: np.ndarray, k: int, rule, *,
                 residuals.reshape(by_row)[trials, grew] = ls_residual(
                     ys.reshape(by_row)[trials, grew], columns.swapaxes(-1, -2), range(size),
                     check=size == k)
-        active = [t for t in active if any(len(s) < k for s in supports[t])]
+        done = {t for t, _ in grown.get(k, ())}      # trials with a row just completed
+        active = [t for t in active if t not in done or any(len(s) < k for s in supports[t])]
     return supports, iterations
 
 
