@@ -375,15 +375,13 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _least_cost(costs: np.ndarray, energy: float, candidates: np.ndarray, support) -> bool:
-    """Whether the sorted `support`, a row of `candidates`, is an oracle
-    support: its entry of `costs (C,)` within _TIE_TOLERANCE·(energy + 1) of
-    the least, `energy` being ‖y‖² summed over the nodes the costs cover.
-    Costs that close are ties: at k = M every k columns span R^M, every
-    candidate costs rounding noise, and the first minimum alone would be
-    decided by rounding."""
-    own = costs[(candidates == support).all(axis=1)]
-    return bool(own[0] <= costs.min() + _TIE_TOLERANCE * (energy + 1.0))
+def _least_cost(costs: np.ndarray, own: int, energy: float) -> bool:
+    """Whether candidate `own` is an oracle support: its entry of `costs
+    (C,)` within _TIE_TOLERANCE·(energy + 1) of the least, `energy` being
+    ‖y‖² summed over the nodes the costs cover. Costs that close are ties:
+    at k = M every k columns span R^M, every candidate costs rounding noise,
+    and the first minimum alone would be decided by rounding."""
+    return bool(costs[own] <= costs.min() + _TIE_TOLERANCE * (energy + 1.0))
 
 
 def oracle_check(cfg: ExperimentConfig) -> dict:
@@ -413,6 +411,7 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         candidates = _candidates(cfg.n, cfg.k)
     except EnumerationTooLargeError as exc:
         raise ConfigError(f"keys 'n', 'k': {exc}") from None
+    rank = {support: c for c, support in enumerate(map(tuple, candidates.tolist()))}
     network, node0 = complete_topology(l_count), complete_topology(1)
     noiseless = dataclasses.replace(cfg, sigma2=0.0)
     size = max(1, _CHUNK_BYTES // (l_count * m * cfg.n * 8))
@@ -447,8 +446,8 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
             for costs, (obs, _), omp_sel, somp_sel, fused_sel in zip(
                     tables, pairs[part], omp_picks[part], somp_picks[part], fused[part]):
                 energy = np.square(obs.per_node).sum(axis=1)                # ‖y_l‖² per node
-                omp_agree += _least_cost(costs[:, 0], energy[0], candidates, omp_sel)
-                somp_agree += _least_cost(costs.sum(axis=1), energy.sum(), candidates, somp_sel)
+                omp_agree += _least_cost(costs[:, 0], rank[omp_sel], energy[0])
+                somp_agree += _least_cost(costs.sum(axis=1), rank[somp_sel], energy.sum())
                 dcomp2_match += fused_sel == somp_sel
     return {
         "trials": cfg.trials,
