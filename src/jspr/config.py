@@ -1,9 +1,9 @@
 """Flat key=value experiment configuration.
 
 One `key = value` pair per line, `#` starts a comment, list values are
-comma-separated. Unknown keys are rejected. Defaults reproduce the standard
-setup: sigma2 = 0.01, amplitudes uniform on [10, 15], 500 trials, complete
-topology.
+comma-separated and distinct. Unknown keys are rejected. Defaults
+reproduce the standard setup: sigma2 = 0.01, amplitudes uniform on
+[10, 15], 500 trials, complete topology.
 """
 
 from dataclasses import dataclass, field
@@ -161,6 +161,13 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(
                 f"key 'algorithms': unknown tag '{alg}' "
                 f"(valid: {', '.join(ALGORITHMS)})")
+    # a repeated value would run its sweep point or algorithm twice and
+    # print its rows twice
+    for key, values in (("l", cfg.l_values), ("m", cfg.m_values), ("n0", cfg.n0_values),
+                        ("algorithms", cfg.algorithms)):
+        repeated = [value for i, value in enumerate(values) if value in values[:i]]
+        if repeated:
+            raise ConfigError(f"key '{key}': {repeated[0]!r} is listed twice")
     if cfg.trials < 1:
         raise ConfigError("key 'trials': must be positive")
     if cfg.master_seed < 0:

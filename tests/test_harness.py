@@ -133,6 +133,16 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="amp_low"):
             parse_config("amp_low=0\namp_high=0\n")
 
+    @pytest.mark.parametrize("text, key, value", [
+        ("algorithms = s-omp, d-omp, s-omp\n", "algorithms", "'s-omp'"),
+        ("m = 8, 8\n", "m", "8"),
+        ("l = 4, 6, 4\n", "l", "4"),
+        ("topology = ring\nl = 8\nn0 = 2, 4, 2\n", "n0", "2"),
+    ])
+    def test_repeated_list_value_rejected(self, text, key, value):
+        with pytest.raises(ConfigError, match=re.escape(f"key '{key}': {value} is listed twice")):
+            parse_config(text)
+
 
 class TestRunSweep:
     def test_rows_and_schema(self):
@@ -847,6 +857,8 @@ class TestCli:
         "amp_low=0\namp_high=0\nl=3\nm=8\n",
         "topology=random\np=0.5\nl=1\nm=8\n",
         "topology=random\np=0.05\nl=12\nm=8\n",
+        "algorithms=s-omp,d-omp,s-omp\nl=3\nm=8\n",
+        "l=3\nm=8,8\n",
     ])
     def test_bad_config_exits_before_any_trial(self, tmp_path, monkeypatch, text):
         import jspr.harness as harness
