@@ -710,28 +710,93 @@ class TestOracleCheck:
             oracle_check(cfg)
 
     def test_svd_rule_everywhere_gives_the_same_documents(self, monkeypatch):
-        # the QR screen flagging every entry sends the whole table through
-        # the SVD rule: same documents, costs within 1e-12·(‖y‖² + 1) at
-        # every node of every trial
-        real = harness._candidate_costs
-        tables = []
+        # per trial one witness table of its greedy supports, then full
+        # tables, 3 trials per call, for the trials the witnesses leave
+        # undecided. The QR screen flagging every entry sends every table
+        # through the SVD rule: same documents, and each recorded table
+        # within 1e-12·(‖y‖² + 1) of its SVD costs at every node
+        real_costs, real_rule = harness._candidate_costs, harness._least_cost
+        calls, partial, recorded = [], [], []
 
         def recording(ys, dictionaries, candidates):
-            tables.append((ys, real(ys, dictionaries, candidates)))
-            return tables[-1][1]
+            calls.append((ys, dictionaries, candidates,
+                          real_costs(ys, dictionaries, candidates)))
+            return calls[-1][-1]
+
+        def rule(costs, own, energy, *, complete):
+            verdict = real_rule(costs, own, energy, complete=complete)
+            if not complete:
+                partial.append(verdict)
+            return verdict
 
         monkeypatch.setattr(harness, "_candidate_costs", recording)
+        monkeypatch.setattr(harness, "_least_cost", rule)
+        every = harness._candidates(10, 3)
         configs = [tiny_config(**dict(self.CFG, trials=40, master_seed=seed))
                    for seed in range(10)]
-        default = [oracle_check(cfg) for cfg in configs]
+        default, undecided_count = [], 0
+        for cfg in configs:
+            calls.clear()
+            partial.clear()
+            default.append(oracle_check(cfg))
+            witnesses, full = calls[:40], calls[40:]
+            assert all(len(ys) == 3 and 1 <= len(candidates) <= 3
+                       for ys, _, candidates, _ in witnesses)
+            # the partial verdicts come as (node-0 OMP, S-OMP), trial by trial
+            undecided = [t for t in range(40) if None in partial[2 * t:2 * t + 2]]
+            undecided_count += len(undecided)
+            groups = [undecided[i:i + 3] for i in range(0, len(undecided), 3)]
+            assert len(full) == len(groups)
+            for (ys, dictionaries, candidates, _), part in zip(full, groups):
+                assert np.array_equal(candidates, every)
+                assert np.array_equal(ys, np.concatenate([witnesses[t][0] for t in part]))
+                assert np.array_equal(dictionaries,
+                                      np.concatenate([witnesses[t][1] for t in part]))
+            recorded.extend(calls)
+        assert 0 < undecided_count < 400
         monkeypatch.setattr(harness, "_well_conditioned",
                             lambda r, tau: np.zeros(r.shape[:-2], dtype=bool))
-        assert [oracle_check(cfg) for cfg in configs] == default
-        # 40 trials in 13 groups of 3 and one of 1, their 3 nodes stacked as rows
-        assert [len(ys) for ys, _ in tables] == 2 * 10 * ([9] * 13 + [3])
-        half = len(tables) // 2
-        for (ys, costs), (_, svd) in zip(tables[:half], tables[half:]):
+        for ys, dictionaries, candidates, costs in recorded:
+            svd = real_costs(ys, dictionaries, candidates)
             assert np.all(np.abs(costs - svd) <= 1e-12 * (np.sum(ys ** 2, axis=1) + 1.0))
+        assert [oracle_check(cfg) for cfg in configs] == default
+
+    @settings(max_examples=12, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 10), l_count=st.integers(1, 3),
+           trials=st.integers(1, 12), data=st.data())
+    def test_documents_equal_full_tables_everywhere(self, seed, n, l_count, trials, data):
+        # forcing every partial verdict to undecided gives every trial its
+        # full table, as before the witness tables
+        k = data.draw(st.integers(1, min(4, n - 1)), label="k")
+        m = data.draw(st.integers(k, n - 1), label="m")
+        cfg = tiny_config(n=n, k=k, l_values=[l_count], m_values=[m], trials=trials,
+                          master_seed=seed)
+        real = harness._least_cost
+
+        def undecided(costs, own, energy, *, complete):
+            return real(costs, own, energy, complete=True) if complete else None
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(harness, "_least_cost", undecided)
+            full = oracle_check(cfg)
+        assert oracle_check(cfg) == full
+
+    def test_least_cost_edges(self):
+        rule, energy = harness._least_cost, 2.0
+        slack = harness._TIE_TOLERANCE * (energy + 1.0)
+        # at most slack agrees whatever the unscored candidates cost
+        assert rule(np.array([0.5, slack]), 1, energy, complete=False) is True
+        # exactly another scored cost plus slack: an unscored candidate may
+        # cost less, so only a complete table decides, and there it ties
+        tie = np.array([0.5, 0.5 + slack])
+        assert rule(tie, 1, energy, complete=False) is None
+        assert rule(tie, 1, energy, complete=True) is True
+        above = np.array([0.5, np.nextafter(0.5 + slack, np.inf)])
+        assert rule(above, 1, energy, complete=False) is False
+        assert rule(above, 1, energy, complete=True) is False
+        alone = np.array([np.nextafter(slack, np.inf)])
+        assert rule(alone, 0, energy, complete=False) is None
+        assert rule(alone, 0, energy, complete=True) is True
 
     def test_k_equal_m_counts_tied_candidates(self):
         # at k = M every k columns span R^M, so every candidate costs rounding
