@@ -433,7 +433,7 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         return lambda chunk: [result.common_support
                               for result in _run_algorithm(alg, chunk, topology, cfg.k)]
 
-    def verdicts(costs, omp_row, somp_row, energy, complete):
+    def verdicts(costs, omp_row, somp_row, energy, *, complete):
         """(node-0 OMP, S-OMP) agreement on a table whose rows hold their supports."""
         return (_least_cost(costs[:, 0], omp_row, energy[0], complete=complete),
                 _least_cost(costs.sum(axis=1), somp_row, energy.sum(), complete=complete))
@@ -456,7 +456,8 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
             scored = sorted({rank[omp_sel], rank[somp_sel], rank[fused_sel]})
             witness = _candidate_costs(obs.per_node, meas.matrices, candidates[scored])
             settled.append(verdicts(witness, scored.index(rank[omp_sel]),
-                                    scored.index(rank[somp_sel]), energy, False))
+                                    scored.index(rank[somp_sel]), energy,
+                                    complete=False))
             dcomp2_match += fused_sel == somp_sel
         undecided = [i for i, verdict in enumerate(settled) if None in verdict]
         for first in range(0, len(undecided), group):
@@ -467,7 +468,7 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
             tables = stacked.reshape(len(candidates), -1, l_count).swapaxes(0, 1)  # (G, C, L)
             for i, costs in zip(part, tables):
                 settled[i] = verdicts(costs, rank[omp_picks[i]], rank[somp_picks[i]],
-                                      energies[i], True)
+                                      energies[i], complete=True)
         omp_agree += sum(omp for omp, _ in settled)
         somp_agree += sum(somp for _, somp in settled)
     return {
