@@ -2,20 +2,22 @@
 and needs, read by the config check, the trial harness and
 `table1_expected`.
 
-A runner solves a chunk of trials, a list of per-trial `(obs, meas)`
-pairs, and returns one RecoveryResult per trial; a single trial is a chunk
-of one. Every runner takes the whole chunk at once, its trials as extra
-lanes of the one round loop (`decentralized.solve_chunk`), and states only
-its tag's rule.
+A runner solves a chunk of T trials stacked once as lanes
+(`greedy._lanes`): observations `ys (T, L, M)` and dictionaries
+`(T, L, M, N)`, or `(T, 1, M, N)` for one shared matrix per trial. It
+returns one RecoveryResult per trial; a single trial is a chunk of one.
+Every runner takes the whole chunk at once, its trials as extra lanes of
+the one round loop (`decentralized.solve_chunk`), and states only its
+tag's rule.
 """
 
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
 from .decentralized import dcomp1_chunk, dcomp2_chunk, domp_chunk, solve_chunk
-from .ensembles import mac_aggregate
 from .greedy import pooled_argmax
 from .network import Topology, complete_topology
 
@@ -25,63 +27,45 @@ class Algorithm:
     """One tag's entry; table1 gives the expected ledger totals of one run
     from the per-node degrees and round counts."""
 
-    run: Callable           # (draws, topology, k) -> one RecoveryResult per trial
+    run: Callable           # (ys, dictionaries, topology, k) -> one RecoveryResult per trial
     table1: Callable        # (l_count, k, n, degrees, t_nodes) -> (local, global)
     shared_matrix: bool = False   # needs one measurement matrix shared by all nodes
 
 
-def _stack(arrays) -> np.ndarray:
-    """The arrays along a new leading trial axis; a chunk of one is a view."""
-    return arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-
-
-def _lanes(draws) -> tuple:
-    """A chunk's observations `(T, L, M)` and its distinct dictionaries:
-    `(T, 1, M, N)` when each trial's matrix is shared (a stride-0 view over
-    the nodes), which the kernels broadcast over the L nodes, else
-    `(T, L, M, N)`."""
-    ys = _stack([obs.per_node for obs, _ in draws])
-    dictionaries = _stack([meas.matrices[:1] if meas.matrices.strides[0] == 0
-                           else meas.matrices for _, meas in draws])
-    return ys, dictionaries
-
-
-def _run_somp(draws, topology: Topology, k: int) -> list:
+def _run_somp(ys, dictionaries, topology: Topology, k: int) -> list:
     """Centralized simultaneous OMP (`pooled_argmax`), charged as each node
     shipping its k*N correlation summaries network-wide."""
-    ys, dictionaries = _lanes(draws)
     results = solve_chunk(ys, dictionaries, topology, k, pooled_argmax)
     for result in results:
         result.ledger.send_all(0, k * dictionaries.shape[-1])
     return results
 
 
-def _run_mac(draws, topology: Topology, k: int) -> list:
-    """OMP on the sum-channel output, one lane per trial whose support every
-    node adopts; no node-to-node messages to charge."""
-    zs = _stack([mac_aggregate(obs)[None] for obs, _ in draws])          # (T, 1, M)
-    dictionaries = _stack([meas.matrices[:1] for _, meas in draws])     # (T, 1, M, N)
-    return solve_chunk(zs, dictionaries, topology, k, pooled_argmax)
+def _run_mac(ys, dictionaries, topology: Topology, k: int) -> list:
+    """OMP on the sum-channel output z = sum_l y_l, one lane per trial whose
+    support every node adopts; no node-to-node messages to charge."""
+    return solve_chunk(ys.sum(axis=1, keepdims=True), dictionaries[:, :1], topology, k,
+                       pooled_argmax)
 
 
 ALGORITHMS = {
     # each node ships its k final indices network-wide
     "d-omp": Algorithm(
-        run=lambda draws, topo, k: domp_chunk(*_lanes(draws), topo, k),
+        run=domp_chunk,
         table1=lambda l_count, k, n, degrees, t_nodes: (0, k * (l_count - 1) * l_count)),
     # runs on the complete graph whatever the topology: one index to each of
     # the L-1 other nodes per round
     "dc-omp1": Algorithm(
-        run=lambda draws, topo, k: dcomp1_chunk(
-            *_lanes(draws), complete_topology(topo.node_count), k, mode="full"),
+        run=lambda ys, dictionaries, topo, k: dcomp1_chunk(
+            ys, dictionaries, complete_topology(topo.node_count), k, mode="full"),
         table1=lambda l_count, k, n, degrees, t_nodes: ((l_count - 1) * int(np.sum(t_nodes)), 0)),
     # one index to each neighbour per round: sum_l |G_l| T_l local
     "dc-omp1-nbr": Algorithm(
-        run=lambda draws, topo, k: dcomp1_chunk(*_lanes(draws), topo, k, mode="neighborhood"),
+        run=functools.partial(dcomp1_chunk, mode="neighborhood"),
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)), 0)),
     # N values to each neighbour plus one global index per round
     "dc-omp2": Algorithm(
-        run=lambda draws, topo, k: dcomp2_chunk(*_lanes(draws), topo, k),
+        run=dcomp2_chunk,
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)) * n,
                                                         int((l_count - 1) * np.sum(t_nodes)))),
     # each node ships k*N correlation summaries network-wide

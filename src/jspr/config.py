@@ -6,6 +6,7 @@ reproduce the standard setup: sigma2 = 0.01, amplitudes uniform on
 [10, 15], 500 trials, complete topology.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from .algorithms import ALGORITHMS
@@ -127,6 +128,10 @@ def validate(cfg: ExperimentConfig) -> None:
         raise ConfigError("key 'm': measurement counts must be positive")
     if any(m >= cfg.n for m in cfg.m_values):
         raise ConfigError("key 'm': measurements per node must be below n")
+    for key, (attr, parse) in _KEYS.items():
+        value = getattr(cfg, attr)
+        if parse is _parse_float and value is not None and not math.isfinite(value):
+            raise ConfigError(f"key '{key}': must be a finite number, got {value!r}")
     if cfg.sigma2 < 0:
         raise ConfigError("key 'sigma2': noise variance must be nonnegative")
     if cfg.amp_low > cfg.amp_high:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import greedy_rounds
+from .greedy import _lanes, greedy_rounds
 from .network import MessageLedger, Topology
 
 
@@ -182,12 +182,6 @@ def _network_wide(propose, sent: tuple, k: int, n: int):
     return rule
 
 
-def _chunk_of_one(obs, meas) -> tuple:
-    """One trial's observations and matrices as a chunk of one."""
-    return (np.asarray(obs.per_node, dtype=float)[None],
-            np.asarray(meas.matrices, dtype=float)[None])
-
-
 def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
     """Collaborative OMP with per-iteration one-hop index fusion.
 
@@ -197,7 +191,7 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
     mode="neighborhood" fuses within each node's one-hop neighborhood, so
     estimates (and termination rounds) may differ across nodes.
     """
-    return dcomp1_chunk(*_chunk_of_one(obs, meas), topology, k, mode)[0]
+    return dcomp1_chunk(*_lanes([(obs, meas)]), topology, k, mode)[0]
 
 
 def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
@@ -250,7 +244,7 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     multiplicity, so every node applies the identical update and all final
     supports agree.
     """
-    return dcomp2_chunk(*_chunk_of_one(obs, meas), topology, k)[0]
+    return dcomp2_chunk(*_lanes([(obs, meas)]), topology, k)[0]
 
 
 def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
@@ -278,7 +272,7 @@ def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     Each node runs k OMP iterations on its own data, ships its k indices
     network-wide, and adopts the winning k-index set.
     """
-    return domp_chunk(*_chunk_of_one(obs, meas), topology, k)[0]
+    return domp_chunk(*_lanes([(obs, meas)]), topology, k)[0]
 
 
 def domp_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,

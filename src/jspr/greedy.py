@@ -180,6 +180,18 @@ def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
 def somp(obs, meas, k: int) -> list:
     """Simultaneous OMP: per-iteration score is the sum over nodes of each
     node's absolute residual correlation against its own dictionary."""
-    supports, _ = greedy_rounds(np.asarray(obs.per_node, dtype=float)[None],
-                                np.asarray(meas.matrices, dtype=float)[None], k, pooled_argmax)
+    supports, _ = greedy_rounds(*_lanes([(obs, meas)]), k, pooled_argmax)
     return supports[0][0]
+
+
+def _lanes(pairs) -> tuple:
+    """A chunk of per-trial `(obs, meas)` pairs as the round loop's arrays:
+    observations `(T, L, M)` and distinct dictionaries, `(T, 1, M, N)` when
+    each trial's matrix is shared (a stride-0 view over the nodes), which
+    the kernels broadcast over the L nodes, else `(T, L, M, N)`. A chunk of
+    one is a view."""
+    ys = [obs.per_node for obs, _ in pairs]
+    dictionaries = [meas.matrices[:1] if meas.matrices.strides[0] == 0 else meas.matrices
+                    for _, meas in pairs]
+    stack = (lambda arrays: arrays[0][None]) if len(pairs) == 1 else np.stack
+    return stack(ys), stack(dictionaries)

@@ -8,6 +8,7 @@ algorithms at a sweep point consume identical data (paired trials).
 
 import contextlib
 import dataclasses
+import functools
 import itertools
 import json
 import math
@@ -21,6 +22,7 @@ from .config import ExperimentConfig
 from .ensembles import gen_measurements, gen_signals, gen_support, measure
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
+from .greedy import _lanes
 from .macbounds import bound_report
 from .metrics import TrialRecord, aggregate
 from .network import Topology, build_topology, complete_topology
@@ -44,17 +46,6 @@ _CHUNK_BYTES = 1 << 20    # distinct dictionary bytes per chunk of trials
 MAX_FAILED_FRACTION = 0.01
 
 
-@dataclasses.dataclass(frozen=True)
-class TrialTask:
-    """One trial of one sweep point; picklable for process pools."""
-
-    cfg: ExperimentConfig
-    l_count: int
-    m: int
-    topology: Topology
-    trial_index: int
-
-
 def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
                shared: bool) -> tuple:
     """(ensemble, meas, obs) of one trial on `l_count` nodes with `m`
@@ -76,53 +67,57 @@ def _shares_matrix(cfg: ExperimentConfig) -> bool:
     return any(ALGORITHMS[tag].shared_matrix for tag in cfg.algorithms)
 
 
-def _run_algorithm(alg: str, draws, topology: Topology, k: int) -> list:
-    return ALGORITHMS[alg].run(draws, topology, k)
+def _run_algorithm(alg: str, ys, dictionaries, topology: Topology, k: int) -> list:
+    return ALGORITHMS[alg].run(ys, dictionaries, topology, k)
 
 
-def _per_trial(run, trials, inputs, lead, tolerated=()) -> list:
-    """`run(inputs)`, one result per trial of a chunk (`trials` labels them,
-    `inputs` holds what `run` takes, one entry each). If that call raises,
-    the trials run again one by one, so a failure is charged to its own
-    trial: there an error of a `tolerated` type gives None, and any other
-    becomes a TrialError whose message starts with `lead(trial)`."""
-    try:
-        return run(inputs)
-    except Exception as exc:
-        if len(inputs) == 1:
-            if isinstance(exc, tolerated):
-                return [None]
-            raise TrialError(f"{lead(trials[0])}: {type(exc).__name__}: {exc}") from exc
-    return [_per_trial(run, [trial], [entry], lead, tolerated)[0]
-            for trial, entry in zip(trials, inputs)]
+def _per_trial(run, trials, lead, tolerated=()) -> list:
+    """One result per trial of a chunk, which `trials` labels; `run(part)`
+    solves the trials that the slice `part` picks. The chunk runs as one
+    call, `run(slice(None))`. If that raises, each trial runs again alone,
+    `run(slice(i, i + 1))`, so a failure is charged to its own trial: there
+    an error of a `tolerated` type gives None, and any other becomes a
+    TrialError whose message starts with `lead(trial)`."""
+    with contextlib.suppress(Exception):
+        return run(slice(None))
+    out = []
+    for i, trial in enumerate(trials):
+        try:
+            out += run(slice(i, i + 1))
+        except tolerated:
+            out.append(None)
+        except Exception as exc:
+            raise TrialError(f"{lead(trial)}: {type(exc).__name__}: {exc}") from exc
+    return out
 
 
-def run_chunk(tasks) -> list:
-    """Paired trials of one sweep point (`tasks`, a sequence of TrialTask);
-    per trial, per algorithm a TrialRecord, or None on a singular-projection
-    failure. Any other exception is re-raised as a TrialError naming the
-    sweep point, algorithm, trial index and seed.
+def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
+              trials: range) -> list:
+    """Paired trials `trials` of one sweep point; per trial, per algorithm a
+    TrialRecord, or None on a singular-projection failure. Any other
+    exception is re-raised as a TrialError naming the sweep point,
+    algorithm, trial index and seed.
 
-    Each trial is drawn from its own seed streams. Each algorithm then runs
-    once on the whole chunk, its trials as extra lanes of the one round loop
+    Each trial is drawn from its own seed streams, and the chunk is stacked
+    once into lanes (`greedy._lanes`). Each algorithm then runs once on the
+    whole chunk, its trials as extra lanes of the one round loop
     (`decentralized.solve_chunk`). A chunk call that raises is run again
     trial by trial (`_per_trial`), so the records do not depend on how
     trials are chunked."""
-    cfg = tasks[0].cfg
     shared = _shares_matrix(cfg)
 
     def lead(alg):
-        return lambda task: (f"sweep point m={task.m}, L={task.l_count}, algorithm {alg}, "
-                             f"trial {task.trial_index}, seed {cfg.master_seed}")
+        return lambda trial: (f"sweep point m={m}, L={l_count}, algorithm {alg}, "
+                              f"trial {trial}, seed {cfg.master_seed}")
 
-    draws = _per_trial(lambda chunk: [draw_trial(cfg, task.l_count, task.m, task.trial_index,
-                                                 shared=shared) for task in chunk],
-                       tasks, tasks, lead("(trial draw)"))
-    pairs = [(obs, meas) for _, meas, obs in draws]
-    out = [{} for _ in tasks]
+    draws = _per_trial(lambda part: [draw_trial(cfg, l_count, m, t, shared=shared)
+                                     for t in trials[part]], trials, lead("(trial draw)"))
+    ys, dictionaries = _lanes([(obs, meas) for _, meas, obs in draws])
+    out = [{} for _ in trials]
     for alg in cfg.algorithms:
-        results = _per_trial(lambda chunk: _run_algorithm(alg, chunk, tasks[0].topology, cfg.k),
-                             tasks, pairs, lead(alg), SingularProjectionError)
+        results = _per_trial(lambda part: _run_algorithm(alg, ys[part], dictionaries[part],
+                                                         topology, cfg.k),
+                             trials, lead(alg), SingularProjectionError)
         for trial, (ensemble, _, _), result in zip(out, draws, results):
             trial[alg] = None if result is None else TrialRecord(
                 true_support=ensemble.support,
@@ -134,10 +129,11 @@ def run_chunk(tasks) -> list:
     return out
 
 
-def run_trial(task: TrialTask) -> dict:
+def run_trial(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
+              trial: int) -> dict:
     """One paired trial, a chunk of one: per algorithm a TrialRecord or None
     (see run_chunk)."""
-    return run_chunk([task])[0]
+    return run_chunk(cfg, l_count, m, topology, range(trial, trial + 1))[0]
 
 
 def _point_topology(cfg: ExperimentConfig, l_count: int, n0: int | None) -> Topology:
@@ -175,11 +171,10 @@ def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
     """All configured algorithms on `trials` paired trials at one sweep point,
     in chunks of consecutive trials (run_chunk), on `pool` if one is given,
     else serially in this process."""
-    tasks = [TrialTask(cfg=cfg, l_count=l_count, m=m, topology=topology, trial_index=t)
-             for t in range(cfg.trials)]
     size = _chunk_size(cfg, l_count, m)
-    chunks = [tasks[start:start + size] for start in range(0, len(tasks), size)]
-    chunk_results = pool.map(run_chunk, chunks) if pool is not None else map(run_chunk, chunks)
+    chunks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
+    run = functools.partial(run_chunk, cfg, l_count, m, topology)
+    chunk_results = pool.map(run, chunks) if pool is not None else map(run, chunks)
     results = [trial for chunk in chunk_results for trial in chunk]
 
     rows = []
@@ -308,29 +303,26 @@ def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
     Every other entry is scored by `_svd_costs`, lstsq's SVD rank rule, so a
     rank-deficient candidate costs what lstsq's residual does. When M ≤ k
     (R has no [k, k]) or k ≥ 10 (τ_k ≥ 1, so nothing can pass the screen),
-    no QR is run and every entry takes the SVD rule. LAPACK factors each
-    matrix of a stack on its own, so a column of the table equals that
-    node's table alone, and the costs do not depend on the block size.
+    no QR is run and every entry is flagged. LAPACK factors each matrix of
+    a stack on its own, so a column of the table equals that node's table
+    alone, and the costs do not depend on the block size.
     """
     l_count, m, n = dictionaries.shape
     k = candidates.shape[1]
     tau = _screen_tau(k)
     costs = np.empty((len(candidates), l_count))
-    if m <= k or tau >= 1:
-        for start in range(0, len(candidates), _ORACLE_BLOCK):
-            block = candidates[start:start + _ORACLE_BLOCK]
-            subs = dictionaries[:, :, block].transpose(2, 0, 1, 3)       # (c, L, M, k)
-            costs[start:start + len(block)] = _svd_costs(subs, ys)
-        return costs
     augmented = np.concatenate([dictionaries, ys[:, :, None]], axis=2)  # (L, M, N+1)
     for start in range(0, len(candidates), _ORACLE_BLOCK):
         block = candidates[start:start + _ORACLE_BLOCK]
         columns = np.concatenate([block, np.full((len(block), 1), n)], axis=1)
         stacks = augmented[:, :, columns].transpose(2, 0, 1, 3)          # (c, L, M, k+1)
-        r = np.linalg.qr(stacks, mode="r")                               # (c, L, k+1, k+1)
         out = costs[start:start + len(block)]
-        out[...] = np.square(r[..., k, k])
-        flagged = ~_well_conditioned(r[..., :k, :k], tau)
+        if m <= k or tau >= 1:        # no R[k, k], or no entry can pass the screen
+            flagged = np.ones(out.shape, dtype=bool)
+        else:
+            r = np.linalg.qr(stacks, mode="r")                           # (c, L, k+1, k+1)
+            out[...] = np.square(r[..., k, k])
+            flagged = ~_well_conditioned(r[..., :k, :k], tau)
         if flagged.any():
             out[flagged] = _svd_costs(stacks[..., :k][flagged], stacks[..., k][flagged])
     return costs
@@ -425,13 +417,13 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     group = max(1, _TABLE_BYTES // (min(len(candidates), _ORACLE_BLOCK) * l_count * m
                                     * (cfg.k + 1) * 8))
 
-    def compare(comparison, run, trials, inputs):
-        return _per_trial(run, trials, inputs, lambda t: (
+    def compare(comparison, run, trials):
+        return _per_trial(run, trials, lambda t: (
             f"oracle-check trial {t}, seed {cfg.master_seed}, comparison {comparison}"))
 
-    def supports(alg, topology):
-        return lambda chunk: [result.common_support
-                              for result in _run_algorithm(alg, chunk, topology, cfg.k)]
+    def supports(comparison, alg, topology, ys, dictionaries, trials):
+        return compare(comparison, lambda part: [r.common_support for r in _run_algorithm(
+            alg, ys[part], dictionaries[part], topology, cfg.k)], trials)
 
     def verdicts(costs, omp_row, somp_row, energy, *, complete):
         """(node-0 OMP, S-OMP) agreement on a table whose rows hold their supports."""
@@ -441,20 +433,18 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     omp_agree = somp_agree = dcomp2_match = 0
     for start in range(0, cfg.trials, size):
         trials = range(start, min(start + size, cfg.trials))
-        draws = compare("(trial draw)", lambda chunk: [
-            draw_trial(noiseless, l_count, m, t, shared=False) for t in chunk], trials, trials)
-        pairs = [(obs, meas) for _, meas, obs in draws]
-        firsts = [(dataclasses.replace(obs, per_node=obs.per_node[:1]),
-                   dataclasses.replace(meas, matrices=meas.matrices[:1])) for obs, meas in pairs]
-        omp_picks = compare("omp", supports("s-omp", node0), trials, firsts)
-        somp_picks = compare("s-omp", supports("s-omp", network), trials, pairs)
-        fused = compare("dc-omp2", supports("dc-omp2", network), trials, pairs)
-        energies = [np.square(obs.per_node).sum(axis=1) for obs, _ in pairs]   # ‖y_l‖² per node
+        draws = compare("(trial draw)", lambda part: [
+            draw_trial(noiseless, l_count, m, t, shared=False) for t in trials[part]], trials)
+        ys, dictionaries = _lanes([(obs, meas) for _, meas, obs in draws])
+        omp_picks = supports("omp", "s-omp", node0, ys[:, :1], dictionaries[:, :1], trials)
+        somp_picks = supports("s-omp", "s-omp", network, ys, dictionaries, trials)
+        fused = supports("dc-omp2", "dc-omp2", network, ys, dictionaries, trials)
+        energies = np.square(ys).sum(axis=2)                             # ‖y_l‖² per node
         settled = []
-        for (obs, meas), energy, omp_sel, somp_sel, fused_sel in zip(
-                pairs, energies, omp_picks, somp_picks, fused):
+        for y, dictionary, energy, omp_sel, somp_sel, fused_sel in zip(
+                ys, dictionaries, energies, omp_picks, somp_picks, fused):
             scored = sorted({rank[omp_sel], rank[somp_sel], rank[fused_sel]})
-            witness = _candidate_costs(obs.per_node, meas.matrices, candidates[scored])
+            witness = _candidate_costs(y, dictionary, candidates[scored])
             settled.append(verdicts(witness, scored.index(rank[omp_sel]),
                                     scored.index(rank[somp_sel]), energy,
                                     complete=False))
@@ -462,8 +452,8 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         undecided = [i for i, verdict in enumerate(settled) if None in verdict]
         for first in range(0, len(undecided), group):
             part = undecided[first:first + group]
-            stacked = _candidate_costs(np.concatenate([pairs[i][0].per_node for i in part]),
-                                       np.concatenate([pairs[i][1].matrices for i in part]),
+            stacked = _candidate_costs(ys[part].reshape(-1, m),
+                                       dictionaries[part].reshape(-1, m, cfg.n),
                                        candidates)                      # (C, G·L)
             tables = stacked.reshape(len(candidates), -1, l_count).swapaxes(0, 1)  # (G, C, L)
             for i, costs in zip(part, tables):

@@ -20,7 +20,6 @@ from jspr.algorithms import table1_expected
 from jspr.cli import main
 from jspr.config import ExperimentConfig
 from jspr.harness import (
-    TrialTask,
     exhaustive_oracle,
     oracle_check,
     run_sweep,
@@ -79,8 +78,7 @@ def test_criterion_1_table_totals_exact():
     ok = True
     details = []
     for trial in range(3):
-        task = TrialTask(cfg=cfg, l_count=10, m=30, topology=topo, trial_index=trial)
-        records = run_trial(task)
+        records = run_trial(cfg, 10, 30, topo, trial)
         for alg in algorithms:
             rec = records[alg]
             local, glob = table1_expected(alg, 10, 10, 256, topo.adjacency,

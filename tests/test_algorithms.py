@@ -10,9 +10,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import jspr.algorithms
 from jspr.algorithms import ALGORITHMS, table1_expected
 from jspr.config import ExperimentConfig
+from jspr.ensembles import mac_aggregate
 from jspr.errors import SingularProjectionError
+from jspr.greedy import _lanes
 from jspr.harness import draw_trial
 from jspr.network import build_topology, complete_topology, ring_topology
 
@@ -41,7 +44,7 @@ def test_ledger_totals_equal_table1(tag, topology, n, k, data):
                            master_seed=data.draw(SEEDS, label="seed"))
     _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=algorithm.shared_matrix)
     try:
-        result = algorithm.run([(obs, meas)], topology, k)[0]
+        result = algorithm.run(*_lanes([(obs, meas)]), topology, k)[0]
     except SingularProjectionError:
         assume(False)
     expected = table1_expected(tag, l_count, k, n, topology.adjacency, result.iterations)
@@ -99,12 +102,12 @@ def test_relabeling_nodes_permutes_result(tag):
         moved_obs = dataclasses.replace(obs, per_node=relabeled(pi, obs.per_node))
         moved_meas = dataclasses.replace(meas, matrices=relabeled(pi, meas.matrices))
         try:
-            result = algorithm.run([(obs, meas)], topology, k)[0]
+            result = algorithm.run(*_lanes([(obs, meas)]), topology, k)[0]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                algorithm.run([(moved_obs, moved_meas)], topology, k)[0]
+                algorithm.run(*_lanes([(moved_obs, moved_meas)]), topology, k)[0]
             return
-        moved = algorithm.run([(moved_obs, moved_meas)], topology, k)[0]
+        moved = algorithm.run(*_lanes([(moved_obs, moved_meas)]), topology, k)[0]
         if tag in NODE_ORDER_FALLBACK and (settled_by_fallback(result)
                                            or settled_by_fallback(moved)):
             return
@@ -117,3 +120,23 @@ def test_relabeling_nodes_permutes_result(tag):
 
     relabeling_permutes()
     assert checked, "every trial was settled by the node-order fallback"
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=SEEDS, t_count=st.integers(2, 6), l_count=st.integers(1, 12),
+       m=st.integers(1, 40), sigma2=st.sampled_from([0.0, 0.01, 5.0]))
+def test_sum_channel_output_is_mac_aggregate(seed, t_count, l_count, m, sigma2):
+    # the sum-channel output has one definition: mac-omp's node-axis sum over
+    # a chunk of shared-matrix trials is each trial's mac_aggregate, bit for bit
+    cfg = ExperimentConfig(n=48, k=2, sigma2=sigma2, master_seed=seed)
+    draws = [draw_trial(cfg, l_count, m, t, shared=True) for t in range(t_count)]
+    solved = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(jspr.algorithms, "solve_chunk", lambda *args: solved.append(args) or [])
+        ALGORITHMS["mac-omp"].run(*_lanes([(obs, meas) for _, meas, obs in draws]),
+                                  complete_topology(l_count), cfg.k)
+    [(zs, dictionaries, *_)] = solved
+    assert zs.shape == (t_count, 1, m) and dictionaries.shape == (t_count, 1, m, 48)
+    for z, dictionary, (_, meas, obs) in zip(zs, dictionaries, draws):
+        assert z[0].tobytes() == mac_aggregate(obs).tobytes()
+        assert np.array_equal(dictionary[0], meas.matrices[0])

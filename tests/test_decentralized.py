@@ -30,7 +30,7 @@ from jspr.ensembles import (
     measure,
 )
 from jspr.errors import SingularProjectionError
-from jspr.greedy import correlate, omp, somp
+from jspr.greedy import _lanes, correlate, omp, somp
 from jspr.network import complete_topology, random_connected_topology, ring_topology
 
 
@@ -312,12 +312,12 @@ class TestChunkLanes:
             draws.append((obs, meas))
         run = ALGORITHMS[tag].run
         try:
-            alone = [run([draw], topology, k)[0] for draw in draws]
+            alone = [run(*_lanes([draw]), topology, k)[0] for draw in draws]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                run(draws, topology, k)
+                run(*_lanes(draws), topology, k)
             return
-        assert run(draws, topology, k) == alone
+        assert run(*_lanes(draws), topology, k) == alone
 
 
 class TestDompMajority:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import jspr.harness as harness
 from jspr import seeding
-from jspr.algorithms import MAC_COMPARE
+from jspr.algorithms import ALGORITHMS, MAC_COMPARE
 from jspr.cli import main
 from jspr.config import ExperimentConfig, parse_config
 from jspr.ensembles import MeasurementEnsemble, gen_measurements, gen_signals, gen_support, measure
@@ -22,7 +22,6 @@ from jspr.errors import (ConfigError, EnumerationTooLargeError, SingularProjecti
                          TrialError)
 from jspr.harness import (
     CSV_HEADER,
-    TrialTask,
     bounds_report,
     exhaustive_oracle,
     oracle_check,
@@ -78,6 +77,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="key 'trials'"):
             parse_config("trials=lots\n")
 
+    @pytest.mark.parametrize("key", ["sigma2", "amp_low", "amp_high", "p", "delta0", "slack_t"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_number_names_its_key(self, key, value):
+        with pytest.raises(ConfigError, match=f"key '{key}': must be a finite number"):
+            parse_config(f"{key}={value}\n")
+
     def test_missing_equals(self):
         with pytest.raises(ConfigError, match="line 1"):
             parse_config("n 64\n")
@@ -92,17 +97,16 @@ class TestParseConfig:
         shared_seen = {}
         real = harness._run_algorithm
 
-        def spy(alg, draws, topology, k):
-            shared_seen[alg] = all(np.array_equal(a, meas.matrices[0])
-                                   for _, meas in draws for a in meas.matrices)
-            return real(alg, draws, topology, k)
+        def spy(alg, ys, dictionaries, topology, k):
+            shared_seen[alg] = all(np.array_equal(a, matrices[0])
+                                   for matrices in dictionaries for a in matrices)
+            return real(alg, ys, dictionaries, topology, k)
 
         monkeypatch.setattr(harness, "_run_algorithm", spy)
         for tags, shared in ((["d-omp", "s-omp"], False), (["s-omp", "mac-omp"], True),
                              (["mac-omp"], True)):
             shared_seen.clear()
-            run_trial(TrialTask(cfg=tiny_config(algorithms=tags), l_count=3, m=8,
-                                topology=complete_topology(3), trial_index=0))
+            run_trial(tiny_config(algorithms=tags), 3, 8, complete_topology(3), 0)
             assert shared_seen == dict.fromkeys(tags, shared)
 
         cfg = tmp_path / "exp.cfg"
@@ -218,10 +222,10 @@ class TestRunSweep:
         # within the 1% budget
         doomed = harness.draw_trial(cfg, 3, 8, 37, shared=False)[2].per_node
 
-        def flaky(alg, draws, topology, k):
-            if any(np.array_equal(obs.per_node, doomed) for obs, _ in draws):
+        def flaky(alg, ys, dictionaries, topology, k):
+            if any(np.array_equal(y, doomed) for y in ys):
                 raise SingularProjectionError("forced")
-            return real(alg, draws, topology, k)
+            return real(alg, ys, dictionaries, topology, k)
 
         monkeypatch.setattr(harness, "_run_algorithm", flaky)
         rows = run_sweep(cfg, "m")
@@ -231,7 +235,7 @@ class TestRunSweep:
     def test_failing_trial_names_itself(self, monkeypatch, tmp_path, capsys):
         import jspr.harness as harness
 
-        def broken(alg, draws, topology, k):
+        def broken(alg, ys, dictionaries, topology, k):
             raise ValueError("forced")
 
         monkeypatch.setattr(harness, "_run_algorithm", broken)
@@ -252,7 +256,7 @@ class TestRunSweep:
     def test_failure_rate_above_budget_aborts(self, monkeypatch):
         import jspr.harness as harness
 
-        def broken(alg, draws, topology, k):
+        def broken(alg, ys, dictionaries, topology, k):
             raise SingularProjectionError("forced")
 
         monkeypatch.setattr(harness, "_run_algorithm", broken)
@@ -374,21 +378,20 @@ class TestChunks:
         chunk_calls = []
         real = harness._run_algorithm
 
-        def spy(alg, draws, topology, k):
+        def spy(alg, ys, dictionaries, topology, k):
             try:
-                return real(alg, draws, topology, k)
+                return real(alg, ys, dictionaries, topology, k)
             except SingularProjectionError:
-                chunk_calls.append((alg, len(draws)))
+                chunk_calls.append((alg, len(ys)))
                 raise
 
         monkeypatch.setattr(harness, "_run_algorithm", spy)
-        tasks = [TrialTask(cfg=cfg, l_count=4, m=10, topology=complete_topology(4),
-                           trial_index=t) for t in range(32, 48)]
-        alone = [run_trial(task) for task in tasks]
+        trials = range(32, 48)
+        alone = [run_trial(cfg, 4, 10, complete_topology(4), t) for t in trials]
         assert alone[5] == dict.fromkeys(cfg.algorithms)          # trial 37 fails everywhere
         assert all(None not in trial.values() for i, trial in enumerate(alone) if i != 5)
         chunk_calls.clear()
-        assert run_chunk(tasks) == alone
+        assert run_chunk(cfg, 4, 10, complete_topology(4), trials) == alone
         # each tag's chunk call raised, then its trials ran one by one
         assert sorted(chunk_calls) == sorted([(alg, 16) for alg in cfg.algorithms]
                                              + [(alg, 1) for alg in cfg.algorithms])
@@ -406,16 +409,42 @@ class TestChunks:
         doomed = harness.draw_trial(cfg, 4, 10, 37, shared=True)[2].per_node
         real = harness._run_algorithm
 
-        def broken(alg, draws, topology, k):
-            if any(np.array_equal(obs.per_node, doomed) for obs, _ in draws):
+        def broken(alg, ys, dictionaries, topology, k):
+            if any(np.array_equal(y, doomed) for y in ys):
                 raise ValueError("forced")
-            return real(alg, draws, topology, k)
+            return real(alg, ys, dictionaries, topology, k)
 
         monkeypatch.setattr(harness, "_run_algorithm", broken)
         fixed_chunks(monkeypatch, 16)
         with pytest.raises(TrialError, match="algorithm mac-omp, trial 37, seed 5: "
                                              "ValueError: forced"):
             run_sweep(cfg, "m")
+
+    @pytest.mark.parametrize("tags, width", [(sorted(ALGORITHMS), 1),
+                                             (["d-omp", "dc-omp1-nbr", "dc-omp2", "s-omp"], 4)])
+    def test_every_tag_reads_one_stacked_chunk(self, monkeypatch, tags, width):
+        # the chunk is stacked once: every tag's runner reads views of the
+        # same ys (T, L, M) and dictionaries (T, 1 or L, M, N)
+        cfg = tiny_config(**dict(self.ISOLATION, algorithms=tags))
+        real = harness._run_algorithm
+        calls = []
+
+        def spy(alg, ys, dictionaries, topology, k):
+            calls.append((alg, ys, dictionaries))
+            return real(alg, ys, dictionaries, topology, k)
+
+        monkeypatch.setattr(harness, "_run_algorithm", spy)
+        run_chunk(cfg, 4, 10, complete_topology(4), range(3, 9))
+        assert [alg for alg, _, _ in calls] == tags
+        _, ys, dictionaries = calls[0]
+        assert ys.shape == (6, 4, 10) and dictionaries.shape == (6, width, 10, 32)
+        for t, (y, matrices) in enumerate(zip(ys, dictionaries), start=3):
+            _, meas, obs = harness.draw_trial(cfg, 4, 10, t, shared=width == 1)
+            assert np.array_equal(y, obs.per_node)
+            assert np.array_equal(matrices, meas.matrices[:width])
+        for _, other_ys, other_dictionaries in calls[1:]:
+            assert np.shares_memory(other_ys, ys)
+            assert np.shares_memory(other_dictionaries, dictionaries)
 
 
 def degenerate_instance(rng, data, l_count, m, n, k, near_duplicates=False):
@@ -643,14 +672,14 @@ class TestOracleCheck:
 
     @staticmethod
     def spy_runs(monkeypatch):
-        """Record each `_run_algorithm` call as (tag, nodes per draw, nodes
+        """Record each `_run_algorithm` call as (tag, nodes per trial, nodes
         of the topology, trials)."""
         real = harness._run_algorithm
         calls = []
 
-        def spy(alg, draws, topology, k):
-            calls.append((alg, len(draws[0][0].per_node), topology.node_count, len(draws)))
-            return real(alg, draws, topology, k)
+        def spy(alg, ys, dictionaries, topology, k):
+            calls.append((alg, ys.shape[1], topology.node_count, len(ys)))
+            return real(alg, ys, dictionaries, topology, k)
 
         monkeypatch.setattr(harness, "_run_algorithm", spy)
         return calls
@@ -696,12 +725,12 @@ class TestOracleCheck:
         # the runner call of `comparison`: its tag and its network's size
         target = {"omp": ("s-omp", 1), "s-omp": ("s-omp", 3), "dc-omp2": ("dc-omp2", 3)}
 
-        def run(alg, draws, topology, k):
+        def run(alg, ys, dictionaries, topology, k):
             nodes = topology.node_count
             if target.get(comparison) == (alg, nodes) and any(
-                    np.array_equal(obs.per_node, doomed[:nodes]) for obs, _ in draws):
+                    np.array_equal(y, doomed[:nodes]) for y in ys):
                 forced()
-            return real_run(alg, draws, topology, k)
+            return real_run(alg, ys, dictionaries, topology, k)
 
         monkeypatch.setattr(harness, "draw_trial", draw)
         monkeypatch.setattr(harness, "_run_algorithm", run)
@@ -924,6 +953,15 @@ class TestCli:
         "topology=random\np=0.05\nl=12\nm=8\n",
         "algorithms=s-omp,d-omp,s-omp\nl=3\nm=8\n",
         "l=3\nm=8,8\n",
+        "sigma2=nan\nl=3\nm=8\n",
+        "sigma2=inf\nl=3\nm=8\n",
+        "amp_low=nan\nl=3\nm=8\n",
+        "amp_low=-inf\namp_high=inf\nl=3\nm=8\n",
+        "amp_high=inf\nl=3\nm=8\n",
+        "topology=random\np=nan\nl=3\nm=8\n",
+        "delta0=nan\nl=3\nm=8\n",
+        "slack_t=nan\nl=3\nm=8\n",
+        "slack_t=inf\nl=3\nm=8\n",
     ])
     def test_bad_config_exits_before_any_trial(self, tmp_path, monkeypatch, text):
         import jspr.harness as harness
@@ -934,6 +972,19 @@ class TestCli:
         monkeypatch.setattr(harness, "draw_trial", no_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\ntrials=2\n" + text)
         assert main(["sweep-m", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("key", ["sigma2", "slack_t"])
+    def test_non_finite_number_fails_bounds_before_any_trial(self, tmp_path, monkeypatch,
+                                                             capsys, key):
+        import jspr.harness as harness
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        cfg = self.write_config(tmp_path, f"n=10\nk=2\nl=3\nm=6\n{key}=nan\n")
+        assert main(["bounds", "--config", cfg]) == 1
+        assert f"key '{key}': must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, key", [("--trials", "0", "trials"),
                                                    ("--seed", "-1", "seed")])

@@ -22,7 +22,7 @@ from jspr.algorithms import ALGORITHMS
 from jspr.decentralized import _admit, _own_argmax, dcomp1, dcomp2, domp_majority, majority_vote
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
-from jspr.greedy import greedy_rounds, ls_residual, omp, pooled_argmax, somp
+from jspr.greedy import _lanes, greedy_rounds, ls_residual, omp, pooled_argmax, somp
 from jspr.network import MessageLedger, complete_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -254,7 +254,7 @@ class TestDcomp1Neighborhood:
         assume(n0 > 1 or l_count == 2)
         topology = RULE_TOPOLOGIES[rule](l_count, n0)
         meas, obs = instance(seed, 32, k, l_count, m, sigma2)
-        result = ALGORITHMS[rule].run([(obs, meas)], topology, k)[0]
+        result = ALGORITHMS[rule].run(*_lanes([(obs, meas)]), topology, k)[0]
         supports, iterations, local, global_ = reference_collaborative(
             rule, obs, meas, topology, k)
         assert result.per_node_support == supports
