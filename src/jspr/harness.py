@@ -12,6 +12,7 @@ import functools
 import itertools
 import json
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -38,9 +39,8 @@ COLUMNS = (
 )
 CSV_HEADER = ",".join(name for name, _ in COLUMNS)
 ORACLE_CAP = 10 ** 5
-_ORACLE_BLOCK = 256       # candidate supports per stacked QR in the oracle
 _KAPPA_MAX = 1e4          # condition bound under which the oracle trusts its QR costs
-_TABLE_BYTES = 1 << 18    # stacked [A | y] bytes per oracle-check cost-table call
+_TABLE_BYTES = 1 << 18    # bytes per stacked oracle [A | y] call and per chunk's cost table
 _TIE_TOLERANCE = 1e-10    # oracle-check costs within this·(‖y‖² + 1) of the least tie
 _CHUNK_BYTES = 1 << 20    # distinct dictionary bytes per chunk of trials
 MAX_FAILED_FRACTION = 0.01
@@ -91,6 +91,17 @@ def _per_trial(run, trials, lead, tolerated=()) -> list:
     return out
 
 
+def _draw_chunk(cfg: ExperimentConfig, l_count: int, m: int, trials: range, lead, *,
+                shared: bool) -> tuple:
+    """(supports, ys, dictionaries) of trials `trials`, drawn (draw_trial)
+    and stacked into lanes (`greedy._lanes`); only each ensemble's support
+    outlives the stacking. A draw fails as in `_per_trial`, led by `lead`."""
+    draws = _per_trial(lambda part: [draw_trial(cfg, l_count, m, t, shared=shared)
+                                     for t in trials[part]], trials, lead)
+    return ([ensemble.support for ensemble, _, _ in draws],
+            *_lanes([(obs, meas) for _, meas, obs in draws]))
+
+
 def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
               trials: range) -> list:
     """Paired trials `trials` of one sweep point; per trial, per algorithm a
@@ -98,29 +109,25 @@ def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
     exception is re-raised as a TrialError naming the sweep point,
     algorithm, trial index and seed.
 
-    Each trial is drawn from its own seed streams, and the chunk is stacked
-    once into lanes (`greedy._lanes`). Each algorithm then runs once on the
-    whole chunk, its trials as extra lanes of the one round loop
-    (`decentralized.solve_chunk`). A chunk call that raises is run again
-    trial by trial (`_per_trial`), so the records do not depend on how
+    The chunk is drawn and stacked once (`_draw_chunk`). Each algorithm then
+    runs once on the whole chunk, its trials as extra lanes of the one round
+    loop (`decentralized.solve_chunk`). A chunk call that raises is run
+    again trial by trial (`_per_trial`), so the records do not depend on how
     trials are chunked."""
-    shared = _shares_matrix(cfg)
-
     def lead(alg):
         return lambda trial: (f"sweep point m={m}, L={l_count}, algorithm {alg}, "
                               f"trial {trial}, seed {cfg.master_seed}")
 
-    draws = _per_trial(lambda part: [draw_trial(cfg, l_count, m, t, shared=shared)
-                                     for t in trials[part]], trials, lead("(trial draw)"))
-    ys, dictionaries = _lanes([(obs, meas) for _, meas, obs in draws])
+    supports, ys, dictionaries = _draw_chunk(cfg, l_count, m, trials, lead("(trial draw)"),
+                                             shared=_shares_matrix(cfg))
     out = [{} for _ in trials]
     for alg in cfg.algorithms:
         results = _per_trial(lambda part: _run_algorithm(alg, ys[part], dictionaries[part],
                                                          topology, cfg.k),
                              trials, lead(alg), SingularProjectionError)
-        for trial, (ensemble, _, _), result in zip(out, draws, results):
+        for trial, support, result in zip(out, supports, results):
             trial[alg] = None if result is None else TrialRecord(
-                true_support=ensemble.support,
+                true_support=support,
                 per_node_supports=result.per_node_support,
                 iterations=list(result.iterations),
                 local_scalars=result.ledger.local_scalar_count,
@@ -217,12 +224,15 @@ def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:
 def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     """Row dicts for a sweep over m, l, or n0 (one row per point x algorithm).
 
-    With workers > 1, one process pool serves every point of the sweep. A
-    point with k > M is rejected before any point runs a trial."""
+    With workers > 1, one process pool serves every point of the sweep, of
+    at most as many processes as the CPUs this process may run on. A point
+    with k > M is rejected before any point runs a trial."""
     points = _sweep_points(cfg, sweep)
     _check_sparsity(cfg, [m for _, _, m, _ in points])
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
     rows = []
-    with (ProcessPoolExecutor(max_workers=cfg.workers) if cfg.workers > 1
+    with (ProcessPoolExecutor(max_workers=min(cfg.workers, cpus)) if cfg.workers > 1
           else contextlib.nullcontext()) as pool:
         for sweep_var, l_count, m, topology in points:
             rows.extend(run_point(cfg, sweep_var=sweep_var, l_count=l_count, m=m,
@@ -291,12 +301,14 @@ def _svd_costs(subs: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
                      candidates: np.ndarray) -> np.ndarray:
-    """(C, L) least-squares residual ‖y_l − P y_l‖² of every candidate
-    support (a row of `candidates (C, k)`) on every node, where P projects
-    onto the span of that node's candidate columns.
+    """(..., C, L) least-squares residual ‖y_l − P y_l‖² of every candidate
+    support on every node of every trial, where P projects onto the span of
+    that node's candidate columns. `ys (..., L, M)` and `dictionaries
+    (..., L, M, N)` share their leading trial axes; `candidates` is one
+    `(C, k)` list for every trial or one `(..., C, k)` list per trial.
 
-    Per block of _ORACLE_BLOCK candidates, one stacked QR (mode "r") of the
-    augmented matrices [A | y], `(c, L, M, k+1)`: an entry costs R[k, k]²
+    Per block of (trial, candidate) entries whose [A | y], `(b, L, M, k+1)`,
+    fit in _TABLE_BYTES, one stacked QR (mode "r"): an entry costs R[k, k]²
     when its A passes the conditioning screen (`_well_conditioned`, which
     proves κ₂(A) ≤ _KAPPA_MAX = 1e4). There the cost differs from the SVD
     rule's by about eps·κ·‖y‖², and A lies far from lstsq's rank cut-off.
@@ -304,28 +316,31 @@ def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
     rank-deficient candidate costs what lstsq's residual does. When M ≤ k
     (R has no [k, k]) or k ≥ 10 (τ_k ≥ 1, so nothing can pass the screen),
     no QR is run and every entry is flagged. LAPACK factors each matrix of
-    a stack on its own, so a column of the table equals that node's table
-    alone, and the costs do not depend on the block size.
+    a stack on its own, so a trial's slice equals its own call, a node's
+    column its own table, and the costs do not depend on the block size.
     """
-    l_count, m, n = dictionaries.shape
-    k = candidates.shape[1]
+    *trial_axes, l_count, m, n = dictionaries.shape
+    count, k = candidates.shape[-2:]
     tau = _screen_tau(k)
-    costs = np.empty((len(candidates), l_count))
-    augmented = np.concatenate([dictionaries, ys[:, :, None]], axis=2)  # (L, M, N+1)
-    for start in range(0, len(candidates), _ORACLE_BLOCK):
-        block = candidates[start:start + _ORACLE_BLOCK]
-        columns = np.concatenate([block, np.full((len(block), 1), n)], axis=1)
-        stacks = augmented[:, :, columns].transpose(2, 0, 1, 3)          # (c, L, M, k+1)
-        out = costs[start:start + len(block)]
+    lists = np.broadcast_to(candidates, (*trial_axes, count, k)).reshape(-1, count, k)
+    augmented = np.moveaxis(np.concatenate([dictionaries, ys[..., None]], axis=-1)
+                            .reshape(-1, l_count, m, n + 1), -1, 1)       # (T, N+1, L, M)
+    costs = np.empty((len(lists) * count, l_count))
+    block = max(1, _TABLE_BYTES // (l_count * m * (k + 1) * 8))
+    for start in range(0, len(costs), block):
+        trial, pick = np.divmod(np.arange(start, min(start + block, len(costs))), count)
+        columns = np.concatenate([lists[trial, pick], np.full((len(trial), 1), n)], axis=1)
+        stacks = augmented[trial[:, None], columns].transpose(0, 2, 3, 1)  # (b, L, M, k+1)
+        out = costs[start:start + len(trial)]
         if m <= k or tau >= 1:        # no R[k, k], or no entry can pass the screen
             flagged = np.ones(out.shape, dtype=bool)
         else:
-            r = np.linalg.qr(stacks, mode="r")                           # (c, L, k+1, k+1)
+            r = np.linalg.qr(stacks, mode="r")                           # (b, L, k+1, k+1)
             out[...] = np.square(r[..., k, k])
             flagged = ~_well_conditioned(r[..., :k, :k], tau)
         if flagged.any():
             out[flagged] = _svd_costs(stacks[..., :k][flagged], stacks[..., k][flagged])
-    return costs
+    return costs.reshape(*trial_axes, count, l_count)
 
 
 def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
@@ -338,11 +353,9 @@ def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
     from the normal equations of `ls_residual`. Ties keep the
     lexicographically smallest support. A k outside [1, N] raises ValueError.
     """
-    ys = np.asarray(ys, dtype=float)
     dictionaries = np.asarray(dictionaries, dtype=float)
-    if ys.ndim == 1:
-        ys = ys[None, :]
-        dictionaries = dictionaries[None, :, :]
+    ys = np.asarray(ys, dtype=float).reshape(-1, dictionaries.shape[-2])
+    dictionaries = dictionaries.reshape(len(ys), *dictionaries.shape[-2:])
     candidates = _candidates(dictionaries.shape[2], k)
     costs = _candidate_costs(ys, dictionaries, candidates).sum(axis=1)
     return tuple(candidates[np.argmin(costs)].tolist())
@@ -367,42 +380,39 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _least_cost(costs: np.ndarray, own: int, energy: float, *,
-                complete: bool) -> bool | None:
-    """Whether candidate `own` is an oracle support: its entry of `costs`
-    within slack = _TIE_TOLERANCE·(energy + 1) of the least, `energy` being
-    ‖y‖² summed over the nodes the costs cover. Costs that close are ties:
-    at k = M every candidate costs rounding noise. Without `complete`,
-    `costs` scores only some candidates, `own` among them; costs are
-    nonnegative and rounding is monotone, so ≤ slack still agrees, more
-    than a scored cost plus slack still disagrees, and anything between is
-    undecided (None)."""
-    slack = _TIE_TOLERANCE * (energy + 1.0)
-    if costs[own] <= slack:
-        return True
-    if costs[own] > costs.min() + slack:
-        return False
-    return True if complete else None
+def _least_cost(costs: np.ndarray, own: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """`(G, 2)` verdicts on whether candidates `own (G, 2)` are oracle
+    supports, judged on `costs (G, C, L)`: node-0 OMP on node 0's costs,
+    S-OMP on their node sums. With slack = _TIE_TOLERANCE·(energy + 1), the
+    energy `energies (G, L)` summed over the nodes the costs cover: 1
+    (agree) where the own cost is at most slack, 0 (disagree) where it
+    exceeds the least cost plus slack, else −1 (undecided). Costs that close
+    tie: at k = M every candidate costs rounding noise. On all C(N, k)
+    candidates undecided is such a tie. On only some, costs are nonnegative
+    and rounding is monotone, so 1 and 0 hold whatever the others cost."""
+    totals = np.stack([costs[..., 0], costs.sum(axis=-1)], axis=-1)     # (G, C, 2)
+    slack = _TIE_TOLERANCE * (np.stack([energies[:, 0], energies.sum(axis=1)], axis=-1) + 1)
+    mine = np.take_along_axis(totals, own[:, None], axis=1)[:, 0]        # (G, 2)
+    return np.where(mine <= slack, 1, np.where(mine > totals.min(axis=1) + slack, 0, -1))
 
 
 def oracle_check(cfg: ExperimentConfig) -> dict:
     """Agreement of the greedy solvers with the exhaustive oracle on
     noiseless desk-scale trials, plus the dcomp2/somp equivalence count.
 
-    Trials run in chunks whose per-node matrices fit in _CHUNK_BYTES. Each
-    comparison runs once per chunk through the sweeps' algorithm table
+    Trials run in chunks whose per-node matrices fit in _CHUNK_BYTES and
+    whose full `(T, C, L)` cost table fits in _TABLE_BYTES. Each comparison
+    runs once per chunk through the sweeps' algorithm table
     (`_run_algorithm`): `s-omp` and `dc-omp2` on the complete graph, and
     node-0 OMP as `s-omp` on each trial's node-0 slice, a one-node network.
-    Costs are `(C, L)` `_candidate_costs` tables: node 0's oracle costs are
-    column 0, the MMV oracle's the row sums, each judged by `_least_cost`.
-    A trial's witness table scores only the ≤ 3 distinct supports returned;
-    that settles 756 of 800 trials at N=10, k=3, L=3, M=6 (seeds 0–19).
-    Only undecided trials get full tables, a group of them per call, their
-    nodes stacked as rows up to _TABLE_BYTES of [A | y]. Every entry is
-    factored on its own, so it equals the same entry of a full search bit
-    for bit. A chunk that raises is run again trial by trial (`_per_trial`,
-    tolerating nothing), so the TrialError names the failing trial, the
-    seed and the comparison."""
+    Their supports give `(T, 3)` candidate ranks. One `_candidate_costs`
+    call scores each trial's three (its witness table), and `_least_cost`
+    judges on it; that settles 756 of 800 trials at N=10, k=3, L=3, M=6
+    (seeds 0–19). One more call gives the undecided trials full tables.
+    Every entry is factored on its own, so it equals the same entry of a
+    full search bit for bit. A chunk that raises is run again trial by trial
+    (`_per_trial`, tolerating nothing), so the TrialError names the failing
+    trial, the seed and the comparison."""
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
@@ -411,56 +421,36 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     except EnumerationTooLargeError as exc:
         raise ConfigError(f"keys 'n', 'k': {exc}") from None
     rank = {support: c for c, support in enumerate(map(tuple, candidates.tolist()))}
-    network, node0 = complete_topology(l_count), complete_topology(1)
     noiseless = dataclasses.replace(cfg, sigma2=0.0)
-    size = max(1, _CHUNK_BYTES // (l_count * m * cfg.n * 8))
-    group = max(1, _TABLE_BYTES // (min(len(candidates), _ORACLE_BLOCK) * l_count * m
-                                    * (cfg.k + 1) * 8))
+    size = max(1, min(_CHUNK_BYTES // (l_count * m * cfg.n * 8),
+                      _TABLE_BYTES // (len(candidates) * l_count * 8)))
 
-    def compare(comparison, run, trials):
-        return _per_trial(run, trials, lambda t: (
-            f"oracle-check trial {t}, seed {cfg.master_seed}, comparison {comparison}"))
+    def lead(comparison):
+        return lambda t: (f"oracle-check trial {t}, seed {cfg.master_seed}, "
+                          f"comparison {comparison}")
 
-    def supports(comparison, alg, topology, ys, dictionaries, trials):
-        return compare(comparison, lambda part: [r.common_support for r in _run_algorithm(
-            alg, ys[part], dictionaries[part], topology, cfg.k)], trials)
+    def ranks(comparison, alg, nodes, ys, dictionaries, trials):
+        return _per_trial(lambda part: [rank[r.common_support] for r in _run_algorithm(
+            alg, ys[part, :nodes], dictionaries[part, :nodes], complete_topology(nodes),
+            cfg.k)], trials, lead(comparison))
 
-    def verdicts(costs, omp_row, somp_row, energy, *, complete):
-        """(node-0 OMP, S-OMP) agreement on a table whose rows hold their supports."""
-        return (_least_cost(costs[:, 0], omp_row, energy[0], complete=complete),
-                _least_cost(costs.sum(axis=1), somp_row, energy.sum(), complete=complete))
-
-    omp_agree = somp_agree = dcomp2_match = 0
+    counts = np.zeros(3, dtype=int)     # node-0 OMP and S-OMP agreements, DC-OMP 2 = S-OMP
     for start in range(0, cfg.trials, size):
         trials = range(start, min(start + size, cfg.trials))
-        draws = compare("(trial draw)", lambda part: [
-            draw_trial(noiseless, l_count, m, t, shared=False) for t in trials[part]], trials)
-        ys, dictionaries = _lanes([(obs, meas) for _, meas, obs in draws])
-        omp_picks = supports("omp", "s-omp", node0, ys[:, :1], dictionaries[:, :1], trials)
-        somp_picks = supports("s-omp", "s-omp", network, ys, dictionaries, trials)
-        fused = supports("dc-omp2", "dc-omp2", network, ys, dictionaries, trials)
+        _, ys, dictionaries = _draw_chunk(noiseless, l_count, m, trials, lead("(trial draw)"),
+                                          shared=False)
+        picks = np.array([ranks(*comparison, ys, dictionaries, trials) for comparison in (
+            ("omp", "s-omp", 1), ("s-omp", "s-omp", l_count),
+            ("dc-omp2", "dc-omp2", l_count))]).T                        # (T, 3)
         energies = np.square(ys).sum(axis=2)                             # ‖y_l‖² per node
-        settled = []
-        for y, dictionary, energy, omp_sel, somp_sel, fused_sel in zip(
-                ys, dictionaries, energies, omp_picks, somp_picks, fused):
-            scored = sorted({rank[omp_sel], rank[somp_sel], rank[fused_sel]})
-            witness = _candidate_costs(y, dictionary, candidates[scored])
-            settled.append(verdicts(witness, scored.index(rank[omp_sel]),
-                                    scored.index(rank[somp_sel]), energy,
-                                    complete=False))
-            dcomp2_match += fused_sel == somp_sel
-        undecided = [i for i, verdict in enumerate(settled) if None in verdict]
-        for first in range(0, len(undecided), group):
-            part = undecided[first:first + group]
-            stacked = _candidate_costs(ys[part].reshape(-1, m),
-                                       dictionaries[part].reshape(-1, m, cfg.n),
-                                       candidates)                      # (C, G·L)
-            tables = stacked.reshape(len(candidates), -1, l_count).swapaxes(0, 1)  # (G, C, L)
-            for i, costs in zip(part, tables):
-                settled[i] = verdicts(costs, rank[omp_picks[i]], rank[somp_picks[i]],
-                                      energies[i], complete=True)
-        omp_agree += sum(omp for omp, _ in settled)
-        somp_agree += sum(somp for _, somp in settled)
+        verdicts = _least_cost(_candidate_costs(ys, dictionaries, candidates[picks]),
+                               np.array([[0, 1]]), energies)     # own picks: columns 0, 1
+        undecided = (verdicts < 0).any(axis=1)
+        verdicts[undecided] = _least_cost(
+            _candidate_costs(ys[undecided], dictionaries[undecided], candidates),
+            picks[undecided, :2], energies[undecided])           # −1 left here is a tie
+        counts += [*(verdicts != 0).sum(axis=0), (picks[:, 2] == picks[:, 1]).sum()]
+    omp_agree, somp_agree, dcomp2_match = counts.tolist()
     return {
         "trials": cfg.trials,
         "params": {"n": cfg.n, "k": cfg.k, "l": l_count, "m": m, "seed": cfg.master_seed},

@@ -8,9 +8,10 @@ cases run every algorithm tag: the five network solvers on a ring through
 sweep-m, sweep-l and sweep-neighborhood (the last as JSON), on a random
 topology through sweep-l with trials sent to a two-worker pool, and
 mac-omp with s-omp through mac-compare. They also pin the bound report,
-on a small and on a larger support space, and the oracle check twice:
-once where nearly every trial is settled from the greedy supports' own
-costs, once where most trials need the full cost table. A change
+on a small and on a larger support space, and the oracle check three
+times: once where nearly every trial is settled from the greedy supports'
+own costs, once where most trials need the full cost table, and once at
+k = 10, where every candidate takes the SVD rule without a QR. A change
 that is meant to alter what the solvers compute must re-record the files
 and digests and say why; any other change must leave them as they are.
 On a mismatch the failure shows the first differing lines, each with its
@@ -130,6 +131,16 @@ m = 5
 trials = 20
 seed = 2
 """),
+    # k = 10: τ_k ≥ 1, so the oracle runs no QR and scores every candidate
+    # by its SVD rule
+    "oracle-check-svd": ("oracle-check", """
+n = 12
+k = 10
+l = 2
+m = 11
+trials = 20
+seed = 2
+"""),
 }
 
 DIGESTS = {
@@ -138,6 +149,7 @@ DIGESTS = {
     "mac-compare": "36148e72c98368c80949199580e3c6b6c2d5d71278b2de7b7a00d504846ade5d",
     "oracle-check": "1613178889f6e604eb4b63221b9b426dd978e3f7118b7ddf3f0cc75ff517653d",
     "oracle-check-fallback": "f0199b892966be74cc8acaa4699e3af0ce089c1cc9a1e6254826477dcc77f650",
+    "oracle-check-svd": "7ec26ae59c6dcddca66915ead97b27fddb24bb90c804a670318817ee50124337",
     "sweep-l-random": "084ba23a4e656d0200d918e67c32107d4bfe59a9fe700a4e94a53bf1b5798b16",
     "sweep-l-ring": "5faca6eb3a35656e3793b0a55afa3cc3fb86b48e4ec8349ec0c62cb57780d525",
     "sweep-m-ring": "4ec3fa811fb7d9e777c3b6aabac956326a5327fa982e9ca04f402be9b16af296",

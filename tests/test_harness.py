@@ -1,11 +1,14 @@
 """Config parsing, sweep running, oracle, bound reports, and the CLI."""
 
+import contextlib
 import dataclasses
 import itertools
 import json
 import math
+import os
 import pickle
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -175,6 +178,45 @@ class TestRunSweep:
         serial = rows_to_csv(run_sweep(tiny_config(**cfg), "l"))
         parallel = rows_to_csv(run_sweep(tiny_config(workers=2, **cfg), "l"))
         assert serial == parallel
+
+    @staticmethod
+    def fake_pool(monkeypatch):
+        """Make sweeps build a pool that records its size and the chunk
+        lengths it maps, and maps them in this process; no process starts."""
+        record = {"sizes": [], "chunks": []}
+
+        class Pool(contextlib.nullcontext):
+            def __init__(self, max_workers):
+                super().__init__(self)
+                record["sizes"].append(max_workers)
+
+            def map(self, fn, chunks):
+                record["chunks"].extend(map(len, chunks))
+                return map(fn, chunks)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        return record
+
+    @pytest.mark.parametrize("workers, cpus, size", [(3, 2, 2), (2, 2, 2), (2, 1, 1),
+                                                     (4, 8, 4)])
+    def test_pool_is_capped_at_the_usable_cpus(self, monkeypatch, workers, cpus, size):
+        serial = rows_to_csv(run_sweep(tiny_config(trials=24), "m"))
+        record = self.fake_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = tiny_config(trials=24, workers=workers)
+        assert rows_to_csv(run_sweep(cfg, "m")) == serial
+        assert record["sizes"] == [size]
+        # the chunks still follow the configured workers, so one CPU still
+        # runs the pool path
+        assert max(record["chunks"]) == harness._chunk_size(cfg, 3, 8) == 24 // (4 * workers)
+
+    @pytest.mark.parametrize("cpu_count, size", [(3, 3), (None, 1)])
+    def test_pool_cap_without_an_affinity_mask(self, monkeypatch, cpu_count, size):
+        record = self.fake_pool(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+        run_sweep(tiny_config(workers=4), "m")
+        assert record["sizes"] == [size]
 
     def test_l_sweep(self):
         cfg = tiny_config(l_values=[2, 4], algorithms=["dc-omp1"])
@@ -420,6 +462,33 @@ class TestChunks:
                                              "ValueError: forced"):
             run_sweep(cfg, "m")
 
+    @pytest.mark.parametrize("tags", [list(MAC_COMPARE), ["d-omp", "dc-omp2"]])
+    def test_drawn_matrices_are_released_once_stacked(self, monkeypatch, tags):
+        # only each ensemble's support outlives the stacking, so a chunk's
+        # matrices are held once, by its lanes: in a sweep's chunk and in
+        # oracle-check's, shared matrix or not
+        real_draw, real_run = harness.draw_trial, harness._run_algorithm
+        drawn, alive = [], []
+
+        def draw(cfg, l_count, m, trial, *, shared):
+            ensemble, meas, obs = real_draw(cfg, l_count, m, trial, shared=shared)
+            for array in (ensemble.signals, meas.matrices, obs.per_node):
+                while isinstance(array, np.ndarray):        # views and their bases
+                    drawn.append(weakref.ref(array))
+                    array = array.base
+            return ensemble, meas, obs
+
+        def run(alg, ys, dictionaries, topology, k):
+            alive.append(sum(ref() is not None for ref in drawn))
+            return real_run(alg, ys, dictionaries, topology, k)
+
+        monkeypatch.setattr(harness, "draw_trial", draw)
+        monkeypatch.setattr(harness, "_run_algorithm", run)
+        cfg = tiny_config(**dict(self.ISOLATION, algorithms=tags))
+        run_chunk(cfg, 4, 10, complete_topology(4), range(3, 9))
+        oracle_check(dataclasses.replace(cfg, n=10, m_values=[6], trials=6))
+        assert len(drawn) >= 2 * 6 * 3 and alive == [0] * (len(tags) + 3)
+
     @pytest.mark.parametrize("tags, width", [(sorted(ALGORITHMS), 1),
                                              (["d-omp", "dc-omp1-nbr", "dc-omp2", "s-omp"], 4)])
     def test_every_tag_reads_one_stacked_chunk(self, monkeypatch, tags, width):
@@ -651,19 +720,80 @@ class TestExhaustiveOracle:
         assert harness._well_conditioned(r, tau)
         assert np.linalg.cond(r) <= harness._KAPPA_MAX
 
-    @pytest.mark.parametrize("block", [1, 7, harness._ORACLE_BLOCK])
+    @pytest.mark.parametrize("block", [1, 7, 256])
     def test_costs_do_not_depend_on_block_size(self, block, monkeypatch):
+        # `block` (trial, candidate) entries per stacked call; one entry's
+        # [A | y] at L=3, M=6, k=3 is 3·6·4·8 = 576 bytes, and the reference
+        # runs at the default _TABLE_BYTES (455 entries)
         rng = np.random.default_rng(11)
-        ys = rng.standard_normal((3, 6))
-        dictionaries = rng.standard_normal((3, 6, 10))
-        dictionaries[1, :, 4] = dictionaries[1, :, 2]       # a rank-deficient node
+        ys = rng.standard_normal((2, 3, 6))
+        dictionaries = rng.standard_normal((2, 3, 6, 10))
+        dictionaries[0, 1, :, 4] = dictionaries[0, 1, :, 2]   # a rank-deficient node
         candidates = np.array(list(itertools.combinations(range(10), 3)), dtype=np.intp)
         reference = harness._candidate_costs(ys, dictionaries, candidates)
-        expected_support = exhaustive_oracle(ys, dictionaries, 3)
-        monkeypatch.setattr(harness, "_ORACLE_BLOCK", block)
+        expected_support = exhaustive_oracle(ys[0], dictionaries[0], 3)
+        monkeypatch.setattr(harness, "_TABLE_BYTES", block * 576)
         assert np.array_equal(harness._candidate_costs(ys, dictionaries, candidates),
                               reference)
-        assert exhaustive_oracle(ys, dictionaries, 3) == expected_support
+        # a trial of the stack equals its own call
+        assert np.array_equal(harness._candidate_costs(ys[0], dictionaries[0], candidates),
+                              reference[0])
+        assert exhaustive_oracle(ys[0], dictionaries[0], 3) == expected_support
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), trials=st.integers(1, 4),
+           l_count=st.integers(1, 3), m=st.integers(1, 12), n=st.integers(1, 12),
+           data=st.data())
+    def test_per_trial_candidates_equal_each_trials_own_call(self, seed, trials, l_count,
+                                                             m, n, data):
+        # k ≥ 10 and m ≤ k take the SVD rule without a QR; duplicated, scaled
+        # and zero columns make rank-deficient candidates
+        rng = np.random.default_rng(seed)
+        k = data.draw(st.integers(max(1, n - 2), n) if data.draw(st.booleans(), label="wide")
+                      else st.integers(1, n), label="k")
+        instances = [degenerate_instance(rng, data, l_count, m, n, k) for _ in range(trials)]
+        ys, dictionaries = map(np.stack, zip(*instances))
+        every = harness._candidates(n, k)
+        width = data.draw(st.integers(1, 4), label="candidates per trial")
+        lists = every[rng.integers(len(every), size=(trials, width))]       # (T, c, k)
+        costs = harness._candidate_costs(ys, dictionaries, lists)
+        assert costs.shape == (trials, width, l_count)
+        shared = harness._candidate_costs(ys, dictionaries, every)
+        for t in range(trials):
+            assert np.array_equal(costs[t], harness._candidate_costs(ys[t], dictionaries[t],
+                                                                     lists[t]))
+            assert np.array_equal(shared[t], harness._candidate_costs(ys[t], dictionaries[t],
+                                                                      every))
+
+    @pytest.mark.parametrize("k", [3, 10])
+    def test_every_stacked_call_holds_at_most_the_byte_cap(self, k, monkeypatch):
+        # k = 3 runs the QR screen; k = 10 the SVD rule alone
+        rng = np.random.default_rng(4)
+        ys, dictionaries = rng.standard_normal((3, 2, 11)), rng.standard_normal((3, 2, 11, 12))
+        dictionaries[1, 0, :, 5] = dictionaries[1, 0, :, 6]
+        candidates = harness._candidates(12, k)
+        reference = harness._candidate_costs(ys, dictionaries, candidates)
+        cap = 5 * 2 * 11 * (k + 1) * 8 + 8                # five entries' [A | y], and a bit
+        real_qr, real_svd = np.linalg.qr, harness._svd_costs
+        held = {"qr": [], "svd": []}
+
+        def qr(stacks, mode):
+            held["qr"].append(stacks.nbytes)
+            return real_qr(stacks, mode=mode)
+
+        def svd_costs(subs, y):
+            held["svd"].append(subs.nbytes + y.nbytes)
+            return real_svd(subs, y)
+
+        monkeypatch.setattr(harness, "_TABLE_BYTES", cap)
+        monkeypatch.setattr(np.linalg, "qr", qr)
+        monkeypatch.setattr(harness, "_svd_costs", svd_costs)
+        assert np.array_equal(harness._candidate_costs(ys, dictionaries, candidates),
+                              reference)
+        # the 3·C (trial, candidate) entries in blocks of five
+        blocks = held["qr" if k < 10 else "svd"]
+        assert len(blocks) == math.ceil(3 * len(candidates) / 5)
+        assert max(held["qr"] + held["svd"]) <= cap
 
 
 class TestOracleCheck:
@@ -739,8 +869,8 @@ class TestOracleCheck:
             oracle_check(cfg)
 
     def test_svd_rule_everywhere_gives_the_same_documents(self, monkeypatch):
-        # per trial one witness table of its greedy supports, then full
-        # tables, 3 trials per call, for the trials the witnesses leave
+        # per chunk one witness table of every trial's three greedy supports,
+        # then one call of full tables for the trials the witnesses leave
         # undecided. The QR screen flagging every entry sends every table
         # through the SVD rule: same documents, and each recorded table
         # within 1e-12·(‖y‖² + 1) of its SVD costs at every node
@@ -752,11 +882,10 @@ class TestOracleCheck:
                           real_costs(ys, dictionaries, candidates)))
             return calls[-1][-1]
 
-        def rule(costs, own, energy, *, complete):
-            verdict = real_rule(costs, own, energy, complete=complete)
-            if not complete:
-                partial.append(verdict)
-            return verdict
+        def rule(costs, own, energies):
+            verdicts = real_rule(costs, own, energies)
+            partial.append(verdicts.copy())
+            return verdicts
 
         monkeypatch.setattr(harness, "_candidate_costs", recording)
         monkeypatch.setattr(harness, "_least_cost", rule)
@@ -768,42 +897,41 @@ class TestOracleCheck:
             calls.clear()
             partial.clear()
             default.append(oracle_check(cfg))
-            witnesses, full = calls[:40], calls[40:]
-            assert all(len(ys) == 3 and 1 <= len(candidates) <= 3
-                       for ys, _, candidates, _ in witnesses)
-            # the partial verdicts come as (node-0 OMP, S-OMP), trial by trial
-            undecided = [t for t in range(40) if None in partial[2 * t:2 * t + 2]]
-            undecided_count += len(undecided)
-            groups = [undecided[i:i + 3] for i in range(0, len(undecided), 3)]
-            assert len(full) == len(groups)
-            for (ys, dictionaries, candidates, _), part in zip(full, groups):
-                assert np.array_equal(candidates, every)
-                assert np.array_equal(ys, np.concatenate([witnesses[t][0] for t in part]))
-                assert np.array_equal(dictionaries,
-                                      np.concatenate([witnesses[t][1] for t in part]))
+            # the 40 trials are one chunk: a witness call, then a full one
+            (ys, dictionaries, witnesses, _), full = calls
+            assert ys.shape == (40, 3, 6) and witnesses.shape == (40, 3, 3)
+            # the witness verdicts come as (node-0 OMP, S-OMP) per trial
+            undecided = (partial[0] < 0).any(axis=1)
+            undecided_count += undecided.sum()
+            assert np.array_equal(full[2], every)
+            assert np.array_equal(full[0], ys[undecided])
+            assert np.array_equal(full[1], dictionaries[undecided])
             recorded.extend(calls)
         assert 0 < undecided_count < 400
         monkeypatch.setattr(harness, "_well_conditioned",
                             lambda r, tau: np.zeros(r.shape[:-2], dtype=bool))
         for ys, dictionaries, candidates, costs in recorded:
             svd = real_costs(ys, dictionaries, candidates)
-            assert np.all(np.abs(costs - svd) <= 1e-12 * (np.sum(ys ** 2, axis=1) + 1.0))
+            energies = np.sum(ys ** 2, axis=-1)[:, None, :]              # (T, 1, L)
+            assert np.all(np.abs(costs - svd) <= 1e-12 * (energies + 1.0))
         assert [oracle_check(cfg) for cfg in configs] == default
 
     @settings(max_examples=12, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 10), l_count=st.integers(1, 3),
            trials=st.integers(1, 12), data=st.data())
     def test_documents_equal_full_tables_everywhere(self, seed, n, l_count, trials, data):
-        # forcing every partial verdict to undecided gives every trial its
+        # forcing every witness verdict to undecided gives every trial its
         # full table, as before the witness tables
         k = data.draw(st.integers(1, min(4, n - 1)), label="k")
         m = data.draw(st.integers(k, n - 1), label="m")
         cfg = tiny_config(n=n, k=k, l_values=[l_count], m_values=[m], trials=trials,
                           master_seed=seed)
-        real = harness._least_cost
+        real, calls = harness._least_cost, itertools.count()
 
-        def undecided(costs, own, energy, *, complete):
-            return real(costs, own, energy, complete=True) if complete else None
+        def undecided(costs, own, energies):
+            # each chunk judges its witness table first, then its full tables
+            verdicts = real(costs, own, energies)
+            return np.full_like(verdicts, -1) if next(calls) % 2 == 0 else verdicts
 
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(harness, "_least_cost", undecided)
@@ -811,21 +939,31 @@ class TestOracleCheck:
         assert oracle_check(cfg) == full
 
     def test_least_cost_edges(self):
-        rule, energy = harness._least_cost, 2.0
+        energy = 2.0
         slack = harness._TIE_TOLERANCE * (energy + 1.0)
+
+        def rule(costs, own):
+            """Both verdicts on one trial at one node, where they coincide."""
+            verdicts = harness._least_cost(np.array(costs)[None, :, None],
+                                           np.array([[own, own]]), np.array([[energy]]))
+            assert verdicts.shape == (1, 2) and verdicts[0, 0] == verdicts[0, 1]
+            return verdicts[0, 0]
+
         # at most slack agrees whatever the unscored candidates cost
-        assert rule(np.array([0.5, slack]), 1, energy, complete=False) is True
+        assert rule([0.5, slack], 1) == 1
         # exactly another scored cost plus slack: an unscored candidate may
         # cost less, so only a complete table decides, and there it ties
-        tie = np.array([0.5, 0.5 + slack])
-        assert rule(tie, 1, energy, complete=False) is None
-        assert rule(tie, 1, energy, complete=True) is True
-        above = np.array([0.5, np.nextafter(0.5 + slack, np.inf)])
-        assert rule(above, 1, energy, complete=False) is False
-        assert rule(above, 1, energy, complete=True) is False
-        alone = np.array([np.nextafter(slack, np.inf)])
-        assert rule(alone, 0, energy, complete=False) is None
-        assert rule(alone, 0, energy, complete=True) is True
+        assert rule([0.5, 0.5 + slack], 1) == -1
+        assert rule([0.5, np.nextafter(0.5 + slack, np.inf)], 1) == 0
+        assert rule([np.nextafter(slack, np.inf)], 0) == -1
+        # node 0's column and the node sum are judged apart, trial by trial;
+        # the sum's slack covers every node's energy, so in trial 1 a sum
+        # 1.5·slack above the least stays within it
+        costs = np.array([[[0.0, 3.0], [1.0, 3.0]],
+                          [[0.5, 0.0], [0.5, 1.5 * slack]]])        # (G=2, C=2, L=2)
+        energies = np.array([[energy, 0.0], [energy, 2.0]])
+        assert harness._least_cost(costs, np.array([[0, 1], [1, 1]]), energies).tolist() == [
+            [1, 0], [-1, -1]]
 
     def test_k_equal_m_counts_tied_candidates(self):
         # at k = M every k columns span R^M, so every candidate costs rounding
