@@ -14,10 +14,10 @@ Three schemes over a connected topology:
 All three, and every other tag, run a chunk of trials through the one round
 loop (`solve_chunk` over `greedy.greedy_rounds`) and state only their rule:
 what a node scores, what it charges to its trial's MessageLedger and what it
-adopts. Network-wide fusion (`dcomp1` in full mode, `dcomp2`) and `dcomp2`'s
-neighbourhood sum are array operations over all trials at once; `dcomp1`'s
-one-hop rule runs node by node. Multi-index fusion rounds let them terminate
-in fewer than k iterations.
+adopts. `dcomp2`'s neighbourhood sum is an array operation over all trials
+at once; index fusion runs per trial, network-wide (`dcomp1` in full mode,
+`dcomp2`) by `index_fusion_full`'s rule and `dcomp1`'s one-hop rule node by
+node. Multi-index fusion rounds let them terminate in fewer than k iterations.
 """
 
 from collections import Counter
@@ -61,11 +61,10 @@ def index_fusion_full(proposals) -> set:
     When all proposals are distinct, every node must still act on one common
     index; the deterministic pick is the proposal of the smallest node id, so
     no extra coordination traffic is needed. No proposal is ever held: the
-    round loop masks held indices. The scalar specification of
-    `_fuse_network_wide`.
+    round loop masks held indices. The rule `dc-omp1` and `dc-omp2` run
+    (`_network_wide`), with `_admit` ordering what it keeps.
     """
-    counts = Counter(proposals)
-    return {idx for idx, c in counts.items() if c >= 2} or {proposals[0]}
+    return _agreed(Counter(proposals), proposals[0], ())
 
 
 def index_fusion_neighborhood(own: int, received, prior) -> set:
@@ -79,7 +78,9 @@ def index_fusion_neighborhood(own: int, received, prior) -> set:
 
 
 def _agreed(counts: Counter, own: int, prior) -> set:
-    """`index_fusion_neighborhood` from the counts of the heard proposals."""
+    """The indices heard at least twice (`counts`) that are not in `prior`,
+    else `{own}`: `index_fusion_neighborhood` at one node, and with node 0's
+    proposal as `own` and nothing prior, `index_fusion_full`."""
     return {idx for idx, c in counts.items() if c >= 2}.difference(prior) or {own}
 
 
@@ -95,29 +96,6 @@ def _admit(fused, need: int, counts: Counter, scores=None) -> list:
     else:
         key = lambda idx: (-counts[idx], -float(scores[idx]), idx)
     return sorted(fused, key=key)[:need]
-
-
-def _fuse_network_wide(proposals: np.ndarray, active, needs, n: int) -> list:
-    """Network-wide fusion of the trials `active` of `proposals (T, L)`, one
-    index in [0, n) per node, trial `active[i]` admitting at most `needs[i]`
-    indices. Per active trial `(proposals, adopted)`, in which every node
-    adopts the same indices in the same order, `_admit(index_fusion_full(p),
-    need, Counter(p))` on the trial's row p.
-
-    An L×L equality count gives each node's proposal its multiplicity c; the
-    key p - c·n orders by descending count, then ascending index, so one
-    row-wise sort puts the repeated proposals first, each as a run of equal
-    keys below -n. With none, node 0's proposal is kept.
-    """
-    l_count = proposals.shape[1]
-    counts = (proposals[:, :, None] == proposals[:, None, :]).sum(axis=2)
-    ranked = np.sort(proposals - counts * n, axis=1).tolist()
-    rows = proposals.tolist()
-    out = []
-    for t, need in zip(active, needs):
-        fused = [key % n for key in dict.fromkeys(ranked[t]) if key < -n] or rows[t][:1]
-        out.append((rows[t], [fused[:need]] * l_count))
-    return out
 
 
 def _neighbor_table(topology: Topology) -> np.ndarray:
@@ -164,20 +142,22 @@ def _check_nodes(ys: np.ndarray, topology: Topology) -> None:
         raise ValueError("topology size does not match observation count")
 
 
-def _network_wide(propose, sent: tuple, k: int, n: int):
+def _network_wide(propose, sent: tuple, k: int):
     """The one-row rule of a network-wide fusion tag: every node of each
-    running trial sends `sent`, its (one-hop, network-wide) scalar counts,
-    the `(T, L)` proposals `propose(scores)` are fused
-    (`_fuse_network_wide`), and each trial records its round and adopts the
-    fused indices."""
+    running trial sends `sent`, its (one-hop, network-wide) scalar counts;
+    each trial's row of the `(T, L)` proposals `propose(scores)` is fused by
+    `index_fusion_full`'s rule and ordered by `_admit`, and the trial
+    records its round and adopts the fused indices at every node."""
     def rule(scores, supports, active, results):
+        rows = propose(scores).tolist()
         out = []
-        for t, (proposed, fused) in zip(active, _fuse_network_wide(
-                propose(scores), active, [k - len(supports[t][0]) for t in active], n)):
+        for t in active:
+            counts = Counter(rows[t])
+            fused = _admit(_agreed(counts, rows[t][0], ()), k - len(supports[t][0]), counts)
             results[t].ledger.send_all(*sent)
             rounds = results[t].rounds
-            rounds.append(FusionRound(len(rounds) + 1, proposed, fused))
-            out.append(fused[:1])
+            rounds.append(FusionRound(len(rounds) + 1, rows[t], [fused] * len(rows[t])))
+            out.append([fused])
         return out
     return rule
 
@@ -203,10 +183,10 @@ def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k
     if mode == "full" and not topology.is_complete():
         raise ValueError("full mode requires a complete topology")
     _check_nodes(ys, topology)
-    l_count, n = topology.node_count, dictionaries.shape[-1]
+    l_count = topology.node_count
 
     # every node of a running trial proposes one index to every other
-    fuse_full = _network_wide(lambda scores: scores.argmax(axis=2), (1, 0), k, n)
+    fuse_full = _network_wide(lambda scores: scores.argmax(axis=2), (1, 0), k)
 
     def fuse_neighborhood(scores, supports, active, results):
         picks = scores.argmax(axis=2).tolist()
@@ -253,7 +233,7 @@ def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
     `solve_chunk`); returns T RecoveryResults."""
     _check_nodes(ys, topology)
     n, table = dictionaries.shape[-1], _neighbor_table(topology)
-    fuse = _network_wide(lambda f: _neighborhood_sum(f, table).argmax(axis=2), (n, 1), k, n)
+    fuse = _network_wide(lambda f: _neighborhood_sum(f, table).argmax(axis=2), (n, 1), k)
     return solve_chunk(ys, dictionaries, topology, k, fuse)
 
 

@@ -380,19 +380,19 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     }
 
 
-def _least_cost(costs: np.ndarray, own: np.ndarray, energies: np.ndarray) -> np.ndarray:
-    """`(G, 2)` verdicts on whether candidates `own (G, 2)` are oracle
-    supports, judged on `costs (G, C, L)`: node-0 OMP on node 0's costs,
-    S-OMP on their node sums. With slack = _TIE_TOLERANCE·(energy + 1), the
-    energy `energies (G, L)` summed over the nodes the costs cover: 1
-    (agree) where the own cost is at most slack, 0 (disagree) where it
-    exceeds the least cost plus slack, else −1 (undecided). Costs that close
-    tie: at k = M every candidate costs rounding noise. On all C(N, k)
-    candidates undecided is such a tie. On only some, costs are nonnegative
-    and rounding is monotone, so 1 and 0 hold whatever the others cost."""
+def _least_cost(mine: np.ndarray, costs: np.ndarray, energies: np.ndarray) -> np.ndarray:
+    """`(G, 2)` verdicts on whether the supports of costs `mine (G, 2)` are
+    oracle supports, judged on `costs (G, C, L)`: node-0 OMP's cost against
+    node 0's costs, S-OMP's against their node sums. With slack =
+    _TIE_TOLERANCE·(energy + 1), the energy `energies (G, L)` summed over
+    the nodes the costs cover: 1 (agree) where the own cost is at most
+    slack, 0 (disagree) where it exceeds the least cost plus slack, else −1
+    (undecided). Costs that close tie: at k = M every candidate costs
+    rounding noise. On all C(N, k) candidates undecided is such a tie. On
+    only some, costs are nonnegative and rounding is monotone, so 1 and 0
+    hold whatever the others cost."""
     totals = np.stack([costs[..., 0], costs.sum(axis=-1)], axis=-1)     # (G, C, 2)
     slack = _TIE_TOLERANCE * (np.stack([energies[:, 0], energies.sum(axis=1)], axis=-1) + 1)
-    mine = np.take_along_axis(totals, own[:, None], axis=1)[:, 0]        # (G, 2)
     return np.where(mine <= slack, 1, np.where(mine > totals.min(axis=1) + slack, 0, -1))
 
 
@@ -405,14 +405,14 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     runs once per chunk through the sweeps' algorithm table
     (`_run_algorithm`): `s-omp` and `dc-omp2` on the complete graph, and
     node-0 OMP as `s-omp` on each trial's node-0 slice, a one-node network.
-    Their supports give `(T, 3)` candidate ranks. One `_candidate_costs`
-    call scores each trial's three (its witness table), and `_least_cost`
-    judges on it; that settles 756 of 800 trials at N=10, k=3, L=3, M=6
-    (seeds 0–19). One more call gives the undecided trials full tables.
-    Every entry is factored on its own, so it equals the same entry of a
-    full search bit for bit. A chunk that raises is run again trial by trial
-    (`_per_trial`, tolerating nothing), so the TrialError names the failing
-    trial, the seed and the comparison."""
+    Their supports form `(T, 3, k)` picks. One `_candidate_costs` call scores
+    each trial's three (its witness table), and `_least_cost` judges node-0
+    OMP's and S-OMP's own costs on it; that settles 756 of 800 trials at
+    N=10, k=3, L=3, M=6 (seeds 0–19). The undecided trials' full tables, one
+    more call, judge the same costs. Every entry is factored on its own, so
+    it equals the same entry of a full search bit for bit. A chunk that
+    raises is run again trial by trial (`_per_trial`, tolerating nothing),
+    so the TrialError names the failing trial, the seed and the comparison."""
     l_count = _single(cfg.l_values, "l")
     m = _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
@@ -420,7 +420,6 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         candidates = _candidates(cfg.n, cfg.k)
     except EnumerationTooLargeError as exc:
         raise ConfigError(f"keys 'n', 'k': {exc}") from None
-    rank = {support: c for c, support in enumerate(map(tuple, candidates.tolist()))}
     noiseless = dataclasses.replace(cfg, sigma2=0.0)
     size = max(1, min(_CHUNK_BYTES // (l_count * m * cfg.n * 8),
                       _TABLE_BYTES // (len(candidates) * l_count * 8)))
@@ -429,8 +428,8 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         return lambda t: (f"oracle-check trial {t}, seed {cfg.master_seed}, "
                           f"comparison {comparison}")
 
-    def ranks(comparison, alg, nodes, ys, dictionaries, trials):
-        return _per_trial(lambda part: [rank[r.common_support] for r in _run_algorithm(
+    def supports(comparison, alg, nodes, ys, dictionaries, trials):
+        return _per_trial(lambda part: [r.common_support for r in _run_algorithm(
             alg, ys[part, :nodes], dictionaries[part, :nodes], complete_topology(nodes),
             cfg.k)], trials, lead(comparison))
 
@@ -439,17 +438,18 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
         trials = range(start, min(start + size, cfg.trials))
         _, ys, dictionaries = _draw_chunk(noiseless, l_count, m, trials, lead("(trial draw)"),
                                           shared=False)
-        picks = np.array([ranks(*comparison, ys, dictionaries, trials) for comparison in (
+        picks = np.array([supports(*comparison, ys, dictionaries, trials) for comparison in (
             ("omp", "s-omp", 1), ("s-omp", "s-omp", l_count),
-            ("dc-omp2", "dc-omp2", l_count))]).T                        # (T, 3)
+            ("dc-omp2", "dc-omp2", l_count))], dtype=np.intp).swapaxes(0, 1)   # (T, 3, k)
         energies = np.square(ys).sum(axis=2)                             # ‖y_l‖² per node
-        verdicts = _least_cost(_candidate_costs(ys, dictionaries, candidates[picks]),
-                               np.array([[0, 1]]), energies)     # own picks: columns 0, 1
+        witness = _candidate_costs(ys, dictionaries, picks)              # (T, 3, L)
+        mine = np.stack([witness[:, 0, 0], witness[:, 1].sum(axis=-1)], axis=-1)
+        verdicts = _least_cost(mine, witness, energies)
         undecided = (verdicts < 0).any(axis=1)
-        verdicts[undecided] = _least_cost(
-            _candidate_costs(ys[undecided], dictionaries[undecided], candidates),
-            picks[undecided, :2], energies[undecided])           # −1 left here is a tie
-        counts += [*(verdicts != 0).sum(axis=0), (picks[:, 2] == picks[:, 1]).sum()]
+        verdicts[undecided] = _least_cost(                       # −1 left here is a tie
+            mine[undecided], _candidate_costs(ys[undecided], dictionaries[undecided], candidates),
+            energies[undecided])
+        counts += [*(verdicts != 0).sum(axis=0), (picks[:, 2] == picks[:, 1]).all(axis=1).sum()]
     omp_agree, somp_agree, dcomp2_match = counts.tolist()
     return {
         "trials": cfg.trials,

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from jspr.algorithms import ALGORITHMS, table1_expected
 from jspr.decentralized import (
     _admit,
-    _fuse_network_wide,
     _neighbor_table,
     _neighborhood_sum,
     dcomp1,
@@ -58,36 +57,14 @@ class TestIndexFusionFull:
     def test_two_agreement_groups(self):
         assert index_fusion_full([2, 2, 8, 8, 8]) == {2, 8}
 
-
-class TestNetworkWideArrayRule:
-    """`_fuse_network_wide` fuses many trials at once; on every trial it
-    admits what the scalar rule `index_fusion_full` and `_admit` do."""
-
-    def test_all_distinct_adopts_node_zero(self):
-        assert _fuse_network_wide(np.array([[3, 7, 9]]), [0], [2], 10) == [([3, 7, 9], [[3]] * 3)]
-
-    def test_count_then_index_order(self):
-        rows = np.array([[8, 2, 8, 2, 2, 5], [1, 1, 0, 0, 4, 4]])
-        assert _fuse_network_wide(rows, [0, 1], [3, 2], 9) == [
-            ([8, 2, 8, 2, 2, 5], [[2, 8]] * 6), ([1, 1, 0, 0, 4, 4], [[0, 1]] * 6)]
-
-    @settings(max_examples=200, deadline=None)
-    @given(n=st.integers(1, 12), t_count=st.integers(1, 5), l_count=st.integers(1, 8),
-           data=st.data())
-    def test_equals_scalar_rule(self, n, t_count, l_count, data):
-        # a small index range makes repeats common; all-distinct rows take the fallback
-        rows = data.draw(st.lists(st.lists(st.integers(0, n - 1), min_size=l_count,
-                                           max_size=l_count),
-                                  min_size=t_count, max_size=t_count), label="proposals")
-        active = data.draw(st.sets(st.integers(0, t_count - 1)), label="active")
-        active = sorted(active)
-        needs = [data.draw(st.integers(1, l_count + 1), label="need") for _ in active]
-        fused = _fuse_network_wide(np.array(rows, dtype=np.intp).reshape(t_count, l_count),
-                                   active, needs, n)
-        assert len(fused) == len(active)
-        for t, need, (proposals, adopted) in zip(active, needs, fused):
-            assert proposals == rows[t]
-            assert adopted == [_admit(index_fusion_full(rows[t]), need, Counter(rows[t]))] * l_count
+    @pytest.mark.parametrize("row, need, adopted", [
+        ([8, 2, 8, 2, 2, 5], 3, [2, 8]),
+        ([1, 1, 0, 0, 4, 4], 2, [0, 1]),
+        ([3, 7, 9], 2, [3]),
+    ], ids=["count-then-index", "tied-counts", "all-distinct"])
+    def test_adoption_order(self, row, need, adopted):
+        # what every node adopts: by descending count, then the smaller index
+        assert _admit(index_fusion_full(row), need, Counter(row)) == adopted
 
 
 class TestNeighborhoodSum:

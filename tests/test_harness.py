@@ -882,8 +882,8 @@ class TestOracleCheck:
                           real_costs(ys, dictionaries, candidates)))
             return calls[-1][-1]
 
-        def rule(costs, own, energies):
-            verdicts = real_rule(costs, own, energies)
+        def rule(mine, costs, energies):
+            verdicts = real_rule(mine, costs, energies)
             partial.append(verdicts.copy())
             return verdicts
 
@@ -928,9 +928,9 @@ class TestOracleCheck:
                           master_seed=seed)
         real, calls = harness._least_cost, itertools.count()
 
-        def undecided(costs, own, energies):
+        def undecided(mine, costs, energies):
             # each chunk judges its witness table first, then its full tables
-            verdicts = real(costs, own, energies)
+            verdicts = real(mine, costs, energies)
             return np.full_like(verdicts, -1) if next(calls) % 2 == 0 else verdicts
 
         with pytest.MonkeyPatch.context() as mp:
@@ -943,9 +943,10 @@ class TestOracleCheck:
         slack = harness._TIE_TOLERANCE * (energy + 1.0)
 
         def rule(costs, own):
-            """Both verdicts on one trial at one node, where they coincide."""
-            verdicts = harness._least_cost(np.array(costs)[None, :, None],
-                                           np.array([[own, own]]), np.array([[energy]]))
+            """Both verdicts on one trial at one node, where they coincide:
+            candidate `own`'s cost judged on all of `costs`."""
+            verdicts = harness._least_cost(np.array([[costs[own], costs[own]]]),
+                                           np.array(costs)[None, :, None], np.array([[energy]]))
             assert verdicts.shape == (1, 2) and verdicts[0, 0] == verdicts[0, 1]
             return verdicts[0, 0]
 
@@ -962,8 +963,9 @@ class TestOracleCheck:
         costs = np.array([[[0.0, 3.0], [1.0, 3.0]],
                           [[0.5, 0.0], [0.5, 1.5 * slack]]])        # (G=2, C=2, L=2)
         energies = np.array([[energy, 0.0], [energy, 2.0]])
-        assert harness._least_cost(costs, np.array([[0, 1], [1, 1]]), energies).tolist() == [
-            [1, 0], [-1, -1]]
+        # trial 0 judges candidate 0 at node 0 and candidate 1's sum, trial 1 candidate 1's
+        mine = np.array([[costs[0, 0, 0], costs[0, 1].sum()], [costs[1, 1, 0], costs[1, 1].sum()]])
+        assert harness._least_cost(mine, costs, energies).tolist() == [[1, 0], [-1, -1]]
 
     def test_k_equal_m_counts_tied_candidates(self):
         # at k = M every k columns span R^M, so every candidate costs rounding

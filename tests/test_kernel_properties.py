@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from jspr import greedy
 from jspr.algorithms import ALGORITHMS
-from jspr.decentralized import _admit, _own_argmax, dcomp1, dcomp2, domp_majority, majority_vote
+from jspr.decentralized import _own_argmax, dcomp1, dcomp2, domp_majority, majority_vote
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
 from jspr.greedy import _lanes, greedy_rounds, ls_residual, omp, pooled_argmax, somp
@@ -203,13 +203,17 @@ RULE_TOPOLOGIES = {
 
 def reference_collaborative(rule, obs, meas, topology, k):
     """The solver of `rule` with one single-vector kernel call per node and
-    round: supports, iteration counts and both ledger totals. dc-omp2 sums
-    the neighbours' correlations in the solver's order, f[l] + f[nbrs]."""
+    round: supports, iteration counts, both ledger totals and each round's
+    (proposals, fused) by node, None at a node that has stopped. dc-omp2 sums
+    the neighbours' correlations in the solver's order, f[l] + f[nbrs]. A node
+    adopts its fused indices by descending count, then by its own descending
+    score (dc-omp1-nbr only), then the smaller index."""
     l_count, n = obs.per_node.shape[0], meas.matrices.shape[2]
     ledger = MessageLedger(topology)
     residuals = np.array(obs.per_node, dtype=float, copy=True)
     supports = [[] for _ in range(l_count)]
     iterations = [0] * l_count
+    rounds = []
     round_no = 0
     while any(len(s) < k for s in supports):
         round_no += 1
@@ -226,21 +230,25 @@ def reference_collaborative(rule, obs, meas, topology, k):
                 ledger.send_global(l, 1)
             else:
                 ledger.send_local(l, 1)
+        adopted = [None] * l_count
         for l in active:
             if rule == "dc-omp1-nbr":
                 heard = [proposals[l], *(proposals[j] for j in topology.adjacency[l]
                                          if proposals[j] is not None)]
                 scores = f[l]
-            else:   # network-wide: every node fuses the same proposals
-                heard, scores = proposals, None
+            else:   # network-wide: every node fuses the same proposals, scores tie
+                heard, scores = proposals, np.zeros(n)
             counts = Counter(heard)
             agreed = {idx for idx, c in counts.items() if c >= 2}
             fused = agreed.difference(supports[l]) or {heard[0]}
-            supports[l].extend(_admit(fused, k - len(supports[l]), counts, scores=scores))
+            adopted[l] = sorted(fused, key=lambda idx: (-counts[idx], -scores[idx], idx))[
+                :k - len(supports[l])]
+            supports[l].extend(adopted[l])
             iterations[l] = round_no
             residuals[l] = ls_residual(obs.per_node[l], meas.matrices[l], supports[l])
+        rounds.append((proposals, adopted))
     return ([tuple(sorted(s)) for s in supports], iterations,
-            ledger.local_scalar_count, ledger.global_scalar_count)
+            ledger.local_scalar_count, ledger.global_scalar_count, rounds)
 
 
 class TestDcomp1Neighborhood:
@@ -255,11 +263,12 @@ class TestDcomp1Neighborhood:
         topology = RULE_TOPOLOGIES[rule](l_count, n0)
         meas, obs = instance(seed, 32, k, l_count, m, sigma2)
         result = ALGORITHMS[rule].run(*_lanes([(obs, meas)]), topology, k)[0]
-        supports, iterations, local, global_ = reference_collaborative(
+        supports, iterations, local, global_, rounds = reference_collaborative(
             rule, obs, meas, topology, k)
         assert result.per_node_support == supports
         assert result.iterations == iterations
         assert [r.iteration for r in result.rounds] == list(range(1, max(iterations) + 1))
+        assert [(r.proposals, r.fused) for r in result.rounds] == rounds
         assert result.ledger.local_scalar_count == local
         assert result.ledger.global_scalar_count == global_
 
