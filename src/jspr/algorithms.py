@@ -2,8 +2,8 @@
 and needs, read by the config check, the trial harness and
 `table1_expected`.
 
-A runner solves a chunk of T trials stacked once as lanes
-(`greedy._lanes`): observations `ys (T, L, M)` and dictionaries
+A runner solves a chunk of T trials drawn as lanes
+(`harness._draw_chunk`): observations `ys (T, L, M)` and dictionaries
 `(T, L, M, N)`, or `(T, 1, M, N)` for one shared matrix per trial. It
 returns one RecoveryResult per trial; a single trial is a chunk of one.
 Every runner takes the whole chunk at once, its trials as extra lanes of

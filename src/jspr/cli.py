@@ -71,12 +71,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         cfg = _load(args)
-        if args.command in SWEEP_KINDS:
-            rows = run_sweep(cfg, SWEEP_KINDS[args.command])
-            text = rows_to_csv(rows) if cfg.out_format == "csv" else rows_to_json(rows)
-        elif args.command == "mac-compare":
+        if args.command == "mac-compare":
             cfg.algorithms = list(MAC_COMPARE)
-            rows = run_sweep(cfg, "m")
+        if args.command in SWEEP_KINDS or args.command == "mac-compare":
+            rows = run_sweep(cfg, SWEEP_KINDS.get(args.command, "m"))
             text = rows_to_csv(rows) if cfg.out_format == "csv" else rows_to_json(rows)
         elif args.command == "bounds":
             text = json.dumps(bounds_report(cfg), indent=2) + "\n"

@@ -171,7 +171,7 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
     mode="neighborhood" fuses within each node's one-hop neighborhood, so
     estimates (and termination rounds) may differ across nodes.
     """
-    return dcomp1_chunk(*_lanes([(obs, meas)]), topology, k, mode)[0]
+    return dcomp1_chunk(*_lanes(obs, meas), topology, k, mode)[0]
 
 
 def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
@@ -224,7 +224,7 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     multiplicity, so every node applies the identical update and all final
     supports agree.
     """
-    return dcomp2_chunk(*_lanes([(obs, meas)]), topology, k)[0]
+    return dcomp2_chunk(*_lanes(obs, meas), topology, k)[0]
 
 
 def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
@@ -252,7 +252,7 @@ def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     Each node runs k OMP iterations on its own data, ships its k indices
     network-wide, and adopts the winning k-index set.
     """
-    return domp_chunk(*_lanes([(obs, meas)]), topology, k)[0]
+    return domp_chunk(*_lanes(obs, meas), topology, k)[0]
 
 
 def domp_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,

@@ -2,13 +2,15 @@
 
 L nodes each hold a length-N sparse vector; all vectors share one support of
 size k. Node l observes y_l = B_l s_l + v_l through an M x N matrix with
-orthonormal rows (optionally one shared matrix for all nodes). The sum
-channel delivers only z = sum_l y_l to a fusion center.
+orthonormal rows (optionally one shared by all nodes), one of a stack made by
+`orthoprojectors`. The sum channel delivers only z = sum_l y_l to a fusion center.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
+
+_QR_BYTES = 1 << 16       # bytes of normal draws per stacked QR call
 
 
 @dataclass
@@ -78,36 +80,38 @@ def gen_signals(support, n: int, l_count: int, amp_low: float, amp_high: float,
     return JointSparseEnsemble(n=n, k=k, l_count=l_count, support=support, signals=signals)
 
 
-def gen_orthoprojector(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """M x N matrix with orthonormal rows (A A^T = I_M to 1e-10).
-
-    Reduced QR of an N x M standard-normal draw, transposed; each row's sign
-    is fixed so its first nonzero entry is positive, for reproducibility.
-    """
+def orthoprojectors(normals: np.ndarray) -> np.ndarray:
+    """`(..., M, N)` matrices with orthonormal rows (A A^T = I_M to 1e-10):
+    each `(..., N, M)` normal draw's reduced QR factor, transposed, each row's
+    sign fixed so its first nonzero entry is positive. Stacked QRs over blocks
+    of at most _QR_BYTES of draws, each matrix factored on its own (so equal
+    to its own call bit for bit), sign-fixed in place in the output."""
+    *lead, n, m = normals.shape
     if m < 1 or m > n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
-    g = rng.standard_normal((n, m))
-    q, _ = np.linalg.qr(g)                   # (n, m), orthonormal columns
-    a = np.ascontiguousarray(q.T)
-    first = (np.abs(a) > 0.0).argmax(axis=1)
-    signs = np.sign(a[np.arange(m), first])
-    return a * signs[:, None]
+    draws, out = normals.reshape(-1, n, m), np.empty((*lead, m, n))
+    block = max(1, _QR_BYTES // (n * m * 8))
+    for start in range(0, len(draws), block):
+        a = out.reshape(-1, m, n)[start:start + block]
+        np.copyto(a, np.linalg.qr(draws[start:start + block])[0].swapaxes(1, 2))
+        a *= np.sign(np.take_along_axis(a, (np.abs(a) > 0.0).argmax(axis=2)[..., None], axis=2))
+    return out
+
+
+def gen_orthoprojector(m: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """M x N matrix with orthonormal rows from one N x M draw (orthoprojectors)."""
+    return orthoprojectors(rng.standard_normal((n, m)))
 
 
 def gen_measurements(n: int, m: int, l_count: int, sigma2: float,
                      rng: np.random.Generator, shared: bool = False) -> MeasurementEnsemble:
-    """Per-node orthoprojector matrices; one shared draw when `shared`.
-
-    A shared draw is stored once: `matrices` is then a read-only (L, M, N)
-    view of one (M, N) matrix (`np.broadcast_to`, stride 0 over the nodes).
-    """
+    """Per-node orthoprojector matrices, the bits of `l_count`
+    gen_orthoprojector calls on `rng`. One shared draw when `shared`, stored
+    once as a read-only (L, M, N) stride-0 view (`np.broadcast_to`)."""
     if sigma2 < 0:
         raise ValueError("noise variance must be nonnegative")
-    if shared:
-        a = gen_orthoprojector(m, n, rng)
-        mats = np.broadcast_to(a, (l_count, m, n))
-    else:
-        mats = np.stack([gen_orthoprojector(m, n, rng) for _ in range(l_count)])
+    mats = orthoprojectors(rng.standard_normal((1 if shared else l_count, n, m)))
+    mats = np.broadcast_to(mats[0], (l_count, m, n)) if shared else mats
     return MeasurementEnsemble(matrices=mats, noise_sigma2=float(sigma2))
 
 
@@ -121,12 +125,9 @@ def measure(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble,
         raise ValueError(
             f"measurement shape {meas.matrices.shape} incompatible with "
             f"ensemble (L={ensemble.l_count}, N={ensemble.n})")
-    clean = np.einsum("lmn,ln->lm", meas.matrices, ensemble.signals)
+    per_node = np.einsum("lmn,ln->lm", meas.matrices, ensemble.signals)
     if meas.noise_sigma2 > 0:
-        noise = rng.standard_normal(clean.shape) * np.sqrt(meas.noise_sigma2)
-        per_node = clean + noise
-    else:
-        per_node = clean
+        per_node += rng.standard_normal(per_node.shape) * np.sqrt(meas.noise_sigma2)
     return ObservationSet(per_node=per_node)
 
 

@@ -62,12 +62,8 @@ def ls_residual(y: np.ndarray, dictionary: np.ndarray, selected, *,
     GRAM_COND_LIMIT before solving; if any lane exceeds it,
     SingularProjectionError is raised instead of regularizing. `check=False`
     skips only that SVD; the Gram matrix and the solve are the same. Every
-    solver checks only the call whose selection is the support it returns:
-    no solver ever drops an index, and by Cauchy's interlacing theorem the
-    Gram matrix of a subset of columns, a principal submatrix of the larger
-    Gram, has no larger condition number. If any round's Gram exceeds the
-    limit, the final one does too, so the solver still raises, only later.
-    An empty selection returns a copy of y.
+    solver checks only the call completing its support (SingularProjectionError
+    says why that suffices). An empty selection returns a copy of y.
     """
     ys = np.asarray(y, dtype=float)
     dictionaries = np.asarray(dictionary, dtype=float)
@@ -180,18 +176,12 @@ def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
 def somp(obs, meas, k: int) -> list:
     """Simultaneous OMP: per-iteration score is the sum over nodes of each
     node's absolute residual correlation against its own dictionary."""
-    supports, _ = greedy_rounds(*_lanes([(obs, meas)]), k, pooled_argmax)
+    supports, _ = greedy_rounds(*_lanes(obs, meas), k, pooled_argmax)
     return supports[0][0]
 
 
-def _lanes(pairs) -> tuple:
-    """A chunk of per-trial `(obs, meas)` pairs as the round loop's arrays:
-    observations `(T, L, M)` and distinct dictionaries, `(T, 1, M, N)` when
-    each trial's matrix is shared (a stride-0 view over the nodes), which
-    the kernels broadcast over the L nodes, else `(T, L, M, N)`. A chunk of
-    one is a view."""
-    ys = [obs.per_node for obs, _ in pairs]
-    dictionaries = [meas.matrices[:1] if meas.matrices.strides[0] == 0 else meas.matrices
-                    for _, meas in pairs]
-    stack = (lambda arrays: arrays[0][None]) if len(pairs) == 1 else np.stack
-    return stack(ys), stack(dictionaries)
+def _lanes(obs, meas) -> tuple:
+    """One trial's `(obs, meas)` as views, a chunk of one of the round loop's
+    lanes: `ys (1, L, M)` and dictionaries `(1, 1 or L, M, N)`, 1 if shared."""
+    shared = meas.matrices.strides[0] == 0
+    return obs.per_node[None], (meas.matrices[:1] if shared else meas.matrices)[None]

@@ -1,9 +1,10 @@
 """Config-driven Monte Carlo sweeps, bound reports, and a brute-force oracle.
 
 Every trial draws a fresh ensemble, measurement matrices, and noise from
-purpose-split seed streams, so runs are reproducible byte-for-byte (also
-under parallel trial execution and whatever the chunk size) and all
-algorithms at a sweep point consume identical data (paired trials).
+purpose-split seed streams, a chunk of trials at a time (`_draw_chunk`), so
+runs are reproducible byte-for-byte (also under parallel trial execution and
+whatever the chunk size) and all algorithms at a sweep point consume
+identical data (paired trials).
 """
 
 import contextlib
@@ -13,17 +14,16 @@ import itertools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
 from . import seeding
 from .algorithms import ALGORITHMS
 from .config import ExperimentConfig
-from .ensembles import gen_measurements, gen_signals, gen_support, measure
+from .ensembles import (JointSparseEnsemble, MeasurementEnsemble, ObservationSet, gen_signals,
+                        gen_support, orthoprojectors)
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
-from .greedy import _lanes
 from .macbounds import bound_report
 from .metrics import TrialRecord, aggregate
 from .network import Topology, build_topology, complete_topology
@@ -49,17 +49,14 @@ MAX_FAILED_FRACTION = 0.01
 def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
                shared: bool) -> tuple:
     """(ensemble, meas, obs) of one trial on `l_count` nodes with `m`
-    measurements each, drawn from the seed streams of (cfg.master_seed, trial);
-    with `shared`, every node gets the same matrix."""
-    seed = cfg.master_seed
-    support = gen_support(cfg.n, cfg.k, seeding.stream(seed, seeding.SUPPORT, trial))
-    ensemble = gen_signals(support, cfg.n, l_count, cfg.amp_low, cfg.amp_high,
-                           seeding.stream(seed, seeding.AMPLITUDES, trial))
-    meas = gen_measurements(cfg.n, m, l_count, cfg.sigma2,
-                            seeding.stream(seed, seeding.MATRICES, trial), shared=shared)
-    # a noiseless draw reads no noise, so it builds no noise stream
-    noise = seeding.stream(seed, seeding.NOISE, trial) if cfg.sigma2 > 0 else None
-    return ensemble, meas, measure(ensemble, meas, noise)
+    measurements each, a chunk of one (`_draw_chunk`); with `shared`, every
+    node gets the same matrix, a read-only stride-0 view."""
+    (support,), ys, dictionaries, signals = _draw_chunk(
+        cfg, l_count, m, range(trial, trial + 1), lambda t: f"trial {t}, seed {cfg.master_seed}",
+        shared=shared)
+    mats = np.broadcast_to(dictionaries[0], (l_count, m, cfg.n)) if shared else dictionaries[0]
+    return (JointSparseEnsemble(cfg.n, cfg.k, l_count, support, signals[0]),
+            MeasurementEnsemble(mats, float(cfg.sigma2)), ObservationSet(ys[0]))
 
 
 def _shares_matrix(cfg: ExperimentConfig) -> bool:
@@ -93,13 +90,34 @@ def _per_trial(run, trials, lead, tolerated=()) -> list:
 
 def _draw_chunk(cfg: ExperimentConfig, l_count: int, m: int, trials: range, lead, *,
                 shared: bool) -> tuple:
-    """(supports, ys, dictionaries) of trials `trials`, drawn (draw_trial)
-    and stacked into lanes (`greedy._lanes`); only each ensemble's support
-    outlives the stacking. A draw fails as in `_per_trial`, led by `lead`."""
-    draws = _per_trial(lambda part: [draw_trial(cfg, l_count, m, t, shared=shared)
-                                     for t in trials[part]], trials, lead)
-    return ([ensemble.support for ensemble, _, _ in draws],
-            *_lanes([(obs, meas) for _, meas, obs in draws]))
+    """(supports, ys (T, L, M), dictionaries (T, 1 or L, M, N), signals
+    (T, L, N)) of trials `trials` (one matrix per trial when `shared`), the
+    round loop's lanes. Trial by trial, its seed streams give its support and
+    amplitudes, its slice of one standard-normal block and, only when
+    sigma2 > 0, its noise; a failure there fails as in `_per_trial`, led by
+    `lead`. Per chunk: stacked QRs (`orthoprojectors`), one einsum."""
+    count, n, noisy = len(trials), cfg.n, cfg.sigma2 > 0
+    normals = np.empty((count, 1 if shared else l_count, n, m))
+    signals, noise = np.empty((count, l_count, n)), np.empty((count, l_count, m))
+
+    def read(part):
+        supports = []
+        for i in range(count)[part]:
+            rng = lambda purpose: seeding.stream(cfg.master_seed, purpose, trials[i])
+            supports.append(gen_support(n, cfg.k, rng(seeding.SUPPORT)))
+            signals[i] = gen_signals(supports[-1], n, l_count, cfg.amp_low, cfg.amp_high,
+                                     rng(seeding.AMPLITUDES)).signals
+            rng(seeding.MATRICES).standard_normal(out=normals[i])
+            if noisy:       # a noiseless draw reads no noise, so it builds no noise stream
+                rng(seeding.NOISE).standard_normal(out=noise[i])
+        return supports
+
+    supports = _per_trial(read, trials, lead)
+    dictionaries = orthoprojectors(normals)
+    ys = np.einsum("tlmn,tln->tlm", dictionaries, signals)
+    if noisy:
+        ys += noise * np.sqrt(cfg.sigma2)
+    return supports, ys, dictionaries, signals
 
 
 def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
@@ -109,7 +127,7 @@ def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
     exception is re-raised as a TrialError naming the sweep point,
     algorithm, trial index and seed.
 
-    The chunk is drawn and stacked once (`_draw_chunk`). Each algorithm then
+    The chunk is drawn once, as lanes (`_draw_chunk`). Each algorithm then
     runs once on the whole chunk, its trials as extra lanes of the one round
     loop (`decentralized.solve_chunk`). A chunk call that raises is run
     again trial by trial (`_per_trial`), so the records do not depend on how
@@ -119,7 +137,7 @@ def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
                               f"trial {trial}, seed {cfg.master_seed}")
 
     supports, ys, dictionaries = _draw_chunk(cfg, l_count, m, trials, lead("(trial draw)"),
-                                             shared=_shares_matrix(cfg))
+                                             shared=_shares_matrix(cfg))[:3]
     out = [{} for _ in trials]
     for alg in cfg.algorithms:
         results = _per_trial(lambda part: _run_algorithm(alg, ys[part], dictionaries[part],
@@ -127,12 +145,8 @@ def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
                              trials, lead(alg), SingularProjectionError)
         for trial, support, result in zip(out, supports, results):
             trial[alg] = None if result is None else TrialRecord(
-                true_support=support,
-                per_node_supports=result.per_node_support,
-                iterations=list(result.iterations),
-                local_scalars=result.ledger.local_scalar_count,
-                global_scalars=result.ledger.global_scalar_count,
-            )
+                support, result.per_node_support, list(result.iterations),
+                result.ledger.local_scalar_count, result.ledger.global_scalar_count)
     return out
 
 
@@ -174,10 +188,10 @@ def _chunk_size(cfg: ExperimentConfig, l_count: int, m: int) -> int:
 
 
 def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
-              topology: Topology, pool: ProcessPoolExecutor | None = None) -> list:
+              topology: Topology, pool=None) -> list:
     """All configured algorithms on `trials` paired trials at one sweep point,
-    in chunks of consecutive trials (run_chunk), on `pool` if one is given,
-    else serially in this process."""
+    in chunks of consecutive trials (run_chunk), on `pool` (a process pool)
+    if one is given, else serially in this process."""
     size = _chunk_size(cfg, l_count, m)
     chunks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
     run = functools.partial(run_chunk, cfg, l_count, m, topology)
@@ -232,6 +246,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     rows = []
+    if cfg.workers > 1:    # the pool's modules load only when a sweep opens one
+        from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=min(cfg.workers, cpus)) if cfg.workers > 1
           else contextlib.nullcontext()) as pool:
         for sweep_var, l_count, m, topology in points:
@@ -241,10 +257,8 @@ def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
 
 
 def rows_to_csv(rows) -> str:
-    lines = [CSV_HEADER]
-    for row in rows:
-        lines.append(",".join(format(row[name], spec) for name, spec in COLUMNS))
-    return "\n".join(lines) + "\n"
+    lines = [",".join(format(row[name], spec) for name, spec in COLUMNS) for row in rows]
+    return "\n".join([CSV_HEADER, *lines]) + "\n"
 
 
 def rows_to_json(rows) -> str:
@@ -262,7 +276,8 @@ def _candidates(n: int, k: int) -> np.ndarray:
     if count > ORACLE_CAP:
         raise EnumerationTooLargeError(
             f"C({n},{k}) = {count} candidate supports exceed the cap {ORACLE_CAP}")
-    return np.array(list(itertools.combinations(range(n), k)), dtype=np.intp).reshape(count, k)
+    flat = itertools.chain.from_iterable(itertools.combinations(range(n), k))
+    return np.fromiter(flat, dtype=np.intp, count=count * k).reshape(count, k)
 
 
 def _screen_tau(k: int) -> float:
@@ -312,8 +327,7 @@ def _candidate_costs(ys: np.ndarray, dictionaries: np.ndarray,
     when its A passes the conditioning screen (`_well_conditioned`, which
     proves κ₂(A) ≤ _KAPPA_MAX = 1e4). There the cost differs from the SVD
     rule's by about eps·κ·‖y‖², and A lies far from lstsq's rank cut-off.
-    Every other entry is scored by `_svd_costs`, lstsq's SVD rank rule, so a
-    rank-deficient candidate costs what lstsq's residual does. When M ≤ k
+    Every other entry takes lstsq's SVD rank rule (`_svd_costs`). When M ≤ k
     (R has no [k, k]) or k ≥ 10 (τ_k ≥ 1, so nothing can pass the screen),
     no QR is run and every entry is flagged. LAPACK factors each matrix of
     a stack on its own, so a trial's slice equals its own call, a node's
@@ -347,11 +361,10 @@ def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
     """Support minimizing the total least-squares residual over all C(N,k)
     candidates (summed over nodes when several observations are given).
 
-    Independent of the greedy path: the candidates' residuals come from
-    `_candidate_costs` (stacked QRs of [A | y], and `np.linalg.lstsq`'s SVD
-    rank rule wherever a conditioning screen cannot prove κ₂(A) ≤ 1e4), not
-    from the normal equations of `ls_residual`. Ties keep the
-    lexicographically smallest support. A k outside [1, N] raises ValueError.
+    Independent of the greedy path: the residuals come from
+    `_candidate_costs`, not from the normal equations of `ls_residual`. Ties
+    keep the lexicographically smallest support. A k outside [1, N] raises
+    ValueError.
     """
     dictionaries = np.asarray(dictionaries, dtype=float)
     ys = np.asarray(ys, dtype=float).reshape(-1, dictionaries.shape[-2])
@@ -366,8 +379,7 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     entries (macbounds.bound_report) of its trial 0."""
     if cfg.sigma2 <= 0:
         raise ConfigError("key 'sigma2': bound reports need positive noise variance")
-    l_count = _single(cfg.l_values, "l")
-    m = _single(cfg.m_values, "m")
+    l_count, m = _single(cfg.l_values, "l"), _single(cfg.m_values, "m")
     ensemble, meas, _ = draw_trial(cfg, l_count, m, 0, shared=True)
     return {
         "params": {
@@ -407,14 +419,13 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     node-0 OMP as `s-omp` on each trial's node-0 slice, a one-node network.
     Their supports form `(T, 3, k)` picks. One `_candidate_costs` call scores
     each trial's three (its witness table), and `_least_cost` judges node-0
-    OMP's and S-OMP's own costs on it; that settles 756 of 800 trials at
-    N=10, k=3, L=3, M=6 (seeds 0–19). The undecided trials' full tables, one
-    more call, judge the same costs. Every entry is factored on its own, so
-    it equals the same entry of a full search bit for bit. A chunk that
-    raises is run again trial by trial (`_per_trial`, tolerating nothing),
-    so the TrialError names the failing trial, the seed and the comparison."""
-    l_count = _single(cfg.l_values, "l")
-    m = _single(cfg.m_values, "m")
+    OMP's and S-OMP's own costs on it, which settles most trials. The
+    undecided trials' full tables, one more call, judge the same costs.
+    Every entry is factored on its own, so it equals the same entry of a
+    full search bit for bit. A chunk that raises is run again trial by trial
+    (`_per_trial`, tolerating nothing), so the TrialError names the failing
+    trial, the seed and the comparison."""
+    l_count, m = _single(cfg.l_values, "l"), _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
     try:
         candidates = _candidates(cfg.n, cfg.k)
@@ -436,8 +447,8 @@ def oracle_check(cfg: ExperimentConfig) -> dict:
     counts = np.zeros(3, dtype=int)     # node-0 OMP and S-OMP agreements, DC-OMP 2 = S-OMP
     for start in range(0, cfg.trials, size):
         trials = range(start, min(start + size, cfg.trials))
-        _, ys, dictionaries = _draw_chunk(noiseless, l_count, m, trials, lead("(trial draw)"),
-                                          shared=False)
+        ys, dictionaries = _draw_chunk(noiseless, l_count, m, trials, lead("(trial draw)"),
+                                       shared=False)[1:3]
         picks = np.array([supports(*comparison, ys, dictionaries, trials) for comparison in (
             ("omp", "s-omp", 1), ("s-omp", "s-omp", l_count),
             ("dc-omp2", "dc-omp2", l_count))], dtype=np.intp).swapaxes(0, 1)   # (T, 3, k)

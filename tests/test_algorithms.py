@@ -44,7 +44,7 @@ def test_ledger_totals_equal_table1(tag, topology, n, k, data):
                            master_seed=data.draw(SEEDS, label="seed"))
     _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=algorithm.shared_matrix)
     try:
-        result = algorithm.run(*_lanes([(obs, meas)]), topology, k)[0]
+        result = algorithm.run(*_lanes(obs, meas), topology, k)[0]
     except SingularProjectionError:
         assume(False)
     expected = table1_expected(tag, l_count, k, n, topology.adjacency, result.iterations)
@@ -102,12 +102,12 @@ def test_relabeling_nodes_permutes_result(tag):
         moved_obs = dataclasses.replace(obs, per_node=relabeled(pi, obs.per_node))
         moved_meas = dataclasses.replace(meas, matrices=relabeled(pi, meas.matrices))
         try:
-            result = algorithm.run(*_lanes([(obs, meas)]), topology, k)[0]
+            result = algorithm.run(*_lanes(obs, meas), topology, k)[0]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                algorithm.run(*_lanes([(moved_obs, moved_meas)]), topology, k)[0]
+                algorithm.run(*_lanes(moved_obs, moved_meas), topology, k)[0]
             return
-        moved = algorithm.run(*_lanes([(moved_obs, moved_meas)]), topology, k)[0]
+        moved = algorithm.run(*_lanes(moved_obs, moved_meas), topology, k)[0]
         if tag in NODE_ORDER_FALLBACK and (settled_by_fallback(result)
                                            or settled_by_fallback(moved)):
             return
@@ -133,8 +133,8 @@ def test_sum_channel_output_is_mac_aggregate(seed, t_count, l_count, m, sigma2):
     solved = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jspr.algorithms, "solve_chunk", lambda *args: solved.append(args) or [])
-        ALGORITHMS["mac-omp"].run(*_lanes([(obs, meas) for _, meas, obs in draws]),
-                                  complete_topology(l_count), cfg.k)
+        chunk = zip(*(_lanes(obs, meas) for _, meas, obs in draws))
+        ALGORITHMS["mac-omp"].run(*map(np.concatenate, chunk), complete_topology(l_count), cfg.k)
     [(zs, dictionaries, *_)] = solved
     assert zs.shape == (t_count, 1, m) and dictionaries.shape == (t_count, 1, m, 48)
     for z, dictionary, (_, meas, obs) in zip(zs, dictionaries, draws):

@@ -287,14 +287,15 @@ class TestChunkLanes:
                                          l_count=l_count, m=k + extra_m, sigma2=sigma2,
                                          shared=shared)
             draws.append((obs, meas))
-        run = ALGORITHMS[tag].run
+        run, lanes = ALGORITHMS[tag].run, [_lanes(obs, meas) for obs, meas in draws]
+        chunk = [np.concatenate(arrays) for arrays in zip(*lanes)]
         try:
-            alone = [run(*_lanes([draw]), topology, k)[0] for draw in draws]
+            alone = [run(*lane, topology, k)[0] for lane in lanes]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                run(*_lanes(draws), topology, k)
+                run(*chunk, topology, k)
             return
-        assert run(*_lanes(draws), topology, k) == alone
+        assert run(*chunk, topology, k) == alone
 
 
 class TestDompMajority:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from jspr import seeding
+from jspr import ensembles, seeding
 from jspr.ensembles import (
     JointSparseEnsemble,
     MeasurementEnsemble,
@@ -120,6 +120,36 @@ class TestOrthoprojector:
             gen_orthoprojector(5, 4, rng_of(0))
         with pytest.raises(ValueError):
             gen_orthoprojector(0, 4, rng_of(0))
+
+    @staticmethod
+    def one_qr(m, n, rng):
+        """The M x N matrix of one unstacked QR of an N x M draw, rows
+        sign-fixed one at a time."""
+        q, _ = np.linalg.qr(rng.standard_normal((n, m)))
+        a = np.ascontiguousarray(q.T)
+        first = (np.abs(a) > 0.0).argmax(axis=1)
+        return a * np.sign(a[np.arange(m), first])[:, None]
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40), l_count=st.integers(1, 6),
+           shared=st.booleans(), qr_bytes=st.sampled_from([1, 2048, ensembles._QR_BYTES]),
+           data=st.data())
+    def test_measurements_equal_sequential_orthoprojectors(self, seed, n, l_count, shared,
+                                                          qr_bytes, data):
+        # gen_measurements is `l_count` gen_orthoprojector draws from one
+        # generator (one when shared), and every matrix is the one of its
+        # own unstacked QR, bit for bit, whatever the block of stacked QRs
+        m = data.draw(st.integers(1, n), label="m")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensembles, "_QR_BYTES", qr_bytes)
+            got = gen_measurements(n, m, l_count, 0.0, rng_of(seed), shared=shared).matrices
+            rng = rng_of(seed)
+            each = [gen_orthoprojector(m, n, rng) for _ in range(1 if shared else l_count)]
+        rng = rng_of(seed)
+        alone = [self.one_qr(m, n, rng) for _ in each]
+        want = np.broadcast_to(np.stack(each), (l_count, m, n))
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(each, alone))
 
 
 class TestMeasure:

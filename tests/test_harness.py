@@ -1,13 +1,17 @@
 """Config parsing, sweep running, oracle, bound reports, and the CLI."""
 
+import concurrent.futures
 import contextlib
 import dataclasses
 import itertools
 import json
 import math
 import os
+import pathlib
 import pickle
 import re
+import subprocess
+import sys
 import weakref
 
 import numpy as np
@@ -16,11 +20,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import jspr.harness as harness
-from jspr import seeding
+from jspr import ensembles, seeding
 from jspr.algorithms import ALGORITHMS, MAC_COMPARE
 from jspr.cli import main
 from jspr.config import ExperimentConfig, parse_config
-from jspr.ensembles import MeasurementEnsemble, gen_measurements, gen_signals, gen_support, measure
+from jspr.ensembles import (JointSparseEnsemble, MeasurementEnsemble, gen_measurements,
+                            gen_signals, gen_support, measure)
 from jspr.errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                          TrialError)
 from jspr.harness import (
@@ -194,7 +199,8 @@ class TestRunSweep:
                 record["chunks"].extend(map(len, chunks))
                 return map(fn, chunks)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", Pool)
+        # a sweep loads the pool's module only when it opens a pool
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return record
 
     @pytest.mark.parametrize("workers, cpus, size", [(3, 2, 2), (2, 2, 2), (2, 1, 1),
@@ -209,6 +215,17 @@ class TestRunSweep:
         # the chunks still follow the configured workers, so one CPU still
         # runs the pool path
         assert max(record["chunks"]) == harness._chunk_size(cfg, 3, 8) == 24 // (4 * workers)
+
+    def test_import_loads_no_process_pool(self):
+        # only a sweep with workers > 1 opens a pool, so importing the CLI
+        # leaves the pool's modules unloaded
+        code = ("import sys, jspr.cli\n"
+                "print(*(name in sys.modules for name in "
+                "('concurrent.futures.process', 'multiprocessing')))")
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(harness.__file__).parents[1]))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=120, check=True)
+        assert done.stdout.split() == ["False", "False"]
 
     @pytest.mark.parametrize("cpu_count, size", [(3, 3), (None, 1)])
     def test_pool_cap_without_an_affinity_mask(self, monkeypatch, cpu_count, size):
@@ -246,7 +263,7 @@ class TestRunSweep:
     def test_sparsity_above_m_rejected_before_any_point_runs(self, monkeypatch):
         import jspr.harness as harness
         calls = []
-        monkeypatch.setattr(harness, "draw_trial", lambda *args, **kwargs: calls.append(args))
+        monkeypatch.setattr(harness, "_draw_chunk", lambda *args, **kwargs: calls.append(args))
         with pytest.raises(ConfigError, match="m=1: greedy recovery requires k <= M"):
             run_sweep(tiny_config(m_values=[20, 1]), "m")
         assert calls == []
@@ -321,22 +338,23 @@ def fixed_chunks(mp, size):
 
 
 def collinear_trial(doomed):
-    """A draw_trial that gives trial `doomed` matrices whose columns are
+    """A _draw_chunk that gives trial `doomed` matrices whose columns are
     near copies of their first column (column j scaled by 1 + 1e-7 j), so
-    any support of two or more columns is near-dependent. Other trials are
-    as drawn."""
-    real = harness.draw_trial
+    any support of two or more columns is near-dependent, and observations
+    through them. Other trials are as drawn."""
+    real = harness._draw_chunk
 
-    def draw(cfg, l_count, m, trial, *, shared):
-        ensemble, meas, obs = real(cfg, l_count, m, trial, shared=shared)
-        if trial != doomed:
-            return ensemble, meas, obs
-        mats = meas.matrices[..., :1] * (1.0 + 1e-7 * np.arange(cfg.n))
-        if shared:
-            mats = np.broadcast_to(mats[0], mats.shape)
-        meas = MeasurementEnsemble(matrices=mats, noise_sigma2=meas.noise_sigma2)
-        obs = measure(ensemble, meas, seeding.stream(cfg.master_seed, seeding.NOISE, trial))
-        return ensemble, meas, obs
+    def draw(cfg, l_count, m, trials, lead, *, shared):
+        supports, ys, dictionaries, signals = real(cfg, l_count, m, trials, lead, shared=shared)
+        if doomed in trials:
+            i = trials.index(doomed)
+            dictionaries[i] = dictionaries[i, ..., :1] * (1.0 + 1e-7 * np.arange(cfg.n))
+            ensemble = JointSparseEnsemble(cfg.n, cfg.k, l_count, supports[i], signals[i])
+            meas = MeasurementEnsemble(np.broadcast_to(dictionaries[i], (l_count, m, cfg.n)),
+                                       cfg.sigma2)
+            ys[i] = measure(ensemble, meas,
+                            seeding.stream(cfg.master_seed, seeding.NOISE, doomed)).per_node
+        return supports, ys, dictionaries, signals
     return draw
 
 
@@ -372,6 +390,37 @@ class TestDrawTrial:
             assert np.array_equal(got[0].signals, want[0].signals)
             assert np.array_equal(got[1].matrices, want[1].matrices)
             assert np.array_equal(got[2].per_node, want[2].per_node)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24), l_count=st.integers(1, 5),
+           shared=st.booleans(), sigma2=st.sampled_from([0.0, 0.01, 2.5]),
+           qr_bytes=st.sampled_from([1, 4096, ensembles._QR_BYTES]), data=st.data())
+    def test_chunk_draw_equals_four_stream_draw(self, seed, n, l_count, shared, sigma2,
+                                                qr_bytes, data):
+        # however a range of trials is split into chunks, and whatever the
+        # block of stacked QRs, each trial's slice of its chunk's draw is
+        # the four-stream draw of that trial, bit for bit
+        k = data.draw(st.integers(1, n - 1), label="k")
+        m = data.draw(st.integers(1, n), label="m")
+        first = data.draw(st.integers(0, 60), label="first")
+        count = data.draw(st.integers(1, 12), label="trials")
+        cuts = data.draw(st.sets(st.integers(1, count - 1)), label="cuts") if count > 1 else set()
+        cfg = tiny_config(n=n, k=k, sigma2=sigma2, master_seed=seed)
+        bounds = [first, *sorted(first + cut for cut in cuts), first + count]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ensembles, "_QR_BYTES", qr_bytes)
+            chunks = [(range(a, b), harness._draw_chunk(cfg, l_count, m, range(a, b), str,
+                                                        shared=shared))
+                      for a, b in zip(bounds, bounds[1:])]
+        for trials, (supports, ys, dictionaries, signals) in chunks:
+            assert dictionaries.shape == (len(trials), 1 if shared else l_count, m, n)
+            for i, trial in enumerate(trials):
+                ensemble, meas, obs = self.four_stream_draw(cfg, l_count, m, trial, shared)
+                assert supports[i] == ensemble.support
+                for got, want in ((signals[i], ensemble.signals), (ys[i], obs.per_node),
+                                  (dictionaries[i], meas.matrices[:dictionaries.shape[1]])):
+                    assert got.shape == want.shape
+                    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
 
 
 class TestChunks:
@@ -416,7 +465,7 @@ class TestChunks:
 
     def test_singular_trial_fails_alone_in_its_chunk(self, monkeypatch):
         cfg = tiny_config(**self.ISOLATION)
-        monkeypatch.setattr(harness, "draw_trial", collinear_trial(37))
+        monkeypatch.setattr(harness, "_draw_chunk", collinear_trial(37))
         chunk_calls = []
         real = harness._run_algorithm
 
@@ -464,30 +513,41 @@ class TestChunks:
 
     @pytest.mark.parametrize("tags", [list(MAC_COMPARE), ["d-omp", "dc-omp2"]])
     def test_drawn_matrices_are_released_once_stacked(self, monkeypatch, tags):
-        # only each ensemble's support outlives the stacking, so a chunk's
-        # matrices are held once, by its lanes: in a sweep's chunk and in
+        # only the supports, observations and dictionaries outlive a chunk's
+        # draw: its standard-normal block, which is as large as the
+        # dictionaries, and its signals are gone before any runner runs, so
+        # the matrices are held once, by the lanes: in a sweep's chunk and in
         # oracle-check's, shared matrix or not
-        real_draw, real_run = harness.draw_trial, harness._run_algorithm
+        real_qr, real_draw, real_run = (harness.orthoprojectors, harness._draw_chunk,
+                                        harness._run_algorithm)
         drawn, alive = [], []
 
-        def draw(cfg, l_count, m, trial, *, shared):
-            ensemble, meas, obs = real_draw(cfg, l_count, m, trial, shared=shared)
-            for array in (ensemble.signals, meas.matrices, obs.per_node):
-                while isinstance(array, np.ndarray):        # views and their bases
-                    drawn.append(weakref.ref(array))
-                    array = array.base
-            return ensemble, meas, obs
+        def track(array):
+            while isinstance(array, np.ndarray):        # views and their bases
+                drawn.append(weakref.ref(array))
+                array = array.base
+
+        def qr(normals):
+            track(normals)
+            return real_qr(normals)
+
+        def draw(*args, **kwargs):
+            supports, ys, dictionaries, signals = real_draw(*args, **kwargs)
+            track(signals)
+            return supports, ys, dictionaries, signals
 
         def run(alg, ys, dictionaries, topology, k):
             alive.append(sum(ref() is not None for ref in drawn))
             return real_run(alg, ys, dictionaries, topology, k)
 
-        monkeypatch.setattr(harness, "draw_trial", draw)
+        monkeypatch.setattr(harness, "orthoprojectors", qr)
+        monkeypatch.setattr(harness, "_draw_chunk", draw)
         monkeypatch.setattr(harness, "_run_algorithm", run)
         cfg = tiny_config(**dict(self.ISOLATION, algorithms=tags))
         run_chunk(cfg, 4, 10, complete_topology(4), range(3, 9))
         oracle_check(dataclasses.replace(cfg, n=10, m_values=[6], trials=6))
-        assert len(drawn) >= 2 * 6 * 3 and alive == [0] * (len(tags) + 3)
+        # a normal block and a signal block per chunk draw
+        assert len(drawn) >= 2 * 2 and alive == [0] * (len(tags) + 3)
 
     @pytest.mark.parametrize("tags, width", [(sorted(ALGORITHMS), 1),
                                              (["d-omp", "dc-omp1-nbr", "dc-omp2", "s-omp"], 4)])
@@ -644,6 +704,12 @@ class TestExhaustiveOracle:
         assert harness._candidates(5, 3).tolist() == [
             list(c) for c in itertools.combinations(range(5), 3)]
         assert harness._candidates(4, 4).shape == (1, 4)
+
+    @pytest.mark.parametrize("n, k", [(1, 1), (10, 3), (12, 12), (20, 6)])
+    def test_candidates_follow_combinations_order(self, n, k):
+        candidates = harness._candidates(n, k)
+        assert candidates.dtype == np.intp and candidates.shape == (math.comb(n, k), k)
+        assert candidates.tolist() == [list(c) for c in itertools.combinations(range(n), k)]
 
     def test_duplicated_column_matches_lstsq(self):
         # the rank-1 candidate (0, 1): a plain stacked QR puts a direction
@@ -845,12 +911,13 @@ class TestOracleCheck:
         def forced():
             raise ValueError("forced")
 
-        real_draw, real_run = harness.draw_trial, harness._run_algorithm
+        real_stream, real_run = seeding.stream, harness._run_algorithm
 
-        def draw(cfg, l_count, m, trial, *, shared):
+        def stream(seed, purpose, trial=0):
+            # the draw reads trial 4's seed streams
             if comparison == "(trial draw)" and trial == 4:
                 forced()
-            return real_draw(cfg, l_count, m, trial, shared=shared)
+            return real_stream(seed, purpose, trial)
 
         # the runner call of `comparison`: its tag and its network's size
         target = {"omp": ("s-omp", 1), "s-omp": ("s-omp", 3), "dc-omp2": ("dc-omp2", 3)}
@@ -862,7 +929,7 @@ class TestOracleCheck:
                 forced()
             return real_run(alg, ys, dictionaries, topology, k)
 
-        monkeypatch.setattr(harness, "draw_trial", draw)
+        monkeypatch.setattr(seeding, "stream", stream)
         monkeypatch.setattr(harness, "_run_algorithm", run)
         expected = f"oracle-check trial 4, seed 2, comparison {comparison}: ValueError: forced"
         with pytest.raises(TrialError, match=re.escape(expected)):
@@ -976,7 +1043,7 @@ class TestOracleCheck:
         assert doc["omp_oracle_agreement"] == doc["somp_oracle_agreement"] == 3
 
     def test_singular_trial_fails_the_cli_with_its_name(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(harness, "draw_trial", collinear_trial(4))
+        monkeypatch.setattr(harness, "_draw_chunk", collinear_trial(4))
         cfg = tmp_path / "oracle.cfg"
         cfg.write_text("n=10\nk=3\nl=3\nm=6\nsigma2=0\ntrials=7\nseed=2\n")
         assert main(["oracle-check", "--config", str(cfg)]) == 2
@@ -1109,7 +1176,7 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        monkeypatch.setattr(harness, "_draw_chunk", no_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\ntrials=2\n" + text)
         assert main(["sweep-m", "--config", cfg]) == 1
 
@@ -1121,7 +1188,7 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        monkeypatch.setattr(harness, "_draw_chunk", no_trial)
         cfg = self.write_config(tmp_path, f"n=10\nk=2\nl=3\nm=6\n{key}=nan\n")
         assert main(["bounds", "--config", cfg]) == 1
         assert f"key '{key}': must be a finite number" in capsys.readouterr().err
@@ -1135,7 +1202,7 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        monkeypatch.setattr(harness, "_draw_chunk", no_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\nl=3\nm=8\n")
         assert main(["sweep-m", "--config", cfg, flag, value]) == 1
         assert f"key '{key}'" in capsys.readouterr().err
@@ -1150,7 +1217,7 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        monkeypatch.setattr(harness, "_draw_chunk", no_trial)
         assert main(["oracle-check", "--config", cfg]) == 1
         assert "m=3: greedy recovery requires k <= M" in capsys.readouterr().err
 
@@ -1160,7 +1227,7 @@ class TestCli:
         def no_trial(*args, **kwargs):
             raise AssertionError("a trial ran")
 
-        monkeypatch.setattr(harness, "draw_trial", no_trial)
+        monkeypatch.setattr(harness, "_draw_chunk", no_trial)
         cfg = self.write_config(tmp_path, "n=64\nk=8\nl=3\nm=20\nsigma2=0\ntrials=2\n")
         assert main(["oracle-check", "--config", cfg]) == 1
         assert "keys 'n', 'k': C(64,8)" in capsys.readouterr().err

@@ -262,7 +262,7 @@ class TestDcomp1Neighborhood:
         assume(n0 > 1 or l_count == 2)
         topology = RULE_TOPOLOGIES[rule](l_count, n0)
         meas, obs = instance(seed, 32, k, l_count, m, sigma2)
-        result = ALGORITHMS[rule].run(*_lanes([(obs, meas)]), topology, k)[0]
+        result = ALGORITHMS[rule].run(*_lanes(obs, meas), topology, k)[0]
         supports, iterations, local, global_, rounds = reference_collaborative(
             rule, obs, meas, topology, k)
         assert result.per_node_support == supports
