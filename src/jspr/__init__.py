@@ -32,7 +32,6 @@ from .decentralized import (
 from .ensembles import (
     JointSparseEnsemble,
     MeasurementEnsemble,
-    ObservationSet,
     gen_measurements,
     gen_orthoprojector,
     gen_signals,
@@ -73,7 +72,6 @@ __all__ = [
     "JointSparseEnsemble",
     "MeasurementEnsemble",
     "MessageLedger",
-    "ObservationSet",
     "RecoveryResult",
     "SingularProjectionError",
     "Topology",

@@ -17,7 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decentralized import dcomp1_chunk, dcomp2_chunk, domp_chunk, solve_chunk
+from .decentralized import _check_nodes, dcomp1_chunk, dcomp2_chunk, domp_chunk, solve_chunk
 from .greedy import pooled_argmax
 from .network import Topology, complete_topology
 
@@ -35,6 +35,7 @@ class Algorithm:
 def _run_somp(ys, dictionaries, topology: Topology, k: int) -> list:
     """Centralized simultaneous OMP (`pooled_argmax`), charged as each node
     shipping its k*N correlation summaries network-wide."""
+    _check_nodes(ys, topology)
     results = solve_chunk(ys, dictionaries, topology, k, pooled_argmax)
     for result in results:
         result.ledger.send_all(0, k * dictionaries.shape[-1])
@@ -44,6 +45,7 @@ def _run_somp(ys, dictionaries, topology: Topology, k: int) -> list:
 def _run_mac(ys, dictionaries, topology: Topology, k: int) -> list:
     """OMP on the sum-channel output z = sum_l y_l, one lane per trial whose
     support every node adopts; no node-to-node messages to charge."""
+    _check_nodes(ys, topology)
     return solve_chunk(ys.sum(axis=1, keepdims=True), dictionaries[:, :1], topology, k,
                        pooled_argmax)
 

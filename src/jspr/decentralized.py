@@ -109,16 +109,12 @@ def _neighbor_table(topology: Topology) -> np.ndarray:
 
 def _neighborhood_sum(f: np.ndarray, table: np.ndarray) -> np.ndarray:
     """`f[:, l] + f[:, nbrs].sum(axis=1)` for every node l of every trial of
-    `f (T, L, N)`, N ≥ 2, bit for bit: the neighbours are added in sorted
-    order, as numpy reduces a C-contiguous `(degree, N)` array over its first
-    axis, a padded slot adds an exact zero, and the node's own row comes
-    last."""
+    `f (T, L, N)`, N ≥ 2, bit for bit: one sum of the gathered neighbour rows
+    over their degree axis adds them in sorted order, as numpy reduces a
+    C-contiguous `(degree, N)` array over its first axis, a padded slot adds
+    an exact zero, and the node's own row comes last."""
     padded = np.concatenate([f, np.zeros_like(f[:, :1])], axis=1)
-    total = padded[:, table[:, 0]]
-    for column in table.T[1:]:
-        total += padded[:, column]
-    total += f
-    return total
+    return padded[:, table].sum(axis=2) + f
 
 
 def solve_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
@@ -162,7 +158,7 @@ def _network_wide(propose, sent: tuple, k: int):
     return rule
 
 
-def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
+def dcomp1(ys, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
     """Collaborative OMP with per-iteration one-hop index fusion.
 
     Each node proposes its best-scoring index and sends it one hop.
@@ -171,7 +167,7 @@ def dcomp1(obs, meas, topology: Topology, k: int, mode: str = "full") -> Recover
     mode="neighborhood" fuses within each node's one-hop neighborhood, so
     estimates (and termination rounds) may differ across nodes.
     """
-    return dcomp1_chunk(*_lanes(obs, meas), topology, k, mode)[0]
+    return dcomp1_chunk(*_lanes(ys, meas), topology, k, mode)[0]
 
 
 def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
@@ -215,7 +211,7 @@ def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k
     return solve_chunk(ys, dictionaries, topology, k, rule, rows)
 
 
-def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
+def dcomp2(ys, meas, topology: Topology, k: int) -> RecoveryResult:
     """Collaborative OMP with one-hop measurement fusion and global index fusion.
 
     Phase I: each node ships its full length-N correlation vector to its
@@ -224,7 +220,7 @@ def dcomp2(obs, meas, topology: Topology, k: int) -> RecoveryResult:
     multiplicity, so every node applies the identical update and all final
     supports agree.
     """
-    return dcomp2_chunk(*_lanes(obs, meas), topology, k)[0]
+    return dcomp2_chunk(*_lanes(ys, meas), topology, k)[0]
 
 
 def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
@@ -246,13 +242,13 @@ def majority_vote(estimates, k: int) -> tuple:
     return tuple(sorted(_admit(votes, k, votes)))
 
 
-def domp_majority(obs, meas, topology: Topology, k: int) -> RecoveryResult:
+def domp_majority(ys, meas, topology: Topology, k: int) -> RecoveryResult:
     """No-collaboration baseline: independent per-node OMP, one majority vote.
 
     Each node runs k OMP iterations on its own data, ships its k indices
     network-wide, and adopts the winning k-index set.
     """
-    return domp_chunk(*_lanes(obs, meas), topology, k)[0]
+    return domp_chunk(*_lanes(ys, meas), topology, k)[0]
 
 
 def domp_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,

@@ -32,13 +32,6 @@ class MeasurementEnsemble:
     noise_sigma2: float
 
 
-@dataclass
-class ObservationSet:
-    """Per-node noisy observations."""
-
-    per_node: np.ndarray              # (L, M)
-
-
 def gen_support(n: int, k: int, rng: np.random.Generator) -> tuple:
     """Draw k distinct indices uniformly without replacement from [0, n)."""
     if k < 1 or k >= n:
@@ -116,8 +109,8 @@ def gen_measurements(n: int, m: int, l_count: int, sigma2: float,
 
 
 def measure(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble,
-            rng: np.random.Generator | None) -> ObservationSet:
-    """Observe y_l = B_l s_l + v_l with iid Gaussian noise of variance sigma2.
+            rng: np.random.Generator | None) -> np.ndarray:
+    """The `(L, M)` observations y_l = B_l s_l + v_l, iid Gaussian noise of variance sigma2.
 
     `rng` is read only when sigma2 > 0, so a noiseless draw may pass None."""
     l_count, m, n = meas.matrices.shape
@@ -125,15 +118,15 @@ def measure(ensemble: JointSparseEnsemble, meas: MeasurementEnsemble,
         raise ValueError(
             f"measurement shape {meas.matrices.shape} incompatible with "
             f"ensemble (L={ensemble.l_count}, N={ensemble.n})")
-    per_node = np.einsum("lmn,ln->lm", meas.matrices, ensemble.signals)
+    ys = np.einsum("lmn,ln->lm", meas.matrices, ensemble.signals)
     if meas.noise_sigma2 > 0:
-        per_node += rng.standard_normal(per_node.shape) * np.sqrt(meas.noise_sigma2)
-    return ObservationSet(per_node=per_node)
+        ys += rng.standard_normal(ys.shape) * np.sqrt(meas.noise_sigma2)
+    return ys
 
 
-def mac_aggregate(obs: ObservationSet) -> np.ndarray:
-    """Sum-channel output z = sum_l y_l."""
-    if obs.per_node.shape[0] < 1:
+def mac_aggregate(ys: np.ndarray) -> np.ndarray:
+    """Sum-channel output z = sum_l y_l of the `(L, M)` observations."""
+    if ys.shape[0] < 1:
         raise ValueError("need at least one per-node observation")
-    return obs.per_node.sum(axis=0)
+    return ys.sum(axis=0)
 

@@ -173,15 +173,15 @@ def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
     return supports[0][0]
 
 
-def somp(obs, meas, k: int) -> list:
+def somp(ys, meas, k: int) -> list:
     """Simultaneous OMP: per-iteration score is the sum over nodes of each
     node's absolute residual correlation against its own dictionary."""
-    supports, _ = greedy_rounds(*_lanes(obs, meas), k, pooled_argmax)
+    supports, _ = greedy_rounds(*_lanes(ys, meas), k, pooled_argmax)
     return supports[0][0]
 
 
-def _lanes(obs, meas) -> tuple:
-    """One trial's `(obs, meas)` as views, a chunk of one of the round loop's
-    lanes: `ys (1, L, M)` and dictionaries `(1, 1 or L, M, N)`, 1 if shared."""
+def _lanes(ys, meas) -> tuple:
+    """One trial's `ys (L, M)` and `meas` as views, a chunk of one of the round loop's lanes:
+    `ys (1, L, M)` and dictionaries `(1, 1 or L, M, N)`, 1 if shared."""
     shared = meas.matrices.strides[0] == 0
-    return obs.per_node[None], (meas.matrices[:1] if shared else meas.matrices)[None]
+    return ys[None], (meas.matrices[:1] if shared else meas.matrices)[None]

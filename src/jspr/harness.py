@@ -20,8 +20,8 @@ import numpy as np
 from . import seeding
 from .algorithms import ALGORITHMS
 from .config import ExperimentConfig
-from .ensembles import (JointSparseEnsemble, MeasurementEnsemble, ObservationSet, gen_signals,
-                        gen_support, orthoprojectors)
+from .ensembles import (JointSparseEnsemble, MeasurementEnsemble, gen_signals, gen_support,
+                        orthoprojectors)
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
 from .macbounds import bound_report
@@ -48,7 +48,7 @@ MAX_FAILED_FRACTION = 0.01
 
 def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
                shared: bool) -> tuple:
-    """(ensemble, meas, obs) of one trial on `l_count` nodes with `m`
+    """(ensemble, meas, ys) of one trial on `l_count` nodes with `m`
     measurements each, a chunk of one (`_draw_chunk`); with `shared`, every
     node gets the same matrix, a read-only stride-0 view."""
     (support,), ys, dictionaries, signals = _draw_chunk(
@@ -56,7 +56,7 @@ def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
         shared=shared)
     mats = np.broadcast_to(dictionaries[0], (l_count, m, cfg.n)) if shared else dictionaries[0]
     return (JointSparseEnsemble(cfg.n, cfg.k, l_count, support, signals[0]),
-            MeasurementEnsemble(mats, float(cfg.sigma2)), ObservationSet(ys[0]))
+            MeasurementEnsemble(mats, float(cfg.sigma2)), ys[0])
 
 
 def _shares_matrix(cfg: ExperimentConfig) -> bool:

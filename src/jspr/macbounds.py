@@ -14,9 +14,7 @@ import numpy as np
 from .greedy import omp
 
 
-def mac_omp(z: np.ndarray, dictionary: np.ndarray, k: int) -> list:
-    """Standard OMP on the aggregated observation (shared-matrix case)."""
-    return omp(z, dictionary, k)
+mac_omp = omp    # OMP on the aggregate z and the shared matrix
 
 
 def _log_comb(n: int, k: int) -> float:

@@ -255,7 +255,7 @@ def test_criterion_6_oracle_equivalence():
                                cfg.amp_high, streams[1])
         meas = gen_measurements(cfg.n, m, l_count, 0.0, streams[2])
         obs = measure(ensemble, meas, streams[3])
-        y, dictionary = obs.per_node[0], meas.matrices[0]
+        y, dictionary = obs[0], meas.matrices[0]
 
         selected = omp(y, dictionary, cfg.k)
         oracle = exhaustive_oracle(y, dictionary, cfg.k)

@@ -99,7 +99,7 @@ def test_relabeling_nodes_permutes_result(tag):
         cfg = ExperimentConfig(n=64, k=k, sigma2=0.05, amp_low=-3.0, amp_high=3.0,
                                master_seed=data.draw(SEEDS, label="seed"))
         _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=False)
-        moved_obs = dataclasses.replace(obs, per_node=relabeled(pi, obs.per_node))
+        moved_obs = relabeled(pi, obs)
         moved_meas = dataclasses.replace(meas, matrices=relabeled(pi, meas.matrices))
         try:
             result = algorithm.run(*_lanes(obs, meas), topology, k)[0]
@@ -140,3 +140,13 @@ def test_sum_channel_output_is_mac_aggregate(seed, t_count, l_count, m, sigma2):
     for z, dictionary, (_, meas, obs) in zip(zs, dictionaries, draws):
         assert z[0].tobytes() == mac_aggregate(obs).tobytes()
         assert np.array_equal(dictionary[0], meas.matrices[0])
+
+
+@pytest.mark.parametrize("tag", sorted(ALGORITHMS))
+def test_topology_of_the_wrong_size_is_rejected(tag):
+    # a 3-node chunk on a 5-node graph: no tag may return 5 supports or
+    # charge the ledger for nodes that observed nothing
+    cfg = ExperimentConfig(n=16, k=2, sigma2=0.01, master_seed=3)
+    _, meas, obs = draw_trial(cfg, 3, 6, 0, shared=ALGORITHMS[tag].shared_matrix)
+    with pytest.raises(ValueError, match="topology size"):
+        ALGORITHMS[tag].run(*_lanes(obs, meas), complete_topology(5), cfg.k)

@@ -22,7 +22,6 @@ from jspr.decentralized import (
 )
 from jspr.ensembles import (
     MeasurementEnsemble,
-    ObservationSet,
     gen_measurements,
     gen_signals,
     gen_support,
@@ -79,8 +78,24 @@ class TestNeighborhoodSum:
         f = np.abs(rng.standard_normal((t_count, l_count, n))) * 10.0 ** rng.integers(
             -6, 6, size=(t_count, l_count, 1))
         f[rng.random(f.shape) < 0.2] = -np.inf          # held indices
+        self.check(f, topology)
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), t_count=st.integers(1, 3),
+           l_count=st.integers(9, 64))
+    def test_wide_complete_graph_at_two_columns(self, seed, t_count, l_count):
+        # degree 8 to 63 over rows of N = 2: where a numpy reduction could
+        # unroll or pair its additions instead of adding the rows in order
+        rng = rng_of(seed)
+        f = np.abs(rng.standard_normal((t_count, l_count, 2))) * 10.0 ** rng.integers(
+            -8, 8, size=(t_count, l_count, 1))
+        f[rng.random(f.shape) < 0.05] = -np.inf
+        self.check(f, complete_topology(l_count))
+
+    @staticmethod
+    def check(f, topology):
         want = [[f[t, l] + f[t, list(topology.adjacency[l])].sum(axis=0)
-                 for l in range(l_count)] for t in range(t_count)]
+                 for l in range(topology.node_count)] for t in range(len(f))]
         assert np.array_equal(_neighborhood_sum(f, _neighbor_table(topology)), np.array(want))
 
 
@@ -119,14 +134,14 @@ class TestDcomp1:
         for mode in ("full", "neighborhood"):
             result = dcomp1(obs, meas, topo, 4, mode=mode)
             assert result.per_node_support[0] == tuple(sorted(
-                omp(obs.per_node[0], meas.matrices[0], 4)))
+                omp(obs[0], meas.matrices[0], 4)))
             assert result.iterations == [4]
 
     def test_single_round_when_all_agree(self):
         # noiseless 1-sparse: every node proposes the true column
         ensemble, meas, obs = make_instance(2, n=8, k=1, l_count=5, m=6, sigma2=0.0)
         truth = ensemble.support[0]
-        proposals = correlate(obs.per_node, meas.matrices).argmax(axis=1).tolist()
+        proposals = correlate(obs, meas.matrices).argmax(axis=1).tolist()
         assert proposals == [truth] * 5   # precondition for the trace below
         result = dcomp1(obs, meas, complete_topology(5), 1, mode="full")
         assert result.iterations == [1] * 5
@@ -165,7 +180,7 @@ class TestDcomp1:
         # exactly 0, every score ties, and only the held-index mask keeps a
         # node from proposing an index it already holds
         meas = MeasurementEnsemble(matrices=np.stack([np.eye(6)] * 3), noise_sigma2=0.0)
-        obs = ObservationSet(per_node=np.tile([3.0, 2.0, 0, 0, 0, 0], (3, 1)))
+        obs = np.tile([3.0, 2.0, 0, 0, 0, 0], (3, 1))
         result = dcomp1(obs, meas, ring_topology(3, 2), 4, mode=mode)
         assert result.per_node_support == [(0, 1, 2, 3)] * 3
         assert result.iterations == [4] * 3

@@ -156,7 +156,7 @@ class TestMeasure:
     def test_noiseless_identity(self):
         ens = gen_signals((1, 3), 4, 2, 2.0, 3.0, rng_of(8))
         obs = measure(ens, identity_measurements(4, 2), rng_of(0))
-        assert np.array_equal(obs.per_node, ens.signals)
+        assert np.array_equal(obs, ens.signals)
 
     def test_noise_variance(self):
         # 100 observation draws x (4 x 25) components = 10^4 samples
@@ -167,7 +167,7 @@ class TestMeasure:
         residuals = []
         for _ in range(100):
             obs = measure(ens, meas, rng)
-            residuals.append(obs.per_node - clean)
+            residuals.append(obs - clean)
         var = np.var(np.concatenate(residuals))
         assert abs(var - 0.01) / 0.01 < 0.05
 
@@ -177,7 +177,7 @@ class TestMeasure:
         ens = JointSparseEnsemble(n=6, k=1, l_count=2, support=(2,), signals=sig)
         meas = gen_measurements(6, 3, 2, 0.0, rng_of(15), shared=True)
         obs = measure(ens, meas, rng_of(0))
-        assert np.array_equal(obs.per_node[0], obs.per_node[1])
+        assert np.array_equal(obs[0], obs[1])
 
     def test_dimension_mismatch(self):
         ens = gen_signals((1,), 8, 2, 1.0, 2.0, rng_of(0))
@@ -234,7 +234,7 @@ class TestMacAggregate:
         ens = gen_signals((2,), 6, 1, 1.0, 2.0, rng_of(1))
         obs = measure(ens, gen_measurements(6, 4, 1, 0.01, rng_of(2)), rng_of(3))
         z = mac_aggregate(obs)
-        assert np.array_equal(z, obs.per_node[0])
+        assert np.array_equal(z, obs[0])
 
     def test_noiseless_shared_equals_summed_model(self):
         ens = gen_signals((1, 4), 9, 3, 2.0, 5.0, rng_of(4))
@@ -247,7 +247,7 @@ class TestMacAggregate:
         ens = gen_signals((0,), 5, 2, 1.0, 2.0, rng_of(7))
         obs = measure(ens, gen_measurements(5, 3, 2, 0.01, rng_of(8)), rng_of(9))
         z = mac_aggregate(obs)
-        obs.per_node = 3.0 * obs.per_node
+        obs = 3.0 * obs
         assert np.allclose(mac_aggregate(obs), 3.0 * z)
 
     def test_mac_noise_variance_matches_summed_model(self):

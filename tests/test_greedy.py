@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jspr.ensembles import MeasurementEnsemble, ObservationSet, gen_orthoprojector
+from jspr.ensembles import MeasurementEnsemble, gen_orthoprojector
 from jspr.errors import SingularProjectionError
 from jspr.greedy import correlate, ls_residual, omp, somp
 from jspr.harness import exhaustive_oracle
@@ -14,7 +14,7 @@ def rng_of(seed):
 
 
 def mmv(per_node, matrices, sigma2=0.0):
-    obs = ObservationSet(per_node=np.asarray(per_node, dtype=float))
+    obs = np.asarray(per_node, dtype=float)
     meas = MeasurementEnsemble(matrices=np.asarray(matrices, dtype=float), noise_sigma2=sigma2)
     return obs, meas
 

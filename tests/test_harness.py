@@ -279,7 +279,7 @@ class TestRunSweep:
         real = harness._run_algorithm
         # trial 37 fails, whatever chunk it is solved in: exactly one failure,
         # within the 1% budget
-        doomed = harness.draw_trial(cfg, 3, 8, 37, shared=False)[2].per_node
+        doomed = harness.draw_trial(cfg, 3, 8, 37, shared=False)[2]
 
         def flaky(alg, ys, dictionaries, topology, k):
             if any(np.array_equal(y, doomed) for y in ys):
@@ -353,7 +353,7 @@ def collinear_trial(doomed):
             meas = MeasurementEnsemble(np.broadcast_to(dictionaries[i], (l_count, m, cfg.n)),
                                        cfg.sigma2)
             ys[i] = measure(ensemble, meas,
-                            seeding.stream(cfg.master_seed, seeding.NOISE, doomed)).per_node
+                            seeding.stream(cfg.master_seed, seeding.NOISE, doomed))
         return supports, ys, dictionaries, signals
     return draw
 
@@ -389,7 +389,7 @@ class TestDrawTrial:
             assert got[0].support == want[0].support
             assert np.array_equal(got[0].signals, want[0].signals)
             assert np.array_equal(got[1].matrices, want[1].matrices)
-            assert np.array_equal(got[2].per_node, want[2].per_node)
+            assert np.array_equal(got[2], want[2])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24), l_count=st.integers(1, 5),
@@ -417,7 +417,7 @@ class TestDrawTrial:
             for i, trial in enumerate(trials):
                 ensemble, meas, obs = self.four_stream_draw(cfg, l_count, m, trial, shared)
                 assert supports[i] == ensemble.support
-                for got, want in ((signals[i], ensemble.signals), (ys[i], obs.per_node),
+                for got, want in ((signals[i], ensemble.signals), (ys[i], obs),
                                   (dictionaries[i], meas.matrices[:dictionaries.shape[1]])):
                     assert got.shape == want.shape
                     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
@@ -497,7 +497,7 @@ class TestChunks:
 
     def test_failing_trial_in_a_chunk_names_itself(self, monkeypatch):
         cfg = tiny_config(**self.ISOLATION)
-        doomed = harness.draw_trial(cfg, 4, 10, 37, shared=True)[2].per_node
+        doomed = harness.draw_trial(cfg, 4, 10, 37, shared=True)[2]
         real = harness._run_algorithm
 
         def broken(alg, ys, dictionaries, topology, k):
@@ -569,7 +569,7 @@ class TestChunks:
         assert ys.shape == (6, 4, 10) and dictionaries.shape == (6, width, 10, 32)
         for t, (y, matrices) in enumerate(zip(ys, dictionaries), start=3):
             _, meas, obs = harness.draw_trial(cfg, 4, 10, t, shared=width == 1)
-            assert np.array_equal(y, obs.per_node)
+            assert np.array_equal(y, obs)
             assert np.array_equal(matrices, meas.matrices[:width])
         for _, other_ys, other_dictionaries in calls[1:]:
             assert np.shares_memory(other_ys, ys)
@@ -906,7 +906,7 @@ class TestOracleCheck:
     def test_failing_trial_names_itself(self, monkeypatch, comparison):
         cfg = tiny_config(**self.CFG)
         noiseless = dataclasses.replace(cfg, sigma2=0.0)
-        doomed = harness.draw_trial(noiseless, 3, 6, 4, shared=False)[2].per_node
+        doomed = harness.draw_trial(noiseless, 3, 6, 4, shared=False)[2]
 
         def forced():
             raise ValueError("forced")

@@ -149,8 +149,8 @@ class TestLockstepOmp:
         n = m + extra
         k = 1 + int(k_frac * (min(m, n - 1) - 1))
         meas, obs = instance(seed, n, k, l_count, m)
-        expected = [omp(obs.per_node[l], meas.matrices[l], k) for l in range(l_count)]
-        picks, iterations = lockstep_picks(obs.per_node[None], meas.matrices[None], k,
+        expected = [omp(obs[l], meas.matrices[l], k) for l in range(l_count)]
+        picks, iterations = lockstep_picks(obs[None], meas.matrices[None], k,
                                            pooled=False)
         assert picks == [expected]
         assert iterations == [[k] * l_count]
@@ -168,11 +168,11 @@ class TestLockstepOmp:
         n = m + extra
         k = 1 + int(k_frac * (min(m, n - 1) - 1))
         trials = [instance(seed, n, k, l_count, m, shared=shared) for seed in seeds]
-        ys = np.stack([obs.per_node for _, obs in trials])
+        ys = np.stack([obs for _, obs in trials])
         dictionaries = np.stack([meas.matrices[:1] if shared else meas.matrices
                                  for meas, _ in trials])
         try:
-            expected = [lockstep_picks(obs.per_node[None],
+            expected = [lockstep_picks(obs[None],
                                        np.ascontiguousarray(meas.matrices)[None], k, pooled)
                         for meas, obs in trials]
         except SingularProjectionError:
@@ -208,9 +208,9 @@ def reference_collaborative(rule, obs, meas, topology, k):
     the neighbours' correlations in the solver's order, f[l] + f[nbrs]. A node
     adopts its fused indices by descending count, then by its own descending
     score (dc-omp1-nbr only), then the smaller index."""
-    l_count, n = obs.per_node.shape[0], meas.matrices.shape[2]
+    l_count, n = obs.shape[0], meas.matrices.shape[2]
     ledger = MessageLedger(topology)
-    residuals = np.array(obs.per_node, dtype=float, copy=True)
+    residuals = np.array(obs, dtype=float, copy=True)
     supports = [[] for _ in range(l_count)]
     iterations = [0] * l_count
     rounds = []
@@ -245,7 +245,7 @@ def reference_collaborative(rule, obs, meas, topology, k):
                 :k - len(supports[l])]
             supports[l].extend(adopted[l])
             iterations[l] = round_no
-            residuals[l] = ls_residual(obs.per_node[l], meas.matrices[l], supports[l])
+            residuals[l] = ls_residual(obs[l], meas.matrices[l], supports[l])
         rounds.append((proposals, adopted))
     return ([tuple(sorted(s)) for s in supports], iterations,
             ledger.local_scalar_count, ledger.global_scalar_count, rounds)
@@ -293,16 +293,16 @@ def near_dependent_instance(seed, l_count, m, extra, k_frac, bad, scale,
 
 
 SOLVER_PATHS = {
-    "omp": lambda obs, meas, k, node: omp(obs.per_node[node], meas.matrices[node], k),
+    "omp": lambda obs, meas, k, node: omp(obs[node], meas.matrices[node], k),
     "somp": lambda obs, meas, k, node: somp(obs, meas, k),
     "dcomp1-full": lambda obs, meas, k, node: dcomp1(
-        obs, meas, complete_topology(len(obs.per_node)), k),
+        obs, meas, complete_topology(len(obs)), k),
     "dcomp1-nbr": lambda obs, meas, k, node: dcomp1(
-        obs, meas, ring_topology(len(obs.per_node), 2), k, mode="neighborhood"),
+        obs, meas, ring_topology(len(obs), 2), k, mode="neighborhood"),
     "dcomp2": lambda obs, meas, k, node: dcomp2(
-        obs, meas, ring_topology(len(obs.per_node), 2), k),
+        obs, meas, ring_topology(len(obs), 2), k),
     "d-omp": lambda obs, meas, k, node: domp_majority(
-        obs, meas, ring_topology(len(obs.per_node), 2), k),
+        obs, meas, ring_topology(len(obs), 2), k),
 }
 
 

@@ -63,11 +63,15 @@ def kl_oracle(support_m, support_n, ensemble, meas, channel):
 
 
 class TestMacOmp:
+    def test_is_omp(self):
+        # one OMP: the sum-channel path is OMP on the aggregate, not a copy
+        assert mac_omp is omp
+
     def test_single_node_equals_omp(self):
         ensemble, meas = shared_instance(1, l_count=1, sigma2=0.01, amp=(10, 15))
         obs = measure(ensemble, meas, rng_of(2))
         z = mac_aggregate(obs)
-        assert mac_omp(z, meas.matrices[0], 2) == omp(obs.per_node[0], meas.matrices[0], 2)
+        assert mac_omp(z, meas.matrices[0], 2) == omp(obs[0], meas.matrices[0], 2)
 
     def test_noiseless_identity_same_sign(self):
         n = 6
