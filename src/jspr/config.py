@@ -175,8 +175,8 @@ def validate(cfg: ExperimentConfig) -> None:
             raise ConfigError(f"key '{key}': {repeated[0]!r} is listed twice")
     if cfg.trials < 1:
         raise ConfigError("key 'trials': must be positive")
-    if cfg.master_seed < 0:
-        raise ConfigError("key 'seed': must be nonnegative")
+    if not 0 <= cfg.master_seed < 2 ** 64:
+        raise ConfigError("key 'seed': must lie in [0, 2^64 - 1]")
     if cfg.out_format not in VALID_FORMATS:
         raise ConfigError(f"key 'format': must be one of {', '.join(VALID_FORMATS)}")
     if not 0 < cfg.delta0 < 1:

@@ -37,17 +37,13 @@ def gen_support(n: int, k: int, rng: np.random.Generator) -> tuple:
     if k < 1 or k >= n:
         raise ValueError(f"sparsity k must satisfy 1 <= k < n, got k={k}, n={n}")
     idx = rng.choice(n, size=k, replace=False)
-    return tuple(sorted(int(i) for i in idx))
+    return tuple(sorted(idx.tolist()))
 
 
 def gen_signals(support, n: int, l_count: int, amp_low: float, amp_high: float,
                 rng: np.random.Generator) -> JointSparseEnsemble:
-    """Build an ensemble with iid uniform nonzeros on [amp_low, amp_high].
-
-    Every node's vector is nonzero exactly on `support`. The range may be
-    sign-mixed (e.g. [-25, 25]); exact zero draws are redrawn so the support
-    definition stays exact.
-    """
+    """Build an ensemble with iid uniform nonzeros on [amp_low, amp_high]
+    (`draw_amplitudes`), nonzero exactly on `support`."""
     support = tuple(sorted(int(i) for i in support))
     if len(support) == 0:
         raise ValueError("support must be nonempty")
@@ -61,16 +57,22 @@ def gen_signals(support, n: int, l_count: int, amp_low: float, amp_high: float,
         raise ValueError("amplitude range [0, 0] would empty the support")
     if l_count < 1:
         raise ValueError("l_count must be positive")
+    signals = np.zeros((l_count, n))
+    draw_amplitudes(support, amp_low, amp_high, rng, signals)
+    return JointSparseEnsemble(n, len(support), l_count, support, signals)
 
-    k = len(support)
-    vals = rng.uniform(amp_low, amp_high, size=(l_count, k))
-    while np.any(vals == 0.0):               # measure-zero event, but possible
+
+def draw_amplitudes(support, amp_low: float, amp_high: float, rng: np.random.Generator,
+                    out: np.ndarray) -> None:
+    """Write iid uniform draws on [amp_low, amp_high] into the `support`
+    columns of the zeroed `(L, N)` block `out`, unchecked. The range may be
+    sign-mixed (e.g. [-25, 25]); exact zero draws are redrawn so the support
+    definition stays exact."""
+    vals = rng.uniform(amp_low, amp_high, size=(len(out), len(support)))
+    while not vals.all():                    # measure-zero event, but possible
         redraw = vals == 0.0
         vals[redraw] = rng.uniform(amp_low, amp_high, size=int(np.count_nonzero(redraw)))
-
-    signals = np.zeros((l_count, n))
-    signals[:, list(support)] = vals
-    return JointSparseEnsemble(n=n, k=k, l_count=l_count, support=support, signals=signals)
+    out[:, list(support)] = vals
 
 
 def orthoprojectors(normals: np.ndarray) -> np.ndarray:
@@ -78,7 +80,8 @@ def orthoprojectors(normals: np.ndarray) -> np.ndarray:
     each `(..., N, M)` normal draw's reduced QR factor, transposed, each row's
     sign fixed so its first nonzero entry is positive. Stacked QRs over blocks
     of at most _QR_BYTES of draws, each matrix factored on its own (so equal
-    to its own call bit for bit), sign-fixed in place in the output."""
+    to its own call bit for bit), sign-fixed in place in the output, by
+    column 0 unless the block's column 0 holds an exact zero."""
     *lead, n, m = normals.shape
     if m < 1 or m > n:
         raise ValueError(f"need 1 <= m <= n, got m={m}, n={n}")
@@ -87,7 +90,10 @@ def orthoprojectors(normals: np.ndarray) -> np.ndarray:
     for start in range(0, len(draws), block):
         a = out.reshape(-1, m, n)[start:start + block]
         np.copyto(a, np.linalg.qr(draws[start:start + block])[0].swapaxes(1, 2))
-        a *= np.sign(np.take_along_axis(a, (np.abs(a) > 0.0).argmax(axis=2)[..., None], axis=2))
+        first = a[..., :1]
+        if not (np.abs(first) > 0.0).all():
+            first = np.take_along_axis(a, (np.abs(a) > 0.0).argmax(axis=2)[..., None], axis=2)
+        a *= np.sign(first)
     return out
 
 

@@ -7,6 +7,8 @@ squares onto their support (`ls_residual`). OMP and S-OMP adopt the argmax
 of the scores summed over a trial's nodes (`pooled_argmax`).
 """
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import SingularProjectionError
@@ -140,7 +142,8 @@ def greedy_rounds(ys: np.ndarray, dictionaries: np.ndarray, k: int, rule, *,
                     grown.setdefault(len(supports[t][r]), []).append((t, r))
         for size, lanes in grown.items():
             if len(lanes) == t_count * rows:        # every row: the dictionaries as they are
-                selected = np.array(supports, dtype=np.intp)
+                flat = chain.from_iterable(chain.from_iterable(supports))
+                selected = np.fromiter(flat, np.intp).reshape(t_count, rows, size)
                 held[(*every_row, selected)] = True
                 residuals = ls_residual(ys, dictionaries, selected, check=size == k)
             else:                                   # gather only the s columns each lane reads

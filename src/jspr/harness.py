@@ -20,7 +20,7 @@ import numpy as np
 from . import seeding
 from .algorithms import ALGORITHMS
 from .config import ExperimentConfig
-from .ensembles import (JointSparseEnsemble, MeasurementEnsemble, gen_signals, gen_support,
+from .ensembles import (JointSparseEnsemble, MeasurementEnsemble, draw_amplitudes, gen_support,
                         orthoprojectors)
 from .errors import (ConfigError, EnumerationTooLargeError, SingularProjectionError,
                      TrialError)
@@ -92,24 +92,27 @@ def _draw_chunk(cfg: ExperimentConfig, l_count: int, m: int, trials: range, lead
                 shared: bool) -> tuple:
     """(supports, ys (T, L, M), dictionaries (T, 1 or L, M, N), signals
     (T, L, N)) of trials `trials` (one matrix per trial when `shared`), the
-    round loop's lanes. Trial by trial, its seed streams give its support and
-    amplitudes, its slice of one standard-normal block and, only when
-    sigma2 > 0, its noise; a failure there fails as in `_per_trial`, led by
-    `lead`. Per chunk: stacked QRs (`orthoprojectors`), one einsum."""
+    round loop's lanes, seeded by one `seeding.state_words` call. Trial by
+    trial, its seed streams give its support and amplitudes, its slice of one
+    standard-normal block and, only when sigma2 > 0, its noise; a failure
+    there fails as in `_per_trial`, led by `lead`. Per chunk: stacked QRs
+    (`orthoprojectors`), one einsum."""
     count, n, noisy = len(trials), cfg.n, cfg.sigma2 > 0
     normals = np.empty((count, 1 if shared else l_count, n, m))
-    signals, noise = np.empty((count, l_count, n)), np.empty((count, l_count, m))
+    signals, noise = np.zeros((count, l_count, n)), np.empty((count, l_count, m))
+    words = seeding.state_words(cfg.master_seed, trials, (
+        seeding.SUPPORT, seeding.AMPLITUDES, seeding.MATRICES, seeding.NOISE)[:3 + noisy])
 
     def read(part):
         supports = []
         for i in range(count)[part]:
-            rng = lambda purpose: seeding.stream(cfg.master_seed, purpose, trials[i])
-            supports.append(gen_support(n, cfg.k, rng(seeding.SUPPORT)))
-            signals[i] = gen_signals(supports[-1], n, l_count, cfg.amp_low, cfg.amp_high,
-                                     rng(seeding.AMPLITUDES)).signals
-            rng(seeding.MATRICES).standard_normal(out=normals[i])
-            if noisy:       # a noiseless draw reads no noise, so it builds no noise stream
-                rng(seeding.NOISE).standard_normal(out=noise[i])
+            support_rng, amplitude_rng, matrix_rng, *noise_rng = [
+                np.random.Generator(np.random.PCG64(seeding.StateWords(w))) for w in words[i]]
+            supports.append(gen_support(n, cfg.k, support_rng))
+            draw_amplitudes(supports[-1], cfg.amp_low, cfg.amp_high, amplitude_rng, signals[i])
+            matrix_rng.standard_normal(out=normals[i])
+            if noisy:
+                noise_rng[0].standard_normal(out=noise[i])
         return supports
 
     supports = _per_trial(read, trials, lead)

@@ -115,6 +115,20 @@ class TestOrthoprojector:
         a = gen_orthoprojector(4, 9, rng_of(6))
         assert np.all(a[:, 0] > 0)   # first entry nonzero a.s., flipped positive
 
+    @pytest.mark.parametrize("n, m", [(9, 4), (10, 6), (256, 15), (5, 5), (2, 1)])
+    def test_sign_fallback_when_column_0_holds_a_zero(self, n, m):
+        # a draw whose row 0 is all zeros puts exact zeros in column 0 of its
+        # transposed Q, which sends its whole block to the first-nonzero
+        # search: every matrix must equal that rule applied by hand
+        normals = rng_of(n * m).standard_normal((3, n, m))
+        normals[1, 0] = 0.0
+        got = ensembles.orthoprojectors(normals)
+        for draw, a in zip(normals, got):
+            q = np.linalg.qr(draw)[0].T
+            first = q[np.arange(m), (np.abs(q) > 0.0).argmax(axis=1)]
+            assert a.tobytes() == (q * np.sign(first)[:, None]).tobytes()
+        assert (got[1, :, 0] == 0.0).any()
+
     def test_invalid(self):
         with pytest.raises(ValueError):
             gen_orthoprojector(5, 4, rng_of(0))

@@ -218,14 +218,16 @@ class TestRunSweep:
 
     def test_import_loads_no_process_pool(self):
         # only a sweep with workers > 1 opens a pool, so importing the CLI
-        # leaves the pool's modules unloaded
+        # leaves the pool's modules unloaded, and the packages only the
+        # tests use stay unloaded too
         code = ("import sys, jspr.cli\n"
                 "print(*(name in sys.modules for name in "
-                "('concurrent.futures.process', 'multiprocessing')))")
+                "('concurrent.futures.process', 'multiprocessing', 'scipy', 'mpmath', "
+                "'hypothesis')))")
         env = dict(os.environ, PYTHONPATH=str(pathlib.Path(harness.__file__).parents[1]))
         done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                               text=True, timeout=120, check=True)
-        assert done.stdout.split() == ["False", "False"]
+        assert done.stdout.split() == ["False"] * 5
 
     @pytest.mark.parametrize("cpu_count, size", [(3, 3), (None, 1)])
     def test_pool_cap_without_an_affinity_mask(self, monkeypatch, cpu_count, size):
@@ -361,9 +363,11 @@ def collinear_trial(doomed):
 class TestDrawTrial:
     @staticmethod
     def four_stream_draw(cfg, l_count, m, trial, shared):
-        """A draw that builds all four seed streams, the noise stream too."""
-        streams = [seeding.stream(cfg.master_seed, purpose, trial) for purpose in
-                   (seeding.SUPPORT, seeding.AMPLITUDES, seeding.MATRICES, seeding.NOISE)]
+        """A draw that builds all four seed streams, the noise stream too,
+        each numpy's default_rng of SeedSequence(seed, trial, purpose)."""
+        streams = [np.random.default_rng(np.random.SeedSequence((cfg.master_seed, trial, purpose)))
+                   for purpose in (seeding.SUPPORT, seeding.AMPLITUDES, seeding.MATRICES,
+                                   seeding.NOISE)]
         support = gen_support(cfg.n, cfg.k, streams[0])
         ensemble = gen_signals(support, cfg.n, l_count, cfg.amp_low, cfg.amp_high, streams[1])
         meas = gen_measurements(cfg.n, m, l_count, cfg.sigma2, streams[2], shared=shared)
@@ -374,13 +378,13 @@ class TestDrawTrial:
     def test_noise_stream_only_when_noisy(self, monkeypatch, sigma2, shared):
         cfg = tiny_config(sigma2=sigma2, master_seed=7)
         purposes = []
-        real = seeding.stream
+        real = seeding.state_words
 
-        def spy(seed, purpose, *rest):
-            purposes.append(purpose)
-            return real(seed, purpose, *rest)
+        def spy(seed, trials, wanted):
+            purposes.extend(wanted)
+            return real(seed, trials, wanted)
 
-        monkeypatch.setattr(seeding, "stream", spy)
+        monkeypatch.setattr(seeding, "state_words", spy)
         for trial in range(5):
             purposes.clear()
             got = harness.draw_trial(cfg, 3, 8, trial, shared=shared)
@@ -392,7 +396,7 @@ class TestDrawTrial:
             assert np.array_equal(got[2], want[2])
 
     @settings(max_examples=40, deadline=None)
-    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 24), l_count=st.integers(1, 5),
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(2, 24), l_count=st.integers(1, 5),
            shared=st.booleans(), sigma2=st.sampled_from([0.0, 0.01, 2.5]),
            qr_bytes=st.sampled_from([1, 4096, ensembles._QR_BYTES]), data=st.data())
     def test_chunk_draw_equals_four_stream_draw(self, seed, n, l_count, shared, sigma2,
@@ -911,13 +915,14 @@ class TestOracleCheck:
         def forced():
             raise ValueError("forced")
 
-        real_stream, real_run = seeding.stream, harness._run_algorithm
+        real_words, real_run = seeding.StateWords, harness._run_algorithm
+        doomed_words = seeding.state_words(cfg.master_seed, [4], range(3))[0]
 
-        def stream(seed, purpose, trial=0):
-            # the draw reads trial 4's seed streams
-            if comparison == "(trial draw)" and trial == 4:
+        def words(state):
+            # the draw seeds trial 4's streams
+            if comparison == "(trial draw)" and (doomed_words == state).all(axis=1).any():
                 forced()
-            return real_stream(seed, purpose, trial)
+            return real_words(state)
 
         # the runner call of `comparison`: its tag and its network's size
         target = {"omp": ("s-omp", 1), "s-omp": ("s-omp", 3), "dc-omp2": ("dc-omp2", 3)}
@@ -929,7 +934,7 @@ class TestOracleCheck:
                 forced()
             return real_run(alg, ys, dictionaries, topology, k)
 
-        monkeypatch.setattr(seeding, "stream", stream)
+        monkeypatch.setattr(seeding, "StateWords", words)
         monkeypatch.setattr(harness, "_run_algorithm", run)
         expected = f"oracle-check trial 4, seed 2, comparison {comparison}: ValueError: forced"
         with pytest.raises(TrialError, match=re.escape(expected)):
@@ -1194,7 +1199,8 @@ class TestCli:
         assert f"key '{key}': must be a finite number" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag, value, key", [("--trials", "0", "trials"),
-                                                   ("--seed", "-1", "seed")])
+                                                   ("--seed", "-1", "seed"),
+                                                   ("--seed", str(2 ** 64), "seed")])
     def test_bad_flag_exits_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                              flag, value, key):
         import jspr.harness as harness
