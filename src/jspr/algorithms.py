@@ -8,7 +8,9 @@ A runner solves a chunk of T trials drawn as lanes
 returns one RecoveryResult per trial; a single trial is a chunk of one.
 Every runner takes the whole chunk at once, its trials as extra lanes of
 the one round loop (`decentralized.solve_chunk`), and states only its
-tag's rule.
+tag's rule. The decentralized tags run `dcomp1`, `dcomp2` and
+`domp_majority` themselves, and the table holds those function objects,
+bound when it is built: re-pointing a module's name does not reach it.
 """
 
 import functools
@@ -17,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .decentralized import _check_nodes, dcomp1_chunk, dcomp2_chunk, domp_chunk, solve_chunk
+from .decentralized import _check_nodes, dcomp1, dcomp2, domp_majority, solve_chunk
 from .greedy import pooled_argmax
 from .network import Topology, complete_topology
 
@@ -53,21 +55,21 @@ def _run_mac(ys, dictionaries, topology: Topology, k: int) -> list:
 ALGORITHMS = {
     # each node ships its k final indices network-wide
     "d-omp": Algorithm(
-        run=domp_chunk,
+        run=domp_majority,
         table1=lambda l_count, k, n, degrees, t_nodes: (0, k * (l_count - 1) * l_count)),
     # runs on the complete graph whatever the topology: one index to each of
     # the L-1 other nodes per round
     "dc-omp1": Algorithm(
-        run=lambda ys, dictionaries, topo, k: dcomp1_chunk(
+        run=lambda ys, dictionaries, topo, k, dcomp1=dcomp1: dcomp1(
             ys, dictionaries, complete_topology(topo.node_count), k, mode="full"),
         table1=lambda l_count, k, n, degrees, t_nodes: ((l_count - 1) * int(np.sum(t_nodes)), 0)),
     # one index to each neighbour per round: sum_l |G_l| T_l local
     "dc-omp1-nbr": Algorithm(
-        run=functools.partial(dcomp1_chunk, mode="neighborhood"),
+        run=functools.partial(dcomp1, mode="neighborhood"),
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)), 0)),
     # N values to each neighbour plus one global index per round
     "dc-omp2": Algorithm(
-        run=dcomp2_chunk,
+        run=dcomp2,
         table1=lambda l_count, k, n, degrees, t_nodes: (int(np.sum(degrees * t_nodes)) * n,
                                                         int((l_count - 1) * np.sum(t_nodes)))),
     # each node ships k*N correlation summaries network-wide

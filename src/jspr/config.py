@@ -188,5 +188,12 @@ def validate(cfg: ExperimentConfig) -> None:
 
 
 def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+    """Parse the config file at `path`; a file that cannot be read or is not
+    UTF-8 text raises ConfigError naming the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = exc.strerror if isinstance(exc, OSError) else exc
+        raise ConfigError(f"cannot read config file {path!r}: {reason}") from None
+    return parse_config(text)

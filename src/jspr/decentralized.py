@@ -11,8 +11,11 @@ Three schemes over a connected topology:
 * domp_majority -- no collaboration during recovery: independent per-node OMP
   followed by one majority vote over the completed supports.
 
-All three, and every other tag, run a chunk of trials through the one round
-loop (`solve_chunk` over `greedy.greedy_rounds`) and state only their rule:
+Each takes a chunk of T trials, `ys (T, L, M)` and `dictionaries
+(T, L or 1, M, N)` (the harness's draw, `harness._draw_chunk`), and returns
+T RecoveryResults; one trial is `ys[None], matrices[None]` and result `[0]`.
+All three, and every other tag, run the chunk through the one round loop
+(`solve_chunk` over `greedy.greedy_rounds`) and state only their rule:
 what a node scores, what it charges to its trial's MessageLedger and what it
 adopts. `dcomp2`'s neighbourhood sum is an array operation over all trials
 at once; index fusion runs per trial, network-wide (`dcomp1` in full mode,
@@ -25,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .greedy import _lanes, greedy_rounds
+from .greedy import greedy_rounds
 from .network import MessageLedger, Topology
 
 
@@ -158,7 +161,8 @@ def _network_wide(propose, sent: tuple, k: int):
     return rule
 
 
-def dcomp1(ys, meas, topology: Topology, k: int, mode: str = "full") -> RecoveryResult:
+def dcomp1(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
+           mode: str = "full") -> list:
     """Collaborative OMP with per-iteration one-hop index fusion.
 
     Each node proposes its best-scoring index and sends it one hop.
@@ -167,13 +171,6 @@ def dcomp1(ys, meas, topology: Topology, k: int, mode: str = "full") -> Recovery
     mode="neighborhood" fuses within each node's one-hop neighborhood, so
     estimates (and termination rounds) may differ across nodes.
     """
-    return dcomp1_chunk(*_lanes(ys, meas), topology, k, mode)[0]
-
-
-def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
-                 mode: str = "full") -> list:
-    """`dcomp1` on T trials at once, as lanes of the round loop (see
-    `solve_chunk`); returns T RecoveryResults."""
     if mode not in ("full", "neighborhood"):
         raise ValueError(f"unknown mode {mode!r}")
     if mode == "full" and not topology.is_complete():
@@ -211,7 +208,7 @@ def dcomp1_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k
     return solve_chunk(ys, dictionaries, topology, k, rule, rows)
 
 
-def dcomp2(ys, meas, topology: Topology, k: int) -> RecoveryResult:
+def dcomp2(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int) -> list:
     """Collaborative OMP with one-hop measurement fusion and global index fusion.
 
     Phase I: each node ships its full length-N correlation vector to its
@@ -220,13 +217,6 @@ def dcomp2(ys, meas, topology: Topology, k: int) -> RecoveryResult:
     multiplicity, so every node applies the identical update and all final
     supports agree.
     """
-    return dcomp2_chunk(*_lanes(ys, meas), topology, k)[0]
-
-
-def dcomp2_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
-                 k: int) -> list:
-    """`dcomp2` on T trials at once, as lanes of the round loop (see
-    `solve_chunk`); returns T RecoveryResults."""
     _check_nodes(ys, topology)
     n, table = dictionaries.shape[-1], _neighbor_table(topology)
     fuse = _network_wide(lambda f: _neighborhood_sum(f, table).argmax(axis=2), (n, 1), k)
@@ -242,21 +232,14 @@ def majority_vote(estimates, k: int) -> tuple:
     return tuple(sorted(_admit(votes, k, votes)))
 
 
-def domp_majority(ys, meas, topology: Topology, k: int) -> RecoveryResult:
+def domp_majority(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
+                  k: int) -> list:
     """No-collaboration baseline: independent per-node OMP, one majority vote.
 
-    Each node runs k OMP iterations on its own data, ships its k indices
+    Each node runs k OMP iterations on its own data (a row of its own in the
+    round loop, adopting its own argmax every round), ships its k indices
     network-wide, and adopts the winning k-index set.
     """
-    return domp_chunk(*_lanes(ys, meas), topology, k)[0]
-
-
-def domp_chunk(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology,
-               k: int) -> list:
-    """`domp_majority` on T trials at once, as lanes of the round loop (see
-    `solve_chunk`): each node is a row of its own and adopts its own argmax
-    every round. After k rounds every node ships its k indices network-wide
-    and adopts the vote. Returns T RecoveryResults."""
     _check_nodes(ys, topology)
     results = solve_chunk(ys, dictionaries, topology, k, _own_argmax, rows=topology.node_count)
     for result in results:

@@ -176,15 +176,11 @@ def omp(y: np.ndarray, dictionary: np.ndarray, k: int) -> list:
     return supports[0][0]
 
 
-def somp(ys, meas, k: int) -> list:
-    """Simultaneous OMP: per-iteration score is the sum over nodes of each
-    node's absolute residual correlation against its own dictionary."""
-    supports, _ = greedy_rounds(*_lanes(ys, meas), k, pooled_argmax)
+def somp(ys: np.ndarray, dictionaries: np.ndarray, k: int) -> list:
+    """Simultaneous OMP on one trial's `ys (L, M)` against `dictionaries
+    (L, M, N)`, or `(1, M, N)` for one shared matrix: per-iteration score is
+    the sum over nodes of each node's absolute residual correlation against
+    its own dictionary. Returns k indices in selection order."""
+    supports, _ = greedy_rounds(np.asarray(ys, dtype=float)[None],
+                                np.asarray(dictionaries, dtype=float)[None], k, pooled_argmax)
     return supports[0][0]
-
-
-def _lanes(ys, meas) -> tuple:
-    """One trial's `ys (L, M)` and `meas` as views, a chunk of one of the round loop's lanes:
-    `ys (1, L, M)` and dictionaries `(1, 1 or L, M, N)`, 1 if shared."""
-    shared = meas.matrices.strides[0] == 0
-    return ys[None], (meas.matrices[:1] if shared else meas.matrices)[None]

@@ -46,19 +46,6 @@ _CHUNK_BYTES = 1 << 20    # distinct dictionary bytes per chunk of trials
 MAX_FAILED_FRACTION = 0.01
 
 
-def draw_trial(cfg: ExperimentConfig, l_count: int, m: int, trial: int, *,
-               shared: bool) -> tuple:
-    """(ensemble, meas, ys) of one trial on `l_count` nodes with `m`
-    measurements each, a chunk of one (`_draw_chunk`); with `shared`, every
-    node gets the same matrix, a read-only stride-0 view."""
-    (support,), ys, dictionaries, signals = _draw_chunk(
-        cfg, l_count, m, range(trial, trial + 1), lambda t: f"trial {t}, seed {cfg.master_seed}",
-        shared=shared)
-    mats = np.broadcast_to(dictionaries[0], (l_count, m, cfg.n)) if shared else dictionaries[0]
-    return (JointSparseEnsemble(cfg.n, cfg.k, l_count, support, signals[0]),
-            MeasurementEnsemble(mats, float(cfg.sigma2)), ys[0])
-
-
 def _shares_matrix(cfg: ExperimentConfig) -> bool:
     """Whether a configured tag needs one measurement matrix shared by all nodes."""
     return any(ALGORITHMS[tag].shared_matrix for tag in cfg.algorithms)
@@ -379,11 +366,16 @@ def exhaustive_oracle(ys, dictionaries, k: int) -> tuple:
 
 def bounds_report(cfg: ExperimentConfig) -> dict:
     """JSON-ready document: the configuration's parameters and the bound
-    entries (macbounds.bound_report) of its trial 0."""
+    entries (macbounds.bound_report) of its trial 0, drawn as a chunk of one
+    on one matrix that every node shares (a read-only stride-0 view)."""
     if cfg.sigma2 <= 0:
         raise ConfigError("key 'sigma2': bound reports need positive noise variance")
     l_count, m = _single(cfg.l_values, "l"), _single(cfg.m_values, "m")
-    ensemble, meas, _ = draw_trial(cfg, l_count, m, 0, shared=True)
+    (support,), _, dictionaries, signals = _draw_chunk(
+        cfg, l_count, m, range(1), lambda t: f"trial {t}, seed {cfg.master_seed}", shared=True)
+    ensemble = JointSparseEnsemble(cfg.n, cfg.k, l_count, support, signals[0])
+    meas = MeasurementEnsemble(np.broadcast_to(dictionaries[0], (l_count, m, cfg.n)),
+                               float(cfg.sigma2))
     return {
         "params": {
             "n": cfg.n, "k": cfg.k, "l": l_count, "m": m,

@@ -3,8 +3,6 @@ formula says, on random shapes and topologies, and relabeling the nodes by
 an automorphism of the topology only permutes what it returns. A tag added
 to the table without a matching formula fails here."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -15,8 +13,7 @@ from jspr.algorithms import ALGORITHMS, table1_expected
 from jspr.config import ExperimentConfig
 from jspr.ensembles import mac_aggregate
 from jspr.errors import SingularProjectionError
-from jspr.greedy import _lanes
-from jspr.harness import draw_trial
+from jspr.harness import _draw_chunk
 from jspr.network import build_topology, complete_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -42,9 +39,10 @@ def test_ledger_totals_equal_table1(tag, topology, n, k, data):
     m = data.draw(st.integers(k, 10), label="m")
     cfg = ExperimentConfig(n=n, k=k, sigma2=0.01, amp_low=10.0, amp_high=15.0,
                            master_seed=data.draw(SEEDS, label="seed"))
-    _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=algorithm.shared_matrix)
+    _, ys, dictionaries, _ = _draw_chunk(cfg, l_count, m, range(1), str,
+                                         shared=algorithm.shared_matrix)
     try:
-        result = algorithm.run(*_lanes(obs, meas), topology, k)[0]
+        result = algorithm.run(ys, dictionaries, topology, k)[0]
     except SingularProjectionError:
         assume(False)
     expected = table1_expected(tag, l_count, k, n, topology.adjacency, result.iterations)
@@ -73,9 +71,9 @@ def automorphisms(draw):
 
 
 def relabeled(pi, array):
-    """array with row l moved to row pi[l]."""
+    """A chunk's array with node l (axis 1) moved to node pi[l]."""
     out = np.empty_like(array)
-    out[pi] = array
+    out[:, pi] = array
     return out
 
 
@@ -98,16 +96,15 @@ def test_relabeling_nodes_permutes_result(tag):
         m = data.draw(st.integers(k, 20), label="m")
         cfg = ExperimentConfig(n=64, k=k, sigma2=0.05, amp_low=-3.0, amp_high=3.0,
                                master_seed=data.draw(SEEDS, label="seed"))
-        _, meas, obs = draw_trial(cfg, l_count, m, 0, shared=False)
-        moved_obs = relabeled(pi, obs)
-        moved_meas = dataclasses.replace(meas, matrices=relabeled(pi, meas.matrices))
+        _, ys, dictionaries, _ = _draw_chunk(cfg, l_count, m, range(1), str, shared=False)
+        moved_ys, moved_dictionaries = relabeled(pi, ys), relabeled(pi, dictionaries)
         try:
-            result = algorithm.run(*_lanes(obs, meas), topology, k)[0]
+            result = algorithm.run(ys, dictionaries, topology, k)[0]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                algorithm.run(*_lanes(moved_obs, moved_meas), topology, k)[0]
+                algorithm.run(moved_ys, moved_dictionaries, topology, k)[0]
             return
-        moved = algorithm.run(*_lanes(moved_obs, moved_meas), topology, k)[0]
+        moved = algorithm.run(moved_ys, moved_dictionaries, topology, k)[0]
         if tag in NODE_ORDER_FALLBACK and (settled_by_fallback(result)
                                            or settled_by_fallback(moved)):
             return
@@ -129,17 +126,16 @@ def test_sum_channel_output_is_mac_aggregate(seed, t_count, l_count, m, sigma2):
     # the sum-channel output has one definition: mac-omp's node-axis sum over
     # a chunk of shared-matrix trials is each trial's mac_aggregate, bit for bit
     cfg = ExperimentConfig(n=48, k=2, sigma2=sigma2, master_seed=seed)
-    draws = [draw_trial(cfg, l_count, m, t, shared=True) for t in range(t_count)]
+    _, ys, drawn, _ = _draw_chunk(cfg, l_count, m, range(t_count), str, shared=True)
     solved = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jspr.algorithms, "solve_chunk", lambda *args: solved.append(args) or [])
-        chunk = zip(*(_lanes(obs, meas) for _, meas, obs in draws))
-        ALGORITHMS["mac-omp"].run(*map(np.concatenate, chunk), complete_topology(l_count), cfg.k)
+        ALGORITHMS["mac-omp"].run(ys, drawn, complete_topology(l_count), cfg.k)
     [(zs, dictionaries, *_)] = solved
     assert zs.shape == (t_count, 1, m) and dictionaries.shape == (t_count, 1, m, 48)
-    for z, dictionary, (_, meas, obs) in zip(zs, dictionaries, draws):
+    for z, dictionary, obs, own in zip(zs, dictionaries, ys, drawn):
         assert z[0].tobytes() == mac_aggregate(obs).tobytes()
-        assert np.array_equal(dictionary[0], meas.matrices[0])
+        assert np.array_equal(dictionary[0], own[0])
 
 
 @pytest.mark.parametrize("tag", sorted(ALGORITHMS))
@@ -147,6 +143,7 @@ def test_topology_of_the_wrong_size_is_rejected(tag):
     # a 3-node chunk on a 5-node graph: no tag may return 5 supports or
     # charge the ledger for nodes that observed nothing
     cfg = ExperimentConfig(n=16, k=2, sigma2=0.01, master_seed=3)
-    _, meas, obs = draw_trial(cfg, 3, 6, 0, shared=ALGORITHMS[tag].shared_matrix)
+    _, ys, dictionaries, _ = _draw_chunk(cfg, 3, 6, range(1), str,
+                                         shared=ALGORITHMS[tag].shared_matrix)
     with pytest.raises(ValueError, match="topology size"):
-        ALGORITHMS[tag].run(*_lanes(obs, meas), complete_topology(5), cfg.k)
+        ALGORITHMS[tag].run(ys, dictionaries, complete_topology(5), cfg.k)

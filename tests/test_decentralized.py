@@ -8,12 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from jspr.algorithms import ALGORITHMS, table1_expected
+from jspr.config import ExperimentConfig
 from jspr.decentralized import (
     _admit,
     _neighbor_table,
     _neighborhood_sum,
     dcomp1,
-    dcomp1_chunk,
     dcomp2,
     domp_majority,
     index_fusion_full,
@@ -28,7 +28,8 @@ from jspr.ensembles import (
     measure,
 )
 from jspr.errors import SingularProjectionError
-from jspr.greedy import _lanes, correlate, omp, somp
+from jspr.greedy import correlate, omp, somp
+from jspr.harness import _draw_chunk
 from jspr.network import complete_topology, random_connected_topology, ring_topology
 
 
@@ -132,7 +133,7 @@ class TestDcomp1:
         ensemble, meas, obs = make_instance(1, l_count=1)
         topo = complete_topology(1)
         for mode in ("full", "neighborhood"):
-            result = dcomp1(obs, meas, topo, 4, mode=mode)
+            result = dcomp1(obs[None], meas.matrices[None], topo, 4, mode=mode)[0]
             assert result.per_node_support[0] == tuple(sorted(
                 omp(obs[0], meas.matrices[0], 4)))
             assert result.iterations == [4]
@@ -143,19 +144,19 @@ class TestDcomp1:
         truth = ensemble.support[0]
         proposals = correlate(obs, meas.matrices).argmax(axis=1).tolist()
         assert proposals == [truth] * 5   # precondition for the trace below
-        result = dcomp1(obs, meas, complete_topology(5), 1, mode="full")
+        result = dcomp1(obs[None], meas.matrices[None], complete_topology(5), 1, mode="full")[0]
         assert result.iterations == [1] * 5
         assert all(sup == (truth,) for sup in result.per_node_support)
 
     def test_full_mode_requires_complete(self):
         ensemble, meas, obs = make_instance(3, l_count=6)
         with pytest.raises(ValueError):
-            dcomp1(obs, meas, ring_topology(6, 2), 4, mode="full")
+            dcomp1(obs[None], meas.matrices[None], ring_topology(6, 2), 4, mode="full")
 
     def test_full_mode_invariants(self):
         for seed in range(8):
             ensemble, meas, obs = make_instance(10 + seed, l_count=6, k=4)
-            result = dcomp1(obs, meas, complete_topology(6), 4, mode="full")
+            result = dcomp1(obs[None], meas.matrices[None], complete_topology(6), 4, mode="full")[0]
             assert len(set(result.per_node_support)) == 1
             for sup in result.per_node_support:
                 assert len(sup) == 4
@@ -168,7 +169,8 @@ class TestDcomp1:
     def test_neighborhood_mode_invariants(self):
         for seed in range(8):
             ensemble, meas, obs = make_instance(20 + seed, l_count=6, k=4)
-            result = dcomp1(obs, meas, ring_topology(6, 2), 4, mode="neighborhood")
+            result = dcomp1(obs[None], meas.matrices[None], ring_topology(6, 2), 4,
+                            mode="neighborhood")[0]
             for sup in result.per_node_support:
                 assert len(sup) == 4
                 assert len(set(sup)) == 4
@@ -181,7 +183,7 @@ class TestDcomp1:
         # node from proposing an index it already holds
         meas = MeasurementEnsemble(matrices=np.stack([np.eye(6)] * 3), noise_sigma2=0.0)
         obs = np.tile([3.0, 2.0, 0, 0, 0, 0], (3, 1))
-        result = dcomp1(obs, meas, ring_topology(3, 2), 4, mode=mode)
+        result = dcomp1(obs[None], meas.matrices[None], ring_topology(3, 2), 4, mode=mode)[0]
         assert result.per_node_support == [(0, 1, 2, 3)] * 3
         assert result.iterations == [4] * 3
 
@@ -195,15 +197,15 @@ class TestDcomp1:
         ys[0, :, :2] = [3.0, 2.0]
         ys[1, :2, :2] = [3.0, 2.0]
         ys[1, 2:, :2] = [2.0, 3.0]
-        results = dcomp1_chunk(ys, np.broadcast_to(np.eye(6), (2, 4, 6, 6)),
-                               complete_topology(4), 4, mode=mode)
+        results = dcomp1(ys, np.broadcast_to(np.eye(6), (2, 4, 6, 6)), complete_topology(4), 4,
+                         mode=mode)
         assert [r.per_node_support for r in results] == [[(0, 1, 2, 3)] * 4] * 2
         assert [r.iterations for r in results] == [[4] * 4, [3] * 4]
 
     def test_ledger_matches_expected_formula(self):
         ensemble, meas, obs = make_instance(30, l_count=6, k=4)
         topo = complete_topology(6)
-        result = dcomp1(obs, meas, topo, 4, mode="full")
+        result = dcomp1(obs[None], meas.matrices[None], topo, 4, mode="full")[0]
         local, glob = table1_expected("dc-omp1", 6, 4, 32, topo.adjacency,
                                       result.iterations)
         assert result.ledger.local_scalar_count == local
@@ -211,7 +213,7 @@ class TestDcomp1:
         assert local == 6 * 5 * result.iterations[0]
 
         ring = ring_topology(6, 2)
-        result = dcomp1(obs, meas, ring, 4, mode="neighborhood")
+        result = dcomp1(obs[None], meas.matrices[None], ring, 4, mode="neighborhood")[0]
         local, _ = table1_expected("dc-omp1-nbr", 6, 4, 32, ring.adjacency,
                                    result.iterations)
         assert result.ledger.local_scalar_count == local
@@ -223,8 +225,8 @@ class TestDcomp1:
             ensemble, meas, obs = make_instance(100 + seed, n=256, k=10,
                                                 l_count=10, m=30)
             truth = set(ensemble.support)
-            c = dcomp1(obs, meas, topo, 10, mode="full")
-            d = domp_majority(obs, meas, topo, 10)
+            c = dcomp1(obs[None], meas.matrices[None], topo, 10, mode="full")[0]
+            d = domp_majority(obs[None], meas.matrices[None], topo, 10)[0]
             wins["dc-omp1"] += set(c.per_node_support[0]) == truth
             wins["d-omp"] += set(d.per_node_support[0]) == truth
         assert wins["dc-omp1"] >= wins["d-omp"]
@@ -237,8 +239,8 @@ class TestDcomp2:
     def test_complete_graph_tracks_somp_step_by_step(self, seed, l_count, k, data):
         m = data.draw(st.integers(k, 16), label="m")
         _, meas, obs = make_instance(seed, l_count=l_count, k=k, m=m)
-        result = dcomp2(obs, meas, complete_topology(l_count), k)
-        somp_selection = somp(obs, meas, k)
+        result = dcomp2(obs[None], meas.matrices[None], complete_topology(l_count), k)[0]
+        somp_selection = somp(obs, meas.matrices, k)
         fused_sequence = [r.fused[0] for r in result.rounds]
         assert [idx for admitted in fused_sequence for idx in admitted] == somp_selection
         assert all(len(set(r.proposals)) == 1 for r in result.rounds)
@@ -246,14 +248,14 @@ class TestDcomp2:
 
     def test_two_node_path_symmetric_scores(self):
         ensemble, meas, obs = make_instance(50, l_count=2, k=2)
-        result = dcomp2(obs, meas, complete_topology(2), 2)
+        result = dcomp2(obs[None], meas.matrices[None], complete_topology(2), 2)[0]
         # both nodes sum the same pair of correlation vectors
         assert all(len(set(r.proposals)) == 1 for r in result.rounds)
 
     def test_identical_supports_on_ring(self):
         for seed in range(6):
             ensemble, meas, obs = make_instance(60 + seed, l_count=6, k=4)
-            result = dcomp2(obs, meas, ring_topology(6, 3), 4)
+            result = dcomp2(obs[None], meas.matrices[None], ring_topology(6, 3), 4)[0]
             assert len(set(result.per_node_support)) == 1
             assert len(result.per_node_support[0]) == 4
             assert all(1 <= t <= 4 for t in result.iterations)
@@ -261,7 +263,7 @@ class TestDcomp2:
     def test_ledger_matches_expected_formula(self):
         ensemble, meas, obs = make_instance(70, l_count=6, k=4)
         ring = ring_topology(6, 2)
-        result = dcomp2(obs, meas, ring, 4)
+        result = dcomp2(obs[None], meas.matrices[None], ring, 4)[0]
         local, glob = table1_expected("dc-omp2", 6, 4, 32, ring.adjacency,
                                       result.iterations)
         t2 = result.iterations[0]
@@ -273,7 +275,7 @@ class TestDcomp2:
         for seed in range(20):
             ensemble, meas, obs = make_instance(80 + seed, l_count=8, k=4,
                                                 m=20, n=64)
-            result = dcomp2(obs, meas, ring_topology(8, 4), 4)
+            result = dcomp2(obs[None], meas.matrices[None], ring_topology(8, 4), 4)[0]
             if any(len(r.fused[0]) > 1 for r in result.rounds):
                 assert result.iterations[0] < 4
                 shortened = True
@@ -296,33 +298,30 @@ class TestChunkLanes:
         rng = rng_of(seed)
         topology = (random_connected_topology(l_count, p, rng) if l_count > 1
                     else complete_topology(1))
-        draws = []
-        for _ in range(t_count):
-            _, meas, obs = make_instance(int(rng.integers(2 ** 32)), n=24, k=k,
-                                         l_count=l_count, m=k + extra_m, sigma2=sigma2,
-                                         shared=shared)
-            draws.append((obs, meas))
-        run, lanes = ALGORITHMS[tag].run, [_lanes(obs, meas) for obs, meas in draws]
-        chunk = [np.concatenate(arrays) for arrays in zip(*lanes)]
+        cfg = ExperimentConfig(n=24, k=k, sigma2=sigma2, master_seed=seed)
+        _, ys, dictionaries, _ = _draw_chunk(cfg, l_count, k + extra_m, range(t_count), str,
+                                             shared=shared)
+        run = ALGORITHMS[tag].run
         try:
-            alone = [run(*lane, topology, k)[0] for lane in lanes]
+            alone = [run(ys[t:t + 1], dictionaries[t:t + 1], topology, k)[0]
+                     for t in range(t_count)]
         except SingularProjectionError:
             with pytest.raises(SingularProjectionError):
-                run(*chunk, topology, k)
+                run(ys, dictionaries, topology, k)
             return
-        assert run(*chunk, topology, k) == alone
+        assert run(ys, dictionaries, topology, k) == alone
 
 
 class TestDompMajority:
     def test_unanimous_nodes(self):
         ensemble, meas, obs = make_instance(90, l_count=4, m=20, sigma2=0.0)
-        result = domp_majority(obs, meas, complete_topology(4), 4)
+        result = domp_majority(obs[None], meas.matrices[None], complete_topology(4), 4)[0]
         assert all(sup == tuple(sorted(ensemble.support))
                    for sup in result.per_node_support)
         assert result.iterations == [4] * 4
 
     def test_ledger_global_count(self):
         ensemble, meas, obs = make_instance(91, l_count=5, k=4)
-        result = domp_majority(obs, meas, complete_topology(5), 4)
+        result = domp_majority(obs[None], meas.matrices[None], complete_topology(5), 4)[0]
         _, glob = table1_expected("d-omp", 5, 4, 32, complete_topology(5).adjacency, 4)
         assert result.ledger.global_scalar_count == glob == 4 * 4 * 5

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from jspr.ensembles import MeasurementEnsemble, gen_orthoprojector
+from jspr.ensembles import gen_orthoprojector
 from jspr.errors import SingularProjectionError
 from jspr.greedy import correlate, ls_residual, omp, somp
 from jspr.harness import exhaustive_oracle
@@ -11,12 +11,6 @@ from jspr.harness import exhaustive_oracle
 
 def rng_of(seed):
     return np.random.default_rng(seed)
-
-
-def mmv(per_node, matrices, sigma2=0.0):
-    obs = np.asarray(per_node, dtype=float)
-    meas = MeasurementEnsemble(matrices=np.asarray(matrices, dtype=float), noise_sigma2=sigma2)
-    return obs, meas
 
 
 class TestCorrelate:
@@ -153,16 +147,14 @@ class TestSomp:
         rng = rng_of(8)
         dictionary = gen_orthoprojector(6, 10, rng)
         y = rng.standard_normal(6)
-        obs, meas = mmv(y[None, :], dictionary[None, :, :])
-        assert somp(obs, meas, 3) == omp(y, dictionary, 3)
+        assert somp(y[None, :], dictionary[None, :, :], 3) == omp(y, dictionary, 3)
 
     def test_identical_copies_reduce_to_omp(self):
         rng = rng_of(9)
         dictionary = gen_orthoprojector(6, 10, rng)
         y = rng.standard_normal(6)
-        obs, meas = mmv(np.repeat(y[None, :], 3, axis=0),
-                        np.repeat(dictionary[None, :, :], 3, axis=0))
-        assert somp(obs, meas, 4) == omp(y, dictionary, 4)
+        obs, matrices = np.repeat(y[None, :], 3, axis=0), np.repeat(dictionary[None], 3, axis=0)
+        assert somp(obs, matrices, 4) == omp(y, dictionary, 4)
 
     def test_beats_single_node_on_paired_trials(self):
         # N=16, M=6, k=2, L=5 at roughly 28 dB average SNR
@@ -178,8 +170,7 @@ class TestSomp:
             mats = np.stack([gen_orthoprojector(m, n, rng) for _ in range(l_count)])
             ys = np.einsum("lmn,ln->lm", mats, signals)
             ys = ys + rng.standard_normal(ys.shape) * np.sqrt(sigma2)
-            obs, meas = mmv(ys, mats, sigma2)
-            if set(somp(obs, meas, k)) == set(support):
+            if set(somp(ys, mats, k)) == set(support):
                 somp_wins += 1
             if set(omp(ys[0], mats[0], k)) == set(support):
                 omp_wins += 1
@@ -189,6 +180,5 @@ class TestSomp:
         rng = rng_of(11)
         mats = np.stack([gen_orthoprojector(5, 12, rng) for _ in range(3)])
         ys = rng.standard_normal((3, 5))
-        obs, meas = mmv(ys, mats)
-        selected = somp(obs, meas, 5)
+        selected = somp(ys, mats, 5)
         assert len(set(selected)) == 5

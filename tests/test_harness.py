@@ -281,7 +281,7 @@ class TestRunSweep:
         real = harness._run_algorithm
         # trial 37 fails, whatever chunk it is solved in: exactly one failure,
         # within the 1% budget
-        doomed = harness.draw_trial(cfg, 3, 8, 37, shared=False)[2]
+        doomed = harness._draw_chunk(cfg, 3, 8, range(37, 38), str, shared=False)[1][0]
 
         def flaky(alg, ys, dictionaries, topology, k):
             if any(np.array_equal(y, doomed) for y in ys):
@@ -387,13 +387,15 @@ class TestDrawTrial:
         monkeypatch.setattr(seeding, "state_words", spy)
         for trial in range(5):
             purposes.clear()
-            got = harness.draw_trial(cfg, 3, 8, trial, shared=shared)
+            (support,), ys, dictionaries, signals = harness._draw_chunk(
+                cfg, 3, 8, range(trial, trial + 1), str, shared=shared)
             assert (seeding.NOISE in purposes) == (sigma2 > 0)
             want = self.four_stream_draw(cfg, 3, 8, trial, shared)
-            assert got[0].support == want[0].support
-            assert np.array_equal(got[0].signals, want[0].signals)
-            assert np.array_equal(got[1].matrices, want[1].matrices)
-            assert np.array_equal(got[2], want[2])
+            assert support == want[0].support
+            assert np.array_equal(signals[0], want[0].signals)
+            assert np.array_equal(np.broadcast_to(dictionaries[0], (3, 8, cfg.n)),
+                                  want[1].matrices)
+            assert np.array_equal(ys[0], want[2])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(2, 24), l_count=st.integers(1, 5),
@@ -501,7 +503,7 @@ class TestChunks:
 
     def test_failing_trial_in_a_chunk_names_itself(self, monkeypatch):
         cfg = tiny_config(**self.ISOLATION)
-        doomed = harness.draw_trial(cfg, 4, 10, 37, shared=True)[2]
+        doomed = harness._draw_chunk(cfg, 4, 10, range(37, 38), str, shared=True)[1][0]
         real = harness._run_algorithm
 
         def broken(alg, ys, dictionaries, topology, k):
@@ -572,9 +574,10 @@ class TestChunks:
         _, ys, dictionaries = calls[0]
         assert ys.shape == (6, 4, 10) and dictionaries.shape == (6, width, 10, 32)
         for t, (y, matrices) in enumerate(zip(ys, dictionaries), start=3):
-            _, meas, obs = harness.draw_trial(cfg, 4, 10, t, shared=width == 1)
-            assert np.array_equal(y, obs)
-            assert np.array_equal(matrices, meas.matrices[:width])
+            _, obs, own, _ = harness._draw_chunk(cfg, 4, 10, range(t, t + 1), str,
+                                                 shared=width == 1)
+            assert np.array_equal(y, obs[0])
+            assert np.array_equal(matrices, own[0])
         for _, other_ys, other_dictionaries in calls[1:]:
             assert np.shares_memory(other_ys, ys)
             assert np.shares_memory(other_dictionaries, dictionaries)
@@ -910,7 +913,7 @@ class TestOracleCheck:
     def test_failing_trial_names_itself(self, monkeypatch, comparison):
         cfg = tiny_config(**self.CFG)
         noiseless = dataclasses.replace(cfg, sigma2=0.0)
-        doomed = harness.draw_trial(noiseless, 3, 6, 4, shared=False)[2]
+        doomed = harness._draw_chunk(noiseless, 3, 6, range(4, 5), str, shared=False)[1][0]
 
         def forced():
             raise ValueError("forced")
@@ -1185,6 +1188,22 @@ class TestCli:
         cfg = self.write_config(tmp_path, "n=24\nk=2\ntrials=2\n" + text)
         assert main(["sweep-m", "--config", cfg]) == 1
 
+    @pytest.mark.parametrize("where", ["missing", "directory", "not utf-8"])
+    def test_unreadable_config_exits_before_any_trial(self, tmp_path, monkeypatch, capsys,
+                                                      where):
+        import jspr.harness as harness
+
+        def no_trial(*args, **kwargs):
+            raise AssertionError("a trial ran")
+
+        monkeypatch.setattr(harness, "_draw_chunk", no_trial)
+        (tmp_path / "binary.cfg").write_bytes(b"\xffn=24\nk=2\nl=3\nm=8\n")
+        path = str({"missing": tmp_path / "missing.cfg", "directory": tmp_path,
+                    "not utf-8": tmp_path / "binary.cfg"}[where])
+        assert main(["sweep-m", "--config", path]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and path in err
+
     @pytest.mark.parametrize("key", ["sigma2", "slack_t"])
     def test_non_finite_number_fails_bounds_before_any_trial(self, tmp_path, monkeypatch,
                                                              capsys, key):
@@ -1239,7 +1258,8 @@ class TestCli:
         assert "keys 'n', 'k': C(64,8)" in capsys.readouterr().err
 
     def test_missing_config_file_exit_code(self, tmp_path):
-        assert main(["sweep-m", "--config", str(tmp_path / "nope.cfg")]) == 2
+        # a config that cannot be read is a configuration error
+        assert main(["sweep-m", "--config", str(tmp_path / "nope.cfg")]) == 1
 
     def test_runtime_error_exit_code(self, tmp_path):
         cfg = self.write_config(tmp_path, "n=24\nk=2\nl=3\nm=8\ntrials=2\nalgorithms=d-omp\n")

@@ -22,7 +22,7 @@ from jspr.algorithms import ALGORITHMS
 from jspr.decentralized import _own_argmax, dcomp1, dcomp2, domp_majority, majority_vote
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
-from jspr.greedy import _lanes, greedy_rounds, ls_residual, omp, pooled_argmax, somp
+from jspr.greedy import greedy_rounds, ls_residual, omp, pooled_argmax, somp
 from jspr.network import MessageLedger, complete_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
@@ -154,7 +154,7 @@ class TestLockstepOmp:
                                            pooled=False)
         assert picks == [expected]
         assert iterations == [[k] * l_count]
-        result = domp_majority(obs, meas, complete_topology(l_count), k)
+        result = domp_majority(obs[None], meas.matrices[None], complete_topology(l_count), k)[0]
         assert result.per_node_support == [majority_vote(expected, k)] * l_count
 
     @settings(max_examples=40, deadline=None)
@@ -262,7 +262,7 @@ class TestDcomp1Neighborhood:
         assume(n0 > 1 or l_count == 2)
         topology = RULE_TOPOLOGIES[rule](l_count, n0)
         meas, obs = instance(seed, 32, k, l_count, m, sigma2)
-        result = ALGORITHMS[rule].run(*_lanes(obs, meas), topology, k)[0]
+        result = ALGORITHMS[rule].run(obs[None], meas.matrices[None], topology, k)[0]
         supports, iterations, local, global_, rounds = reference_collaborative(
             rule, obs, meas, topology, k)
         assert result.per_node_support == supports
@@ -294,15 +294,15 @@ def near_dependent_instance(seed, l_count, m, extra, k_frac, bad, scale,
 
 SOLVER_PATHS = {
     "omp": lambda obs, meas, k, node: omp(obs[node], meas.matrices[node], k),
-    "somp": lambda obs, meas, k, node: somp(obs, meas, k),
+    "somp": lambda obs, meas, k, node: somp(obs, meas.matrices, k),
     "dcomp1-full": lambda obs, meas, k, node: dcomp1(
-        obs, meas, complete_topology(len(obs)), k),
+        obs[None], meas.matrices[None], complete_topology(len(obs)), k)[0],
     "dcomp1-nbr": lambda obs, meas, k, node: dcomp1(
-        obs, meas, ring_topology(len(obs), 2), k, mode="neighborhood"),
+        obs[None], meas.matrices[None], ring_topology(len(obs), 2), k, mode="neighborhood")[0],
     "dcomp2": lambda obs, meas, k, node: dcomp2(
-        obs, meas, ring_topology(len(obs), 2), k),
+        obs[None], meas.matrices[None], ring_topology(len(obs), 2), k)[0],
     "d-omp": lambda obs, meas, k, node: domp_majority(
-        obs, meas, ring_topology(len(obs), 2), k),
+        obs[None], meas.matrices[None], ring_topology(len(obs), 2), k)[0],
 }
 
 

@@ -1,5 +1,6 @@
 """The README's library example runs as written against the public API and
-prints what a reader of the README expects."""
+prints what a reader of the README expects, and every name the package
+exports resolves."""
 
 import contextlib
 import io
@@ -16,3 +17,12 @@ def test_library_example_runs_as_written():
     with contextlib.redirect_stdout(out):
         exec(compile(code, str(README), "exec"), {})
     assert out.getvalue() == "True\nTrue 10\n"
+
+
+def test_every_exported_name_resolves():
+    import jspr
+
+    namespace = {}
+    exec("from jspr import *", namespace)       # raises on an exported name that is gone
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(jspr.__all__)
+    assert len(jspr.__all__) == 45
