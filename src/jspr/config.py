@@ -39,29 +39,27 @@ class ExperimentConfig:
     workers: int = 1
 
 
-def _parse_int(key, value, lineno):
-    try:
-        return int(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: key '{key}': expected integer, got {value!r}") from None
+def _number(convert, kind):
+    def parse(key, value, where):
+        try:
+            return convert(value)
+        except ValueError:
+            raise ConfigError(f"{where}: key '{key}': expected {kind}, got {value!r}") from None
+    return parse
 
 
-def _parse_float(key, value, lineno):
-    try:
-        return float(value)
-    except ValueError:
-        raise ConfigError(f"line {lineno}: key '{key}': expected number, got {value!r}") from None
+_parse_int, _parse_float = _number(int, "integer"), _number(float, "number")
 
 
-def _parse_int_list(key, value, lineno):
-    return [_parse_int(key, item.strip(), lineno) for item in value.split(",") if item.strip()]
+def _parse_int_list(key, value, where):
+    return [_parse_int(key, item.strip(), where) for item in value.split(",") if item.strip()]
 
 
-def _parse_str(key, value, lineno):
+def _parse_str(key, value, where):
     return value
 
 
-def _parse_str_list(key, value, lineno):
+def _parse_str_list(key, value, where):
     return [item.strip() for item in value.split(",") if item.strip()]
 
 
@@ -103,15 +101,20 @@ def parse_config(text: str) -> ExperimentConfig:
         if key in seen:
             raise ConfigError(f"line {lineno}: duplicate key '{key}'")
         seen.add(key)
-        if value == "":
-            raise ConfigError(f"line {lineno}: key '{key}': empty value")
-        if key not in _KEYS:
-            raise ConfigError(f"line {lineno}: unknown key '{key}'")
-        attr, parse = _KEYS[key]
-        setattr(cfg, attr, parse(key, value, lineno))
+        set_key(cfg, key, value, f"line {lineno}")
 
     validate(cfg)
     return cfg
+
+
+def set_key(cfg: ExperimentConfig, key: str, value: str, where: str) -> None:
+    """Parse `value` into `cfg` as key `key`; an error is led by `where` ("line 3")."""
+    if value == "":
+        raise ConfigError(f"{where}: key '{key}': empty value")
+    if key not in _KEYS:
+        raise ConfigError(f"{where}: unknown key '{key}'")
+    attr, parse = _KEYS[key]
+    setattr(cfg, attr, parse(key, value, where))
 
 
 def validate(cfg: ExperimentConfig) -> None:

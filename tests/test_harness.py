@@ -1219,7 +1219,12 @@ class TestCli:
 
     @pytest.mark.parametrize("flag, value, key", [("--trials", "0", "trials"),
                                                    ("--seed", "-1", "seed"),
-                                                   ("--seed", str(2 ** 64), "seed")])
+                                                   ("--seed", str(2 ** 64), "seed"),
+                                                   ("--seed", "abc", "seed"),
+                                                   ("--trials", "1.5", "trials"),
+                                                   ("--format", "xml", "format"),
+                                                   ("--out", "{tmp}/missing/rows.csv", "out"),
+                                                   ("--out", "{tmp}", "out")])
     def test_bad_flag_exits_before_any_trial(self, tmp_path, monkeypatch, capsys,
                                              flag, value, key):
         import jspr.harness as harness
@@ -1229,8 +1234,37 @@ class TestCli:
 
         monkeypatch.setattr(harness, "_draw_chunk", no_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\nl=3\nm=8\n")
-        assert main(["sweep-m", "--config", cfg, flag, value]) == 1
+        assert main(["sweep-m", "--config", cfg, flag, value.format(tmp=tmp_path)]) == 1
         assert f"key '{key}'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [("seed", "abc"), ("trials", "1.5"),
+                                            ("format", "xml"), ("seed", "-1"), ("out", "")])
+    def test_flag_fails_as_the_same_value_in_the_file(self, tmp_path, capsys, key, value):
+        base = "n=24\nk=2\nl=3\nm=8\n"
+        assert main(["sweep-m", "--config", self.write_config(tmp_path, base),
+                     f"--{key}", value]) == 1
+        from_flag = capsys.readouterr().err.replace(f"flag --{key}: ", "")
+        assert main(["sweep-m", "--config",
+                     self.write_config(tmp_path, f"{base}{key}={value}\n")]) == 1
+        from_file = capsys.readouterr().err.replace("line 5: ", "")
+        assert from_flag == from_file and f"key '{key}'" in from_file
+
+    def test_help_names_every_command(self, capsys):
+        from jspr.cli import COMMANDS
+
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        out = capsys.readouterr().out
+        assert len(COMMANDS) == 6
+        for name, (help_text, _) in COMMANDS.items():
+            assert re.search(rf"^  {name} +{re.escape(help_text)}$", out, re.M)
+
+    @pytest.mark.parametrize("argv", [["sweep-x"], ["sweep-m", "--seeds", "1"], []])
+    def test_unknown_command_or_flag_is_a_usage_error(self, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
     def test_sparsity_above_m_fails_oracle_check_not_bounds(self, tmp_path, monkeypatch,
                                                              capsys):
@@ -1261,7 +1295,14 @@ class TestCli:
         # a config that cannot be read is a configuration error
         assert main(["sweep-m", "--config", str(tmp_path / "nope.cfg")]) == 1
 
-    def test_runtime_error_exit_code(self, tmp_path):
+    def test_runtime_error_exit_code(self, tmp_path, monkeypatch, capsys):
+        import jspr.harness as harness
+
+        def failing_trial(*args, **kwargs):
+            raise FloatingPointError("solver blew up")
+
+        monkeypatch.setattr(harness, "_run_algorithm", failing_trial)
         cfg = self.write_config(tmp_path, "n=24\nk=2\nl=3\nm=8\ntrials=2\nalgorithms=d-omp\n")
-        missing_dir = tmp_path / "no" / "such" / "dir" / "x.csv"
-        assert main(["sweep-m", "--config", cfg, "--out", str(missing_dir)]) == 2
+        assert main(["sweep-m", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "FloatingPointError: solver blew up" in err
