@@ -63,16 +63,19 @@ def gen_signals(support, n: int, l_count: int, amp_low: float, amp_high: float,
 
 
 def draw_amplitudes(support, amp_low: float, amp_high: float, rng: np.random.Generator,
-                    out: np.ndarray) -> None:
+                    out: np.ndarray) -> bool:
     """Write iid uniform draws on [amp_low, amp_high] into the `support`
     columns of the zeroed `(L, N)` block `out`, unchecked. The range may be
-    sign-mixed (e.g. [-25, 25]); exact zero draws are redrawn so the support
-    definition stays exact."""
+    sign-mixed (e.g. [-25, 25]); exact zero draws are redrawn, after the
+    whole block, so the support definition stays exact. Returns whether any
+    was, which cannot happen with amp_low > 0."""
     vals = rng.uniform(amp_low, amp_high, size=(len(out), len(support)))
+    redrawn = not vals.all()
     while not vals.all():                    # measure-zero event, but possible
         redraw = vals == 0.0
         vals[redraw] = rng.uniform(amp_low, amp_high, size=int(np.count_nonzero(redraw)))
     out[:, list(support)] = vals
+    return redrawn
 
 
 def orthoprojectors(normals: np.ndarray) -> np.ndarray:

@@ -4,7 +4,8 @@ Every trial draws a fresh ensemble, measurement matrices, and noise from
 purpose-split seed streams, a chunk of trials at a time (`_draw_chunk`), so
 runs are reproducible byte-for-byte (also under parallel trial execution and
 whatever the chunk size) and all algorithms at a sweep point consume
-identical data (paired trials).
+identical data (paired trials). A sweep draws each chunk once for all its
+points that share m, at their largest L (`run_chunk`).
 """
 
 import contextlib
@@ -78,15 +79,22 @@ def _per_trial(run, trials, lead, tolerated=()) -> list:
 def _draw_chunk(cfg: ExperimentConfig, l_count: int, m: int, trials: range, lead, *,
                 shared: bool) -> tuple:
     """(supports, ys (T, L, M), dictionaries (T, 1 or L, M, N), signals
-    (T, L, N)) of trials `trials` (one matrix per trial when `shared`), the
-    round loop's lanes, seeded by one `seeding.state_words` call. Trial by
-    trial, its seed streams give its support and amplitudes, its slice of one
-    standard-normal block and, only when sigma2 > 0, its noise; a failure
-    there fails as in `_per_trial`, led by `lead`. Per chunk: stacked QRs
-    (`orthoprojectors`), one einsum."""
+    (T, L, N), redrawn (T,)) of trials `trials` (one matrix per trial when
+    `shared`), the round loop's lanes, seeded by one `seeding.state_words`
+    call. Trial by trial, its seed streams give its support and amplitudes
+    (`redrawn` marks a trial whose amplitudes redrew an exact zero), its
+    slice of one standard-normal block and, only when sigma2 > 0, its noise;
+    a failure there fails as in `_per_trial`, led by `lead`. Per chunk:
+    stacked QRs (`orthoprojectors`), one einsum.
+
+    Every stream fills C-order `(L, ...)` node blocks, so the draw at L' < L
+    is the first L' nodes of the draw at L, bit for bit, except in a trial
+    that `redrawn` marks: there a zero redrawn after the whole (L, k) block
+    may sit below L'."""
     count, n, noisy = len(trials), cfg.n, cfg.sigma2 > 0
     normals = np.empty((count, 1 if shared else l_count, n, m))
     signals, noise = np.zeros((count, l_count, n)), np.empty((count, l_count, m))
+    redrawn = np.zeros(count, dtype=bool)
     words = seeding.state_words(cfg.master_seed, trials, (
         seeding.SUPPORT, seeding.AMPLITUDES, seeding.MATRICES, seeding.NOISE)[:3 + noisy])
 
@@ -96,7 +104,8 @@ def _draw_chunk(cfg: ExperimentConfig, l_count: int, m: int, trials: range, lead
             support_rng, amplitude_rng, matrix_rng, *noise_rng = [
                 np.random.Generator(np.random.PCG64(seeding.StateWords(w))) for w in words[i]]
             supports.append(gen_support(n, cfg.k, support_rng))
-            draw_amplitudes(supports[-1], cfg.amp_low, cfg.amp_high, amplitude_rng, signals[i])
+            redrawn[i] = draw_amplitudes(supports[-1], cfg.amp_low, cfg.amp_high, amplitude_rng,
+                                         signals[i])
             matrix_rng.standard_normal(out=normals[i])
             if noisy:
                 noise_rng[0].standard_normal(out=noise[i])
@@ -107,44 +116,60 @@ def _draw_chunk(cfg: ExperimentConfig, l_count: int, m: int, trials: range, lead
     ys = np.einsum("tlmn,tln->tlm", dictionaries, signals)
     if noisy:
         ys += noise * np.sqrt(cfg.sigma2)
-    return supports, ys, dictionaries, signals
+    return supports, ys, dictionaries, signals, redrawn
 
 
-def run_chunk(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
-              trials: range) -> list:
-    """Paired trials `trials` of one sweep point; per trial, per algorithm a
+def run_chunk(cfg: ExperimentConfig, m: int, points, trials: range) -> list:
+    """Paired trials `trials` at every sweep point of `points`, `(l_count,
+    topology)` pairs that share `m`: per point, per trial, per algorithm a
     TrialRecord, or None on a singular-projection failure. Any other
     exception is re-raised as a TrialError naming the sweep point,
     algorithm, trial index and seed.
 
-    The chunk is drawn once, as lanes (`_draw_chunk`). Each algorithm then
-    runs once on the whole chunk, its trials as extra lanes of the one round
-    loop (`decentralized.solve_chunk`). A chunk call that raises is run
-    again trial by trial (`_per_trial`), so the records do not depend on how
+    The chunk is drawn once, as lanes, at the points' largest L
+    (`_draw_chunk`). A point with fewer nodes reads its first L of them,
+    `ys[:, :L]` and `dictionaries[:, :L]` (a shared `(T, 1, M, N)` matrix as
+    is), which is its own draw bit for bit; a trial whose draw redrew a zero
+    amplitude has its observations drawn again at that L, the one output a
+    redraw can change. At each point, each algorithm then runs once on the
+    whole chunk, its trials as extra lanes of the one round loop
+    (`decentralized.solve_chunk`). A chunk call that raises is run again
+    trial by trial (`_per_trial`), so the records do not depend on how
     trials are chunked."""
-    def lead(alg):
+    def lead(l_count, alg):
         return lambda trial: (f"sweep point m={m}, L={l_count}, algorithm {alg}, "
                               f"trial {trial}, seed {cfg.master_seed}")
 
-    supports, ys, dictionaries = _draw_chunk(cfg, l_count, m, trials, lead("(trial draw)"),
-                                             shared=_shares_matrix(cfg))[:3]
-    out = [{} for _ in trials]
-    for alg in cfg.algorithms:
-        results = _per_trial(lambda part: _run_algorithm(alg, ys[part], dictionaries[part],
-                                                         topology, cfg.k),
-                             trials, lead(alg), SingularProjectionError)
-        for trial, support, result in zip(out, supports, results):
-            trial[alg] = None if result is None else TrialRecord(
-                support, result.per_node_support, list(result.iterations),
-                result.ledger.local_scalar_count, result.ledger.global_scalar_count)
+    shared, top = _shares_matrix(cfg), max(l_count for l_count, _ in points)
+    supports, ys, dictionaries, signals, redrawn = _draw_chunk(
+        cfg, top, m, trials, lead(top, "(trial draw)"), shared=shared)
+    del signals     # only the lanes outlive the draw
+    out = []
+    for l_count, topology in points:
+        own_ys, own_dictionaries = ys[:, :l_count], dictionaries[:, :l_count]
+        if l_count < top and redrawn.any():
+            own_ys = own_ys.copy()
+            for i in np.flatnonzero(redrawn):
+                own_ys[i] = _draw_chunk(cfg, l_count, m, trials[i:i + 1],
+                                        lead(l_count, "(trial draw)"), shared=shared)[1][0]
+        records = [{} for _ in trials]
+        for alg in cfg.algorithms:
+            results = _per_trial(lambda part: _run_algorithm(
+                alg, own_ys[part], own_dictionaries[part], topology, cfg.k),
+                trials, lead(l_count, alg), SingularProjectionError)
+            for trial, support, result in zip(records, supports, results):
+                trial[alg] = None if result is None else TrialRecord(
+                    support, result.per_node_support, list(result.iterations),
+                    result.ledger.local_scalar_count, result.ledger.global_scalar_count)
+        out.append(records)
     return out
 
 
 def run_trial(cfg: ExperimentConfig, l_count: int, m: int, topology: Topology,
               trial: int) -> dict:
-    """One paired trial, a chunk of one: per algorithm a TrialRecord or None
-    (see run_chunk)."""
-    return run_chunk(cfg, l_count, m, topology, range(trial, trial + 1))[0]
+    """One paired trial at one sweep point, a chunk of one: per algorithm a
+    TrialRecord or None (see run_chunk)."""
+    return run_chunk(cfg, m, [(l_count, topology)], range(trial, trial + 1))[0][0]
 
 
 def _point_topology(cfg: ExperimentConfig, l_count: int, n0: int | None) -> Topology:
@@ -169,37 +194,63 @@ def _check_sparsity(cfg: ExperimentConfig, m_values) -> None:
 
 
 def _chunk_size(cfg: ExperimentConfig, l_count: int, m: int) -> int:
-    """Trials per chunk at one sweep point: a quarter of each worker's share
-    of the trials, for pool load balance, capped so that the chunk's
+    """Trials per chunk drawn at L = l_count: a quarter of each worker's
+    share of the trials, for pool load balance, capped so that the chunk's
     distinct dictionaries (one matrix per trial when shared, else one per
     node) fit in _CHUNK_BYTES."""
     trial_bytes = (1 if _shares_matrix(cfg) else l_count) * m * cfg.n * 8
     return max(1, min(cfg.trials // (4 * cfg.workers), _CHUNK_BYTES // trial_bytes))
 
 
-def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
-              topology: Topology, pool=None) -> list:
-    """All configured algorithms on `trials` paired trials at one sweep point,
-    in chunks of consecutive trials (run_chunk), on `pool` (a process pool)
-    if one is given, else serially in this process."""
-    size = _chunk_size(cfg, l_count, m)
-    chunks = [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
-    run = functools.partial(run_chunk, cfg, l_count, m, topology)
-    chunk_results = pool.map(run, chunks) if pool is not None else map(run, chunks)
-    results = [trial for chunk in chunk_results for trial in chunk]
+def _run_points(cfg: ExperimentConfig, points, pool) -> list:
+    """Rows of `points`, (sweep_var, l_count, m, topology) tuples, in point
+    order: all configured algorithms on `trials` paired trials at each.
+
+    The points that share an m form a group. Each group's trials run in
+    chunks of consecutive trials, sized (`_chunk_size`) for the group's
+    largest L, one task (`run_chunk`) per chunk that runs every point of the
+    group. All tasks go through one map, on `pool` (a process pool) if one
+    is given, else serially in this process. A TrialError surfaces with the
+    first task that raises; a point over MAX_FAILED_FRACTION, the first in
+    point order, only once every task has run."""
+    groups = {}
+    for index, (_, _, m, _) in enumerate(points):
+        groups.setdefault(m, []).append(index)
+    tasks, owners = [], []        # run_chunk's (m, points, trials), and whose points they are
+    for m, members in groups.items():
+        size = _chunk_size(cfg, max(points[i][1] for i in members), m)
+        nodes = [(points[i][1], points[i][3]) for i in members]
+        for start in range(0, cfg.trials, size):
+            tasks.append((m, nodes, range(start, min(start + size, cfg.trials))))
+            owners.append(members)
+    chunk_results = (pool.map if pool is not None else map)(
+        functools.partial(run_chunk, cfg), *zip(*tasks))
+    results = [[] for _ in points]
+    for members, per_point in zip(owners, chunk_results):
+        for i, trials in zip(members, per_point):
+            results[i] += trials
 
     rows = []
-    for alg in cfg.algorithms:
-        records = [res[alg] for res in results if res[alg] is not None]
-        failed = cfg.trials - len(records)
-        if failed > MAX_FAILED_FRACTION * cfg.trials:
-            raise RuntimeError(
-                f"sweep point {sweep_var}, algorithm {alg}: {failed}/{cfg.trials} "
-                "trials hit singular projections; the configuration is degenerate")
-        rows.append({"sweep_var": sweep_var, "algorithm": alg,
-                     **dataclasses.asdict(aggregate(records)),
-                     "failed_trials": failed, "seed": cfg.master_seed})
+    for (sweep_var, *_), point_results in zip(points, results):
+        for alg in cfg.algorithms:
+            records = [res[alg] for res in point_results if res[alg] is not None]
+            failed = cfg.trials - len(records)
+            if failed > MAX_FAILED_FRACTION * cfg.trials:
+                raise RuntimeError(
+                    f"sweep point {sweep_var}, algorithm {alg}: {failed}/{cfg.trials} "
+                    "trials hit singular projections; the configuration is degenerate")
+            rows.append({"sweep_var": sweep_var, "algorithm": alg,
+                         **dataclasses.asdict(aggregate(records)),
+                         "failed_trials": failed, "seed": cfg.master_seed})
     return rows
+
+
+def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
+              topology: Topology, pool=None) -> list:
+    """All configured algorithms on `trials` paired trials at one sweep point
+    (a sweep of one point, `_run_points`), on `pool` (a process pool) if one
+    is given, else serially in this process."""
+    return _run_points(cfg, [(sweep_var, l_count, m, topology)], pool)
 
 
 def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:
@@ -228,22 +279,19 @@ def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:
 def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     """Row dicts for a sweep over m, l, or n0 (one row per point x algorithm).
 
-    With workers > 1, one process pool serves every point of the sweep, of
-    at most as many processes as the CPUs this process may run on. A point
+    Each trial is drawn once per m, not once per point (`_run_points`).
+    With workers > 1, one process pool runs every task of the sweep, of at
+    most as many processes as the CPUs this process may run on. A point
     with k > M is rejected before any point runs a trial."""
     points = _sweep_points(cfg, sweep)
     _check_sparsity(cfg, [m for _, _, m, _ in points])
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    rows = []
     if cfg.workers > 1:    # the pool's modules load only when a sweep opens one
         from concurrent.futures import ProcessPoolExecutor
     with (ProcessPoolExecutor(max_workers=min(cfg.workers, cpus)) if cfg.workers > 1
           else contextlib.nullcontext()) as pool:
-        for sweep_var, l_count, m, topology in points:
-            rows.extend(run_point(cfg, sweep_var=sweep_var, l_count=l_count, m=m,
-                                  topology=topology, pool=pool))
-    return rows
+        return _run_points(cfg, points, pool)
 
 
 def rows_to_csv(rows) -> str:
@@ -371,7 +419,7 @@ def bounds_report(cfg: ExperimentConfig) -> dict:
     if cfg.sigma2 <= 0:
         raise ConfigError("key 'sigma2': bound reports need positive noise variance")
     l_count, m = _single(cfg.l_values, "l"), _single(cfg.m_values, "m")
-    (support,), _, dictionaries, signals = _draw_chunk(
+    (support,), _, dictionaries, signals, _ = _draw_chunk(
         cfg, l_count, m, range(1), lambda t: f"trial {t}, seed {cfg.master_seed}", shared=True)
     ensemble = JointSparseEnsemble(cfg.n, cfg.k, l_count, support, signals[0])
     meas = MeasurementEnsemble(np.broadcast_to(dictionaries[0], (l_count, m, cfg.n)),

@@ -6,8 +6,14 @@ low-variance. Criterion 6 checks single-vector OMP exactly rather than by a
 recovery rate: it must select the same indices, in the same order, as a
 textbook reference OMP, and must match the exhaustive oracle on every trial
 where Tropp's Exact Recovery Condition guarantees that it recovers the support.
+
+Criteria 2 and 8 also pin the bytes of their 500-trial sweeps, the paper's
+regime on a two-worker pool: each sweep's CSV must hash to the sha256
+recorded in SWEEP_DIGESTS, as its copy under `tests/golden/` does, and a
+mismatch shows the first rows that differ from that copy.
 """
 
+import hashlib
 import itertools
 import math
 
@@ -22,6 +28,7 @@ from jspr.config import ExperimentConfig
 from jspr.harness import (
     exhaustive_oracle,
     oracle_check,
+    rows_to_csv,
     run_sweep,
     run_trial,
 )
@@ -35,15 +42,31 @@ from jspr.ensembles import (gen_measurements, gen_signals, gen_support,
                             measure)
 from jspr.greedy import omp
 from jspr.network import complete_topology
+from test_golden import GOLDEN, mismatch_report
 
 mpmath.mp.dps = 60
 
 MASTER_SEED = 20260810
+# sha256 of rows_to_csv of each sweep, recorded with numpy 2.4.6 and
+# scipy-openblas; tests/golden/<name>.out holds the same bytes
+SWEEP_DIGESTS = {
+    "criterion-2": "e5ed8faf8cb1f26762b4428d315e0d2abaae6bb755d209dc428fe4ef1e7d05bd",
+    "criterion-8": "abc8bb0363c4b2fdfcd90e4052ca972b94cced80562b103914ec6671529fd1d1",
+}
 
 
 def show(criterion, ok, detail):
     print(f"\n[criterion {criterion}] {'PASS' if ok else 'FAIL'} - {detail}")
     return ok
+
+
+def assert_sweep_bytes(name, rows):
+    stored = (GOLDEN / f"{name}.out").read_bytes()
+    assert hashlib.sha256(stored).hexdigest() == SWEEP_DIGESTS[name], \
+        f"tests/golden/{name}.out does not hash to its digest"
+    got = rows_to_csv(rows).encode()
+    assert hashlib.sha256(got).hexdigest() == SWEEP_DIGESTS[name], \
+        mismatch_report(name, got, stored)
 
 
 def base_config(**overrides):
@@ -67,7 +90,10 @@ def fig12_rows():
     cfg = base_config(m_values=[15, 20, 25, 30, 40, 60],
                       topology_kind="ring", n0_values=[7],
                       algorithms=["d-omp", "dc-omp1", "dc-omp2", "s-omp"], workers=2)
-    rows = run_sweep(cfg, "m")
+    return run_sweep(cfg, "m")
+
+
+def by_point(rows):
     return {(row["sweep_var"], row["algorithm"]): row for row in rows}
 
 
@@ -97,17 +123,19 @@ def test_criterion_1_table_totals_exact():
 
 
 def test_criterion_2_recovery_ordering(fig12_rows):
+    assert_sweep_bytes("criterion-2", fig12_rows)
+    by = by_point(fig12_rows)
     ordering_ok = True
     lines = []
     for m in (15, 20, 25, 30, 40):
-        pd = {alg: fig12_rows[(m, alg)]["p_d"]
+        pd = {alg: by[(m, alg)]["p_d"]
               for alg in ("d-omp", "dc-omp1", "dc-omp2", "s-omp")}
         ordering_ok &= pd["d-omp"] <= pd["dc-omp1"]
         ordering_ok &= pd["dc-omp1"] <= pd["dc-omp2"]
         ordering_ok &= pd["dc-omp2"] <= pd["s-omp"] + 0.03
         lines.append(f"M={m}: " + " <= ".join(
             f"{pd[a]:.3f}" for a in ("d-omp", "dc-omp1", "dc-omp2", "s-omp")))
-    saturation = {alg: fig12_rows[(60, alg)]["p_d"]
+    saturation = {alg: by[(60, alg)]["p_d"]
                   for alg in ("d-omp", "dc-omp1", "dc-omp2", "s-omp")}
     saturation_ok = all(v >= 0.99 for v in saturation.values())
     ok = ordering_ok and saturation_ok
@@ -118,11 +146,12 @@ def test_criterion_2_recovery_ordering(fig12_rows):
 
 
 def test_criterion_3_iteration_counts(fig12_rows):
+    by = by_point(fig12_rows)
     ok = True
     lines = []
     for m in (15, 20, 25, 30, 40, 60):
-        t2 = fig12_rows[(m, "dc-omp2")]["mean_iters"]
-        d = fig12_rows[(m, "d-omp")]
+        t2 = by[(m, "dc-omp2")]["mean_iters"]
+        d = by[(m, "d-omp")]
         ok &= t2 <= 0.7 * 10
         ok &= d["mean_iters"] == 10.0
         ok &= d["iters_min"] == 10 and d["iters_max"] == 10
@@ -329,7 +358,8 @@ def test_criterion_8_node_scaling():
                       algorithms=["d-omp", "dc-omp1"], master_seed=MASTER_SEED + 6,
                       workers=2)
     rows = run_sweep(cfg, "l")
-    by = {(row["sweep_var"], row["algorithm"]): row for row in rows}
+    assert_sweep_bytes("criterion-8", rows)
+    by = by_point(rows)
     ls = [4, 6, 8, 10, 12]
     collab = [by[(l, "dc-omp1")] for l in ls]
     ok = True

@@ -39,8 +39,8 @@ def test_ledger_totals_equal_table1(tag, topology, n, k, data):
     m = data.draw(st.integers(k, 10), label="m")
     cfg = ExperimentConfig(n=n, k=k, sigma2=0.01, amp_low=10.0, amp_high=15.0,
                            master_seed=data.draw(SEEDS, label="seed"))
-    _, ys, dictionaries, _ = _draw_chunk(cfg, l_count, m, range(1), str,
-                                         shared=algorithm.shared_matrix)
+    _, ys, dictionaries, *_ = _draw_chunk(cfg, l_count, m, range(1), str,
+                                             shared=algorithm.shared_matrix)
     try:
         result = algorithm.run(ys, dictionaries, topology, k)[0]
     except SingularProjectionError:
@@ -96,7 +96,7 @@ def test_relabeling_nodes_permutes_result(tag):
         m = data.draw(st.integers(k, 20), label="m")
         cfg = ExperimentConfig(n=64, k=k, sigma2=0.05, amp_low=-3.0, amp_high=3.0,
                                master_seed=data.draw(SEEDS, label="seed"))
-        _, ys, dictionaries, _ = _draw_chunk(cfg, l_count, m, range(1), str, shared=False)
+        _, ys, dictionaries, *_ = _draw_chunk(cfg, l_count, m, range(1), str, shared=False)
         moved_ys, moved_dictionaries = relabeled(pi, ys), relabeled(pi, dictionaries)
         try:
             result = algorithm.run(ys, dictionaries, topology, k)[0]
@@ -126,7 +126,7 @@ def test_sum_channel_output_is_mac_aggregate(seed, t_count, l_count, m, sigma2):
     # the sum-channel output has one definition: mac-omp's node-axis sum over
     # a chunk of shared-matrix trials is each trial's mac_aggregate, bit for bit
     cfg = ExperimentConfig(n=48, k=2, sigma2=sigma2, master_seed=seed)
-    _, ys, drawn, _ = _draw_chunk(cfg, l_count, m, range(t_count), str, shared=True)
+    _, ys, drawn, *_ = _draw_chunk(cfg, l_count, m, range(t_count), str, shared=True)
     solved = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(jspr.algorithms, "solve_chunk", lambda *args: solved.append(args) or [])
@@ -143,7 +143,7 @@ def test_topology_of_the_wrong_size_is_rejected(tag):
     # a 3-node chunk on a 5-node graph: no tag may return 5 supports or
     # charge the ledger for nodes that observed nothing
     cfg = ExperimentConfig(n=16, k=2, sigma2=0.01, master_seed=3)
-    _, ys, dictionaries, _ = _draw_chunk(cfg, 3, 6, range(1), str,
-                                         shared=ALGORITHMS[tag].shared_matrix)
+    _, ys, dictionaries, *_ = _draw_chunk(cfg, 3, 6, range(1), str,
+                                             shared=ALGORITHMS[tag].shared_matrix)
     with pytest.raises(ValueError, match="topology size"):
         ALGORITHMS[tag].run(ys, dictionaries, complete_topology(5), cfg.k)

@@ -299,8 +299,8 @@ class TestChunkLanes:
         topology = (random_connected_topology(l_count, p, rng) if l_count > 1
                     else complete_topology(1))
         cfg = ExperimentConfig(n=24, k=k, sigma2=sigma2, master_seed=seed)
-        _, ys, dictionaries, _ = _draw_chunk(cfg, l_count, k + extra_m, range(t_count), str,
-                                             shared=shared)
+        _, ys, dictionaries, *_ = _draw_chunk(cfg, l_count, k + extra_m, range(t_count), str,
+                                                 shared=shared)
         run = ALGORITHMS[tag].run
         try:
             alone = [run(ys[t:t + 1], dictionaries[t:t + 1], topology, k)[0]

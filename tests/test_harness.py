@@ -195,9 +195,9 @@ class TestRunSweep:
                 super().__init__(self)
                 record["sizes"].append(max_workers)
 
-            def map(self, fn, chunks):
-                record["chunks"].extend(map(len, chunks))
-                return map(fn, chunks)
+            def map(self, fn, *tasks):
+                record["chunks"].extend(map(len, tasks[-1]))
+                return map(fn, *tasks)
 
         # a sweep loads the pool's module only when it opens a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
@@ -325,6 +325,45 @@ class TestRunSweep:
             run_point(tiny_config(), sweep_var=8, l_count=3, m=8,
                       topology=complete_topology(3))
 
+    def test_first_degenerate_point_in_point_order_is_named(self, monkeypatch):
+        # a point over the failure budget shows only once every chunk has
+        # run, and of two such points the error names the first in point
+        # order: here L=5 fails from the first chunk on, L=4 only in the last
+        cfg = tiny_config(l_values=[2, 4, 5], trials=8, algorithms=["dc-omp1"])
+        doomed = harness._draw_chunk(cfg, 4, 8, range(7, 8), str, shared=False)[1][0]
+        real = harness._run_algorithm
+
+        def degenerate(alg, ys, dictionaries, topology, k):
+            if ys.shape[1] == 5 or ys.shape[1] == 4 and any(np.array_equal(y, doomed)
+                                                           for y in ys):
+                raise SingularProjectionError("forced")
+            return real(alg, ys, dictionaries, topology, k)
+
+        monkeypatch.setattr(harness, "_run_algorithm", degenerate)
+        fixed_chunks(monkeypatch, 1)
+        with pytest.raises(RuntimeError, match="^sweep point 4, algorithm dc-omp1: 1/8 trials"):
+            run_sweep(cfg, "l")
+
+    def test_trial_error_at_a_later_point_names_that_point(self, monkeypatch):
+        # chunks run outermost, so a later point's TrialError surfaces before
+        # an earlier point is found degenerate; it names that point's L, the
+        # algorithm, the trial and the seed
+        cfg = tiny_config(l_values=[2, 4], algorithms=["d-omp", "dc-omp1"])
+        doomed = harness._draw_chunk(cfg, 4, 8, range(3, 4), str, shared=False)[1][0]
+        real = harness._run_algorithm
+
+        def broken(alg, ys, dictionaries, topology, k):
+            if ys.shape[1] == 2:
+                raise SingularProjectionError("forced")     # point 2 is degenerate
+            if alg == "dc-omp1" and any(np.array_equal(y, doomed) for y in ys):
+                raise ValueError("forced")
+            return real(alg, ys, dictionaries, topology, k)
+
+        monkeypatch.setattr(harness, "_run_algorithm", broken)
+        with pytest.raises(TrialError, match="^sweep point m=8, L=4, algorithm dc-omp1, "
+                                             "trial 3, seed 99: ValueError: forced$"):
+            run_sweep(cfg, "l")
+
 
 def sweep_outcome(cfg, sweep="m"):
     """The sweep's CSV, or the abort it raised."""
@@ -347,7 +386,8 @@ def collinear_trial(doomed):
     real = harness._draw_chunk
 
     def draw(cfg, l_count, m, trials, lead, *, shared):
-        supports, ys, dictionaries, signals = real(cfg, l_count, m, trials, lead, shared=shared)
+        supports, ys, dictionaries, signals, redrawn = real(cfg, l_count, m, trials, lead,
+                                                            shared=shared)
         if doomed in trials:
             i = trials.index(doomed)
             dictionaries[i] = dictionaries[i, ..., :1] * (1.0 + 1e-7 * np.arange(cfg.n))
@@ -356,7 +396,7 @@ def collinear_trial(doomed):
                                        cfg.sigma2)
             ys[i] = measure(ensemble, meas,
                             seeding.stream(cfg.master_seed, seeding.NOISE, doomed))
-        return supports, ys, dictionaries, signals
+        return supports, ys, dictionaries, signals, redrawn
     return draw
 
 
@@ -387,7 +427,7 @@ class TestDrawTrial:
         monkeypatch.setattr(seeding, "state_words", spy)
         for trial in range(5):
             purposes.clear()
-            (support,), ys, dictionaries, signals = harness._draw_chunk(
+            (support,), ys, dictionaries, signals, _ = harness._draw_chunk(
                 cfg, 3, 8, range(trial, trial + 1), str, shared=shared)
             assert (seeding.NOISE in purposes) == (sigma2 > 0)
             want = self.four_stream_draw(cfg, 3, 8, trial, shared)
@@ -418,7 +458,8 @@ class TestDrawTrial:
             chunks = [(range(a, b), harness._draw_chunk(cfg, l_count, m, range(a, b), str,
                                                         shared=shared))
                       for a, b in zip(bounds, bounds[1:])]
-        for trials, (supports, ys, dictionaries, signals) in chunks:
+        for trials, (supports, ys, dictionaries, signals, redrawn) in chunks:
+            assert not redrawn.any()
             assert dictionaries.shape == (len(trials), 1 if shared else l_count, m, n)
             for i, trial in enumerate(trials):
                 ensemble, meas, obs = self.four_stream_draw(cfg, l_count, m, trial, shared)
@@ -427,6 +468,67 @@ class TestDrawTrial:
                                   (dictionaries[i], meas.matrices[:dictionaries.shape[1]])):
                     assert got.shape == want.shape
                     assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2 ** 64 - 1), n=st.integers(2, 24), shared=st.booleans(),
+           sigma2=st.sampled_from([0.0, 0.01]),
+           amplitudes=st.sampled_from([(10.0, 15.0), (-25.0, 25.0)]), data=st.data())
+    def test_fewer_nodes_draw_the_first_nodes(self, seed, n, shared, sigma2, amplitudes, data):
+        # every output of a draw at L' < L is the first L' nodes of the draw
+        # at L, bit for bit, so a sweep draws each trial once, at its
+        # largest L; a shared matrix is the same at every L
+        k = data.draw(st.integers(1, n - 1), label="k")
+        m = data.draw(st.integers(1, n), label="m")
+        top = data.draw(st.integers(2, 12), label="L")
+        fewer = data.draw(st.integers(1, top - 1), label="L'")
+        first = data.draw(st.integers(0, 60), label="first")
+        trials = range(first, first + data.draw(st.integers(1, 4), label="trials"))
+        cfg = tiny_config(n=n, k=k, sigma2=sigma2, amp_low=amplitudes[0],
+                          amp_high=amplitudes[1], master_seed=seed)
+        supports, *drawn, redrawn = harness._draw_chunk(cfg, top, m, trials, str, shared=shared)
+        own_supports, *own, _ = harness._draw_chunk(cfg, fewer, m, trials, str, shared=shared)
+        assert not redrawn.any()
+        assert own_supports == supports
+        for got, prefix in zip(own, drawn):          # ys, dictionaries, signals
+            want = prefix[:, :fewer]
+            assert got.shape == want.shape
+            assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+    @pytest.mark.parametrize("tags", [["d-omp", "dc-omp1-nbr"], list(MAC_COMPARE)],
+                             ids=["per-node", "shared"])
+    def test_a_redrawn_zero_draws_the_trial_again_at_each_l(self, monkeypatch, tags):
+        # an exact zero amplitude is redrawn after the whole (L, k) block, so
+        # one at node 0 breaks the prefix; those trials are drawn again at
+        # each smaller L, and the sweep gives what each point drawn on its
+        # own does
+        real = harness.draw_amplitudes
+
+        class ZeroAtNodeZero:
+            """The amplitude generator, but a block draw's entry [0, 0] is an
+            exact zero wherever it would be negative."""
+
+            def __init__(self, rng):
+                self.rng = rng
+
+            def uniform(self, low, high, size):
+                vals = self.rng.uniform(low, high, size=size)
+                if isinstance(size, tuple) and vals[0, 0] < 0:
+                    vals[0, 0] = 0.0
+                return vals
+
+        monkeypatch.setattr(harness, "draw_amplitudes", lambda support, low, high, rng, out:
+                            real(support, low, high, ZeroAtNodeZero(rng), out))
+        cfg = tiny_config(l_values=[2, 3, 5], trials=12, amp_low=-25.0, amp_high=25.0,
+                          algorithms=tags)
+        shared = harness._shares_matrix(cfg)
+        _, ys, _, _, redrawn = harness._draw_chunk(cfg, 5, 8, range(12), str, shared=shared)
+        assert 0 < redrawn.sum() < 12
+        # the first two nodes of the draw at L=5 are not the draw at L=2
+        assert not np.array_equal(
+            harness._draw_chunk(cfg, 2, 8, range(12), str, shared=shared)[1], ys[:, :2])
+        alone = [row for l_count in cfg.l_values for row in run_point(
+            cfg, sweep_var=l_count, l_count=l_count, m=8, topology=complete_topology(l_count))]
+        assert run_sweep(cfg, "l") == alone
 
 
 class TestChunks:
@@ -488,7 +590,7 @@ class TestChunks:
         assert alone[5] == dict.fromkeys(cfg.algorithms)          # trial 37 fails everywhere
         assert all(None not in trial.values() for i, trial in enumerate(alone) if i != 5)
         chunk_calls.clear()
-        assert run_chunk(cfg, 4, 10, complete_topology(4), trials) == alone
+        assert run_chunk(cfg, 10, [(4, complete_topology(4))], trials) == [alone]
         # each tag's chunk call raised, then its trials ran one by one
         assert sorted(chunk_calls) == sorted([(alg, 16) for alg in cfg.algorithms]
                                              + [(alg, 1) for alg in cfg.algorithms])
@@ -538,9 +640,9 @@ class TestChunks:
             return real_qr(normals)
 
         def draw(*args, **kwargs):
-            supports, ys, dictionaries, signals = real_draw(*args, **kwargs)
+            supports, ys, dictionaries, signals, redrawn = real_draw(*args, **kwargs)
             track(signals)
-            return supports, ys, dictionaries, signals
+            return supports, ys, dictionaries, signals, redrawn
 
         def run(alg, ys, dictionaries, topology, k):
             alive.append(sum(ref() is not None for ref in drawn))
@@ -550,7 +652,7 @@ class TestChunks:
         monkeypatch.setattr(harness, "_draw_chunk", draw)
         monkeypatch.setattr(harness, "_run_algorithm", run)
         cfg = tiny_config(**dict(self.ISOLATION, algorithms=tags))
-        run_chunk(cfg, 4, 10, complete_topology(4), range(3, 9))
+        run_chunk(cfg, 10, [(4, complete_topology(4))], range(3, 9))
         oracle_check(dataclasses.replace(cfg, n=10, m_values=[6], trials=6))
         # a normal block and a signal block per chunk draw
         assert len(drawn) >= 2 * 2 and alive == [0] * (len(tags) + 3)
@@ -569,13 +671,13 @@ class TestChunks:
             return real(alg, ys, dictionaries, topology, k)
 
         monkeypatch.setattr(harness, "_run_algorithm", spy)
-        run_chunk(cfg, 4, 10, complete_topology(4), range(3, 9))
+        run_chunk(cfg, 10, [(4, complete_topology(4))], range(3, 9))
         assert [alg for alg, _, _ in calls] == tags
         _, ys, dictionaries = calls[0]
         assert ys.shape == (6, 4, 10) and dictionaries.shape == (6, width, 10, 32)
         for t, (y, matrices) in enumerate(zip(ys, dictionaries), start=3):
-            _, obs, own, _ = harness._draw_chunk(cfg, 4, 10, range(t, t + 1), str,
-                                                 shared=width == 1)
+            _, obs, own, *_ = harness._draw_chunk(cfg, 4, 10, range(t, t + 1), str,
+                                                  shared=width == 1)
             assert np.array_equal(y, obs[0])
             assert np.array_equal(matrices, own[0])
         for _, other_ys, other_dictionaries in calls[1:]:

@@ -49,11 +49,11 @@ def test_traced_chunk_equals_untraced(tmp_path):
     cfg = ExperimentConfig(n=24, k=2, l_values=[4], m_values=[8], trials=3, master_seed=5,
                            algorithms=sorted(ALGORITHMS))
     topology = ring_topology(4, 2)
-    untraced = jspr.harness.run_chunk(cfg, 4, 8, topology, range(3))
+    untraced = jspr.harness.run_chunk(cfg, 8, [(4, topology)], range(3))
     _, uninstall = tracing.install(str(tmp_path))
     try:
-        traced = jspr.harness.run_chunk(cfg, 4, 8, topology, range(3))
+        traced = jspr.harness.run_chunk(cfg, 8, [(4, topology)], range(3))
     finally:
         uninstall()
-    assert all(record is not None for trial in untraced for record in trial.values())
+    assert all(record is not None for trial in untraced[0] for record in trial.values())
     assert traced == untraced
