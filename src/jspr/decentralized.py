@@ -18,9 +18,10 @@ All three, and every other tag, run the chunk through the one round loop
 (`solve_chunk` over `greedy.greedy_rounds`) and state only their rule:
 what a node scores, what it charges to its trial's MessageLedger and what it
 adopts. `dcomp2`'s neighbourhood sum is an array operation over all trials
-at once; index fusion runs per trial, network-wide (`dcomp1` in full mode,
-`dcomp2`) by `index_fusion_full`'s rule and `dcomp1`'s one-hop rule node by
-node. Multi-index fusion rounds let them terminate in fewer than k iterations.
+at once. Index fusion is one rule per trial (`_fusion_rule`) whose scope is
+data: one row over the network (`dcomp1` in full mode, `dcomp2`) or one row per
+node over its one-hop neighbourhood (`dcomp1` in neighborhood mode).
+Multi-index fusion rounds let them terminate in fewer than k iterations.
 """
 
 from collections import Counter
@@ -64,8 +65,8 @@ def index_fusion_full(proposals) -> set:
     When all proposals are distinct, every node must still act on one common
     index; the deterministic pick is the proposal of the smallest node id, so
     no extra coordination traffic is needed. No proposal is ever held: the
-    round loop masks held indices. The rule `dc-omp1` and `dc-omp2` run
-    (`_network_wide`), with `_admit` ordering what it keeps.
+    round loop masks held indices. `_fusion_rule` runs it on a row of every
+    node, with `_admit` ordering what it keeps.
     """
     return _agreed(Counter(proposals), proposals[0], ())
 
@@ -82,8 +83,8 @@ def index_fusion_neighborhood(own: int, received, prior) -> set:
 
 def _agreed(counts: Counter, own: int, prior) -> set:
     """The indices heard at least twice (`counts`) that are not in `prior`,
-    else `{own}`: `index_fusion_neighborhood` at one node, and with node 0's
-    proposal as `own` and nothing prior, `index_fusion_full`."""
+    else `{own}`: the one fusion rule, which `_fusion_rule` runs on each row
+    and the two `index_fusion_*` functions state at one scope each."""
     return {idx for idx, c in counts.items() if c >= 2}.difference(prior) or {own}
 
 
@@ -141,22 +142,34 @@ def _check_nodes(ys: np.ndarray, topology: Topology) -> None:
         raise ValueError("topology size does not match observation count")
 
 
-def _network_wide(propose, sent: tuple, k: int):
-    """The one-row rule of a network-wide fusion tag: every node of each
-    running trial sends `sent`, its (one-hop, network-wide) scalar counts;
-    each trial's row of the `(T, L)` proposals `propose(scores)` is fused by
-    `index_fusion_full`'s rule and ordered by `_admit`, and the trial
-    records its round and adopts the fused indices at every node."""
+def _fusion_rule(propose, groups: list, sent: tuple, k: int):
+    """The round rule of a fusion tag. Support row r fuses over the nodes
+    `groups[r]`, led by its own node: one row over every node, or one row per
+    node over it and its neighbours. Each node whose row still grows proposes
+    its entry of the (T, L) `propose(scores)` and sends `sent`, its (one-hop,
+    network-wide) scalar counts, charged in one ledger call. A row adopts by
+    `_agreed` and `_admit`, count ties going to its node's scores if it is one
+    node's. Each running trial records its round."""
     def rule(scores, supports, active, results):
-        rows = propose(scores).tolist()
+        picks = propose(scores).tolist()
+        per_row = scores.shape[1] // len(groups)
         out = []
         for t in active:
-            counts = Counter(rows[t])
-            fused = _admit(_agreed(counts, rows[t][0], ()), k - len(supports[t][0]), counts)
-            results[t].ledger.send_all(*sent)
+            grows = [len(prior) < k for prior in supports[t]] * per_row
+            proposals = [pick if open_ else None for pick, open_ in zip(picks[t], grows)]
+            results[t].ledger.send_from([l for l, open_ in enumerate(grows) if open_], *sent)
+            adopted = []
+            for group, prior in zip(groups, supports[t]):
+                if len(prior) == k:
+                    adopted.append(None)
+                    continue
+                heard = [proposals[j] for j in group if proposals[j] is not None]
+                counts = Counter(heard)
+                adopted.append(_admit(_agreed(counts, heard[0], prior), k - len(prior), counts,
+                                      scores[t, group[0]] if per_row == 1 else None))
             rounds = results[t].rounds
-            rounds.append(FusionRound(len(rounds) + 1, rows[t], [fused] * len(rows[t])))
-            out.append([fused])
+            rounds.append(FusionRound(len(rounds) + 1, proposals, adopted * per_row))
+            out.append(adopted)
         return out
     return rule
 
@@ -176,36 +189,10 @@ def dcomp1(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int,
     if mode == "full" and not topology.is_complete():
         raise ValueError("full mode requires a complete topology")
     _check_nodes(ys, topology)
-    l_count = topology.node_count
-
-    # every node of a running trial proposes one index to every other
-    fuse_full = _network_wide(lambda scores: scores.argmax(axis=2), (1, 0), k)
-
-    def fuse_neighborhood(scores, supports, active, results):
-        picks = scores.argmax(axis=2).tolist()
-        out = []
-        for t in active:
-            ledger, own_supports, rounds = results[t].ledger, supports[t], results[t].rounds
-            proposals = [None] * l_count
-            for l in range(l_count):
-                if len(own_supports[l]) < k:
-                    proposals[l] = picks[t][l]
-                    ledger.send_local(l, 1)
-            adopted = [None] * l_count
-            for l, own in enumerate(proposals):
-                if own is not None:
-                    # every neighbour that proposed this round is heard, as send_local charged
-                    counts = Counter([own, *(proposals[j] for j in topology.adjacency[l]
-                                             if proposals[j] is not None)])
-                    prior = own_supports[l]
-                    adopted[l] = _admit(_agreed(counts, own, prior), k - len(prior), counts,
-                                        scores=scores[t, l])
-            rounds.append(FusionRound(len(rounds) + 1, proposals, adopted))
-            out.append(adopted)
-        return out
-
-    rule, rows = (fuse_full, 1) if mode == "full" else (fuse_neighborhood, l_count)
-    return solve_chunk(ys, dictionaries, topology, k, rule, rows)
+    groups = ([tuple(range(topology.node_count))] if mode == "full"
+              else [(l, *nbrs) for l, nbrs in enumerate(topology.adjacency)])
+    rule = _fusion_rule(lambda scores: scores.argmax(axis=2), groups, (1, 0), k)
+    return solve_chunk(ys, dictionaries, topology, k, rule, rows=len(groups))
 
 
 def dcomp2(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int) -> list:
@@ -219,8 +206,9 @@ def dcomp2(ys: np.ndarray, dictionaries: np.ndarray, topology: Topology, k: int)
     """
     _check_nodes(ys, topology)
     n, table = dictionaries.shape[-1], _neighbor_table(topology)
-    fuse = _network_wide(lambda f: _neighborhood_sum(f, table).argmax(axis=2), (n, 1), k)
-    return solve_chunk(ys, dictionaries, topology, k, fuse)
+    rule = _fusion_rule(lambda f: _neighborhood_sum(f, table).argmax(axis=2),
+                        [tuple(range(topology.node_count))], (n, 1), k)
+    return solve_chunk(ys, dictionaries, topology, k, rule)
 
 
 def majority_vote(estimates, k: int) -> tuple:

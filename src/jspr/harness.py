@@ -246,11 +246,10 @@ def _run_points(cfg: ExperimentConfig, points, pool) -> list:
 
 
 def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
-              topology: Topology, pool=None) -> list:
+              topology: Topology) -> list:
     """All configured algorithms on `trials` paired trials at one sweep point
-    (a sweep of one point, `_run_points`), on `pool` (a process pool) if one
-    is given, else serially in this process."""
-    return _run_points(cfg, [(sweep_var, l_count, m, topology)], pool)
+    (a sweep of one point, `_run_points`), serially in this process."""
+    return _run_points(cfg, [(sweep_var, l_count, m, topology)], None)
 
 
 def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:

@@ -48,14 +48,18 @@ class MessageLedger:
         self.global_scalar_count += payload_len * (self.topology.node_count - 1)
 
     def send_all(self, local_len: int, global_len: int) -> None:
-        """Every node sends local_len scalars one hop and global_len
-        network-wide, charged at once: the totals of one send_local and one
-        send_global per node. A zero length sends nothing."""
+        """`send_from` with every node as a sender."""
+        self.send_from(range(self.topology.node_count), local_len, global_len)
+
+    def send_from(self, senders, local_len: int, global_len: int) -> None:
+        """Each node of the sequence senders sends local_len scalars one hop
+        and global_len network-wide, charged at once: one send_local and one
+        send_global per sender. A zero length sends nothing."""
         if local_len < 0 or global_len < 0:
             raise ValueError("payload lengths must be nonnegative")
-        l_count = self.topology.node_count
-        self.local_scalar_count += local_len * sum(map(len, self.topology.adjacency))
-        self.global_scalar_count += global_len * l_count * (l_count - 1)
+        adjacency = self.topology.adjacency
+        self.local_scalar_count += local_len * sum(len(adjacency[s]) for s in senders)
+        self.global_scalar_count += global_len * len(senders) * (self.topology.node_count - 1)
 
 
 def _finalize(node_count: int, edge_set: set) -> Topology:

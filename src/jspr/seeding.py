@@ -31,8 +31,7 @@ def state_words(master_seed: int, trials, purposes) -> np.ndarray:
     one array call over all entries. A seed in [0, 2^64) and trials and
     purposes in [0, 2^32) fit its 4-word pool; others raise ValueError."""
     seed = int(master_seed)
-    if not 0 <= seed < 1 << 64 or not all(0 <= i <= _M32 for i in (*trials, *purposes)):
-        raise ValueError("need a seed in [0, 2^64), trials and purposes in [0, 2^32)")
+    _check_key(seed, (*trials, *purposes))
     head = [seed & _M32, seed >> 32] if seed > _M32 else [seed]
     pool = np.zeros((4, len(trials), len(purposes)), dtype=np.uint32)
     pool[:len(head)] = np.array(head, dtype=np.uint32)[:, None, None]
@@ -64,7 +63,13 @@ class StateWords(np.random.bit_generator.ISeedSequence):
         return np.ascontiguousarray(self.words, dtype=np.uint64)   # PCG64 reads its buffer
 
 
+def _check_key(seed: int, indices) -> None:
+    if not 0 <= seed < 1 << 64 or not all(0 <= i <= _M32 for i in indices):
+        raise ValueError("need a seed in [0, 2^64), trials and purposes in [0, 2^32)")
+
+
 def stream(master_seed: int, stream_id: int, trial: int = 0) -> np.random.Generator:
-    """Independent generator for one purpose within one trial."""
-    words = state_words(master_seed, [trial], [stream_id])[0, 0]
-    return np.random.Generator(np.random.PCG64(StateWords(words)))
+    """Independent generator for one purpose within one trial: numpy's own
+    SeedSequence of the key, which hashes one key faster than `state_words`."""
+    _check_key(master_seed, (trial, stream_id))
+    return np.random.default_rng(np.random.SeedSequence(entropy=(master_seed, trial, stream_id)))

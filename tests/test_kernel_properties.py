@@ -23,7 +23,7 @@ from jspr.decentralized import _own_argmax, dcomp1, dcomp2, domp_majority, major
 from jspr.ensembles import gen_measurements, gen_signals, gen_support, measure
 from jspr.errors import SingularProjectionError
 from jspr.greedy import greedy_rounds, ls_residual, omp, pooled_argmax, somp
-from jspr.network import MessageLedger, complete_topology, ring_topology
+from jspr.network import MessageLedger, complete_topology, random_connected_topology, ring_topology
 
 SEEDS = st.integers(0, 2 ** 32 - 1)
 
@@ -193,12 +193,20 @@ class TestLockstepOmp:
         assert picks == [expected]
 
 
-# each collaborative rule and the topology its reference is checked on
-RULE_TOPOLOGIES = {
-    "dc-omp1": lambda l_count, n0: complete_topology(l_count),
-    "dc-omp1-nbr": ring_topology,
-    "dc-omp2": ring_topology,
-}
+COLLABORATIVE = ("dc-omp1", "dc-omp1-nbr", "dc-omp2")
+
+
+def rule_topology(rule, l_count, n0, edge_p, rng):
+    """The topology a collaborative rule's reference is checked on: the
+    complete graph for dc-omp1; for the others a ring of n0 neighbours, or
+    with an edge probability a random connected graph, whose unequal
+    neighbourhoods fuse over groups of unequal size and pad the neighbour
+    table."""
+    if rule == "dc-omp1":
+        return complete_topology(l_count)
+    if edge_p is None:
+        return ring_topology(l_count, n0)
+    return random_connected_topology(l_count, edge_p, rng)
 
 
 def reference_collaborative(rule, obs, meas, topology, k):
@@ -252,15 +260,17 @@ def reference_collaborative(rule, obs, meas, topology, k):
 
 
 class TestDcomp1Neighborhood:
-    @pytest.mark.parametrize("rule", list(RULE_TOPOLOGIES))
+    @pytest.mark.parametrize("rule", COLLABORATIVE)
     @settings(max_examples=40, deadline=None)
     @given(seed=SEEDS, half=st.integers(2, 4), n0_pick=st.integers(0, 10),
+           edge_p=st.one_of(st.none(), st.floats(0.3, 1.0)), graph_seed=SEEDS,
            m=st.integers(4, 12), k=st.integers(1, 4), sigma2=st.sampled_from([0.01, 5.0]))
-    def test_equals_per_node_reference(self, rule, seed, half, n0_pick, m, k, sigma2):
+    def test_equals_per_node_reference(self, rule, seed, half, n0_pick, edge_p, graph_seed,
+                                       m, k, sigma2):
         l_count = 2 * half
         n0 = 1 + n0_pick % (l_count - 1)
-        assume(n0 > 1 or l_count == 2)
-        topology = RULE_TOPOLOGIES[rule](l_count, n0)
+        assume(n0 > 1 or edge_p is not None)
+        topology = rule_topology(rule, l_count, n0, edge_p, np.random.default_rng(graph_seed))
         meas, obs = instance(seed, 32, k, l_count, m, sigma2)
         result = ALGORITHMS[rule].run(obs[None], meas.matrices[None], topology, k)[0]
         supports, iterations, local, global_, rounds = reference_collaborative(

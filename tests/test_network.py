@@ -115,6 +115,13 @@ class TestMessageLedger:
         assert at_once.global_scalar_count == each.global_scalar_count
         with pytest.raises(ValueError):
             at_once.send_all(-1, 0)
+        senders = list(range(0, topology.node_count, 2))    # send_from: some nodes only
+        each, at_once = MessageLedger(topology), MessageLedger(topology)
+        for sender in senders:
+            each.send_local(sender, 3)
+            each.send_global(sender, 2)
+        at_once.send_from(senders, 3, 2)
+        assert at_once == each
 
     def test_invalid_payload(self):
         ledger = MessageLedger(complete_topology(3))

@@ -50,6 +50,12 @@ def test_out_of_range_raises(seed, trials, purposes):
         seeding.state_words(seed, trials, purposes)
 
 
+@pytest.mark.parametrize("seed, trial", [(0, 2 ** 32), (0, -1), (-1, 0), (2 ** 64, 0)])
+def test_stream_out_of_range_raises(seed, trial):
+    with pytest.raises(ValueError):
+        seeding.stream(seed, seeding.TOPOLOGY, trial)
+
+
 def test_state_words_serve_pcg64_only():
     words = seeding.StateWords(seeding.state_words(1, [2], [3])[0, 0])
     with pytest.raises(ValueError):
