@@ -176,8 +176,8 @@ def validate(cfg: ExperimentConfig) -> None:
         repeated = [value for i, value in enumerate(values) if value in values[:i]]
         if repeated:
             raise ConfigError(f"key '{key}': {repeated[0]!r} is listed twice")
-    if cfg.trials < 1:
-        raise ConfigError("key 'trials': must be positive")
+    if not 1 <= cfg.trials <= 2 ** 32:     # trial indices are seeded below 2^32
+        raise ConfigError("key 'trials': must lie in [1, 2^32]")
     if not 0 <= cfg.master_seed < 2 ** 64:
         raise ConfigError("key 'seed': must lie in [0, 2^64 - 1]")
     if cfg.out_format not in VALID_FORMATS:

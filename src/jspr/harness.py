@@ -2,10 +2,11 @@
 
 Every trial draws a fresh ensemble, measurement matrices, and noise from
 purpose-split seed streams, a chunk of trials at a time (`_draw_chunk`), so
-runs are reproducible byte-for-byte (also under parallel trial execution and
-whatever the chunk size) and all algorithms at a sweep point consume
-identical data (paired trials). A sweep draws each chunk once for all its
-points that share m, at their largest L (`run_chunk`).
+runs are reproducible byte-for-byte, whatever the chunks and workers, and
+all algorithms at a sweep point consume identical data (paired trials). A
+sweep draws each chunk once for all its points that share m, at their
+largest L (`run_chunk`). Sweeps and oracle-check size their chunks by one
+rule (`_chunks`) and run them through one map (`_map`).
 """
 
 import contextlib
@@ -193,38 +194,49 @@ def _check_sparsity(cfg: ExperimentConfig, m_values) -> None:
             raise ConfigError(f"point m={m}: greedy recovery requires k <= M (k={cfg.k})")
 
 
-def _chunk_size(cfg: ExperimentConfig, l_count: int, m: int) -> int:
-    """Trials per chunk drawn at L = l_count: a quarter of each worker's
-    share of the trials, for pool load balance, capped so that the chunk's
-    distinct dictionaries (one matrix per trial when shared, else one per
-    node) fit in _CHUNK_BYTES."""
-    trial_bytes = (1 if _shares_matrix(cfg) else l_count) * m * cfg.n * 8
-    return max(1, min(cfg.trials // (4 * cfg.workers), _CHUNK_BYTES // trial_bytes))
+def _chunks(cfg: ExperimentConfig, cap: int) -> list:
+    """The trials as ranges of consecutive trials: at most `cap` each, the most
+    that fit the caller's byte budgets, and with a pool (workers > 1) at most
+    a quarter of each worker's share, for load balance; at least one each."""
+    size = max(1, min(cap, cfg.trials // (4 * cfg.workers) if cfg.workers > 1 else cap))
+    return [range(start, min(start + size, cfg.trials)) for start in range(0, cfg.trials, size)]
 
 
-def _run_points(cfg: ExperimentConfig, points, pool) -> list:
+def _map(cfg: ExperimentConfig, task, *args) -> list:
+    """`task(cfg, *row)` for each row of `zip(*args)`, in order: serially at
+    workers = 1, else on one process pool of at most as many processes as
+    the CPUs this process may run on. Every command that runs trials maps here."""
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cfg.workers > 1:    # the pool's modules load only when a command opens one
+        from concurrent.futures import ProcessPoolExecutor
+    with (ProcessPoolExecutor(max_workers=min(cfg.workers, cpus)) if cfg.workers > 1
+          else contextlib.nullcontext()) as pool:
+        return list((pool.map if pool is not None else map)(functools.partial(task, cfg), *args))
+
+
+def _run_points(cfg: ExperimentConfig, points) -> list:
     """Rows of `points`, (sweep_var, l_count, m, topology) tuples, in point
     order: all configured algorithms on `trials` paired trials at each.
 
     The points that share an m form a group. Each group's trials run in
-    chunks of consecutive trials, sized (`_chunk_size`) for the group's
-    largest L, one task (`run_chunk`) per chunk that runs every point of the
-    group. All tasks go through one map, on `pool` (a process pool) if one
-    is given, else serially in this process. A TrialError surfaces with the
-    first task that raises; a point over MAX_FAILED_FRACTION, the first in
-    point order, only once every task has run."""
+    chunks (`_chunks`) whose distinct dictionaries at the group's largest L
+    (one matrix per trial when shared, else one per node) fit in
+    _CHUNK_BYTES, one task (`run_chunk`) per chunk that runs every point of
+    the group. All tasks go through one map (`_map`). A TrialError surfaces
+    with the first task that raises; a point over MAX_FAILED_FRACTION, the
+    first in point order, only once every task has run."""
     groups = {}
     for index, (_, _, m, _) in enumerate(points):
         groups.setdefault(m, []).append(index)
     tasks, owners = [], []        # run_chunk's (m, points, trials), and whose points they are
     for m, members in groups.items():
-        size = _chunk_size(cfg, max(points[i][1] for i in members), m)
         nodes = [(points[i][1], points[i][3]) for i in members]
-        for start in range(0, cfg.trials, size):
-            tasks.append((m, nodes, range(start, min(start + size, cfg.trials))))
+        trial_bytes = (1 if _shares_matrix(cfg) else max(l for l, _ in nodes)) * m * cfg.n * 8
+        for trials in _chunks(cfg, _CHUNK_BYTES // trial_bytes):
+            tasks.append((m, nodes, trials))
             owners.append(members)
-    chunk_results = (pool.map if pool is not None else map)(
-        functools.partial(run_chunk, cfg), *zip(*tasks))
+    chunk_results = _map(cfg, run_chunk, *zip(*tasks))
     results = [[] for _ in points]
     for members, per_point in zip(owners, chunk_results):
         for i, trials in zip(members, per_point):
@@ -247,9 +259,9 @@ def _run_points(cfg: ExperimentConfig, points, pool) -> list:
 
 def run_point(cfg: ExperimentConfig, *, sweep_var: int, l_count: int, m: int,
               topology: Topology) -> list:
-    """All configured algorithms on `trials` paired trials at one sweep point
-    (a sweep of one point, `_run_points`), serially in this process."""
-    return _run_points(cfg, [(sweep_var, l_count, m, topology)], None)
+    """All configured algorithms on `trials` paired trials at one sweep point:
+    a sweep of one point (`_run_points`), on a pool when workers > 1."""
+    return _run_points(cfg, [(sweep_var, l_count, m, topology)])
 
 
 def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:
@@ -278,19 +290,12 @@ def _sweep_points(cfg: ExperimentConfig, sweep: str) -> list:
 def run_sweep(cfg: ExperimentConfig, sweep: str) -> list:
     """Row dicts for a sweep over m, l, or n0 (one row per point x algorithm).
 
-    Each trial is drawn once per m, not once per point (`_run_points`).
-    With workers > 1, one process pool runs every task of the sweep, of at
-    most as many processes as the CPUs this process may run on. A point
-    with k > M is rejected before any point runs a trial."""
+    Each trial is drawn once per m, not once per point (`_run_points`), and
+    every task of the sweep goes through one map (`_map`). A point with
+    k > M is rejected before any point runs a trial."""
     points = _sweep_points(cfg, sweep)
     _check_sparsity(cfg, [m for _, _, m, _ in points])
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-    if cfg.workers > 1:    # the pool's modules load only when a sweep opens one
-        from concurrent.futures import ProcessPoolExecutor
-    with (ProcessPoolExecutor(max_workers=min(cfg.workers, cpus)) if cfg.workers > 1
-          else contextlib.nullcontext()) as pool:
-        return _run_points(cfg, points, pool)
+    return _run_points(cfg, points)
 
 
 def rows_to_csv(rows) -> str:
@@ -450,59 +455,64 @@ def _least_cost(mine: np.ndarray, costs: np.ndarray, energies: np.ndarray) -> np
     return np.where(mine <= slack, 1, np.where(mine > totals.min(axis=1) + slack, 0, -1))
 
 
-def oracle_check(cfg: ExperimentConfig) -> dict:
-    """Agreement of the greedy solvers with the exhaustive oracle on
-    noiseless desk-scale trials, plus the dcomp2/somp equivalence count.
-
-    Trials run in chunks whose per-node matrices fit in _CHUNK_BYTES and
-    whose full `(T, C, L)` cost table fits in _TABLE_BYTES. Each comparison
-    runs once per chunk through the sweeps' algorithm table
+def _oracle_chunk(cfg: ExperimentConfig, candidates: np.ndarray, trials: range) -> np.ndarray:
+    """oracle-check's task: the three counts of the noiseless trials `trials`.
+    Each comparison runs once per chunk through the sweeps' algorithm table
     (`_run_algorithm`): `s-omp` and `dc-omp2` on the complete graph, and
     node-0 OMP as `s-omp` on each trial's node-0 slice, a one-node network.
     Their supports form `(T, 3, k)` picks. One `_candidate_costs` call scores
     each trial's three (its witness table), and `_least_cost` judges node-0
     OMP's and S-OMP's own costs on it, which settles most trials. The
-    undecided trials' full tables, one more call, judge the same costs.
-    Every entry is factored on its own, so it equals the same entry of a
-    full search bit for bit. A chunk that raises is run again trial by trial
-    (`_per_trial`, tolerating nothing), so the TrialError names the failing
-    trial, the seed and the comparison."""
+    undecided trials' full tables over `candidates`, the `(C, k)` supports
+    of a full search, one more call, judge the same costs. Every entry is
+    factored on its own, so it equals the same entry of a full search bit
+    for bit. A chunk that raises is run again trial by trial (`_per_trial`,
+    tolerating nothing), so the TrialError names the failing trial, the
+    seed and the comparison."""
+    l_count, m = _single(cfg.l_values, "l"), _single(cfg.m_values, "m")
+
+    def lead(comparison):
+        return lambda t: (f"oracle-check trial {t}, seed {cfg.master_seed}, "
+                          f"comparison {comparison}")
+
+    def supports(comparison, alg, nodes):
+        return _per_trial(lambda part: [r.common_support for r in _run_algorithm(
+            alg, ys[part, :nodes], dictionaries[part, :nodes], complete_topology(nodes),
+            cfg.k)], trials, lead(comparison))
+
+    ys, dictionaries = _draw_chunk(cfg, l_count, m, trials, lead("(trial draw)"),
+                                   shared=False)[1:3]
+    picks = np.array([supports(*comparison) for comparison in (
+        ("omp", "s-omp", 1), ("s-omp", "s-omp", l_count),
+        ("dc-omp2", "dc-omp2", l_count))], dtype=np.intp).swapaxes(0, 1)       # (T, 3, k)
+    energies = np.square(ys).sum(axis=2)                                 # ‖y_l‖² per node
+    witness = _candidate_costs(ys, dictionaries, picks)                  # (T, 3, L)
+    mine = np.stack([witness[:, 0, 0], witness[:, 1].sum(axis=-1)], axis=-1)
+    verdicts = _least_cost(mine, witness, energies)
+    undecided = (verdicts < 0).any(axis=1)
+    verdicts[undecided] = _least_cost(                           # −1 left here is a tie
+        mine[undecided], _candidate_costs(ys[undecided], dictionaries[undecided], candidates),
+        energies[undecided])
+    return np.array([*(verdicts != 0).sum(axis=0), (picks[:, 2] == picks[:, 1]).all(axis=1).sum()])
+
+
+def oracle_check(cfg: ExperimentConfig) -> dict:
+    """Agreement of the greedy solvers with the exhaustive oracle on
+    noiseless desk-scale trials, plus the dcomp2/somp equivalence count.
+
+    Trials run in chunks (`_chunks`) whose per-node matrices fit in
+    _CHUNK_BYTES and whose full `(T, C, L)` cost tables fit in _TABLE_BYTES,
+    one task (`_oracle_chunk`) per chunk through the sweeps' map (`_map`)."""
     l_count, m = _single(cfg.l_values, "l"), _single(cfg.m_values, "m")
     _check_sparsity(cfg, [m])
     try:
         candidates = _candidates(cfg.n, cfg.k)
     except EnumerationTooLargeError as exc:
         raise ConfigError(f"keys 'n', 'k': {exc}") from None
-    noiseless = dataclasses.replace(cfg, sigma2=0.0)
-    size = max(1, min(_CHUNK_BYTES // (l_count * m * cfg.n * 8),
-                      _TABLE_BYTES // (len(candidates) * l_count * 8)))
-
-    def lead(comparison):
-        return lambda t: (f"oracle-check trial {t}, seed {cfg.master_seed}, "
-                          f"comparison {comparison}")
-
-    def supports(comparison, alg, nodes, ys, dictionaries, trials):
-        return _per_trial(lambda part: [r.common_support for r in _run_algorithm(
-            alg, ys[part, :nodes], dictionaries[part, :nodes], complete_topology(nodes),
-            cfg.k)], trials, lead(comparison))
-
-    counts = np.zeros(3, dtype=int)     # node-0 OMP and S-OMP agreements, DC-OMP 2 = S-OMP
-    for start in range(0, cfg.trials, size):
-        trials = range(start, min(start + size, cfg.trials))
-        ys, dictionaries = _draw_chunk(noiseless, l_count, m, trials, lead("(trial draw)"),
-                                       shared=False)[1:3]
-        picks = np.array([supports(*comparison, ys, dictionaries, trials) for comparison in (
-            ("omp", "s-omp", 1), ("s-omp", "s-omp", l_count),
-            ("dc-omp2", "dc-omp2", l_count))], dtype=np.intp).swapaxes(0, 1)   # (T, 3, k)
-        energies = np.square(ys).sum(axis=2)                             # ‖y_l‖² per node
-        witness = _candidate_costs(ys, dictionaries, picks)              # (T, 3, L)
-        mine = np.stack([witness[:, 0, 0], witness[:, 1].sum(axis=-1)], axis=-1)
-        verdicts = _least_cost(mine, witness, energies)
-        undecided = (verdicts < 0).any(axis=1)
-        verdicts[undecided] = _least_cost(                       # −1 left here is a tie
-            mine[undecided], _candidate_costs(ys[undecided], dictionaries[undecided], candidates),
-            energies[undecided])
-        counts += [*(verdicts != 0).sum(axis=0), (picks[:, 2] == picks[:, 1]).all(axis=1).sum()]
+    chunks = _chunks(cfg, min(_CHUNK_BYTES // (l_count * m * cfg.n * 8),
+                              _TABLE_BYTES // (len(candidates) * l_count * 8)))
+    counts = np.sum(_map(dataclasses.replace(cfg, sigma2=0.0), _oracle_chunk,
+                         [candidates] * len(chunks), chunks), axis=0)
     omp_agree, somp_agree, dcomp2_match = counts.tolist()
     return {
         "trials": cfg.trials,

@@ -145,6 +145,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="amp_low"):
             parse_config("amp_low=0\namp_high=0\n")
 
+    def test_trial_count_stops_at_the_last_seedable_index(self):
+        # trial indices 0 .. 2^32 - 1 are the ones a seed stream can key
+        assert parse_config(f"trials = {2 ** 32}\n").trials == 2 ** 32
+        with pytest.raises(ConfigError, match=re.escape("key 'trials': must lie in [1, 2^32]")):
+            parse_config(f"trials = {2 ** 32 + 1}\n")
+
     @pytest.mark.parametrize("text, key, value", [
         ("algorithms = s-omp, d-omp, s-omp\n", "algorithms", "'s-omp'"),
         ("m = 8, 8\n", "m", "8"),
@@ -186,8 +192,9 @@ class TestRunSweep:
 
     @staticmethod
     def fake_pool(monkeypatch):
-        """Make sweeps build a pool that records its size and the chunk
-        lengths it maps, and maps them in this process; no process starts."""
+        """Make sweeps and oracle-check build a pool that records its size and
+        the chunk lengths it maps, and maps them in this process; no process
+        starts."""
         record = {"sizes": [], "chunks": []}
 
         class Pool(contextlib.nullcontext):
@@ -199,7 +206,7 @@ class TestRunSweep:
                 record["chunks"].extend(map(len, tasks[-1]))
                 return map(fn, *tasks)
 
-        # a sweep loads the pool's module only when it opens a pool
+        # a command loads the pool's module only when it opens a pool
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)
         return record
 
@@ -214,7 +221,8 @@ class TestRunSweep:
         assert record["sizes"] == [size]
         # the chunks still follow the configured workers, so one CPU still
         # runs the pool path
-        assert max(record["chunks"]) == harness._chunk_size(cfg, 3, 8) == 24 // (4 * workers)
+        assert (max(record["chunks"]) == max(map(len, harness._chunks(cfg, cfg.trials)))
+                == 24 // (4 * workers))
 
     def test_import_loads_no_process_pool(self):
         # only a sweep with workers > 1 opens a pool, so importing the CLI
@@ -373,9 +381,28 @@ def sweep_outcome(cfg, sweep="m"):
         return f"RuntimeError: {exc}"
 
 
-def fixed_chunks(mp, size):
-    """Make every sweep point run in chunks of `size` trials."""
-    mp.setattr(harness, "_chunk_size", lambda cfg, l_count, m: size)
+def fixed_chunks(mp, size, chunks=harness._chunks):
+    """Make every sweep point and oracle-check run in chunks of `size`
+    trials: the chunk rule's own ranges at a cap of `size` without a pool
+    (`chunks` is bound at import, so patching twice does not nest)."""
+    mp.setattr(harness, "_chunks",
+               lambda cfg, cap: chunks(dataclasses.replace(cfg, workers=1), size))
+
+
+class Planned(Exception):
+    """Raised with the chunk lengths a command asked the chunk rule for."""
+
+
+def planned_chunks(mp, run, chunks=harness._chunks):
+    """The chunk lengths of the first chunks `run()` asks for: of a sweep's
+    first group of points, or of oracle-check's trials. No trial runs."""
+    def plan(cfg, cap):
+        raise Planned([len(trials) for trials in chunks(cfg, cap)])
+
+    mp.setattr(harness, "_chunks", plan)
+    with pytest.raises(Planned) as stopped:
+        run()
+    return stopped.value.args[0]
 
 
 def collinear_trial(doomed):
@@ -552,9 +579,10 @@ class TestChunks:
         assert len(outputs) == 1
 
     @pytest.mark.parametrize("trials, workers, l_count, m, n, shared, size", [
-        (40, 1, 10, 15, 256, True, 10),     # mac: the pool share, 10
-        (40, 1, 10, 40, 256, True, 10),
-        (5, 1, 10, 60, 256, False, 1),      # fig-m: 5 trials give a share of 1
+        (40, 1, 10, 15, 256, True, 34),     # mac, serial: the 1 MiB cap, no pool share
+        (40, 1, 10, 40, 256, True, 12),
+        (5, 1, 10, 15, 256, False, 3),      # fig-m, serial: 3 trials fit 1 MiB at M = 15
+        (5, 1, 10, 60, 256, False, 1),      # and none does at M = 60
         (20, 2, 4, 30, 256, False, 2),      # nodes-par: at most 2
         (20, 2, 12, 30, 256, False, 1),
         (500, 1, 10, 60, 256, False, 1),    # the paper's figure: 1.2 MB per trial
@@ -562,11 +590,25 @@ class TestChunks:
         (500, 1, 4, 30, 256, False, 4),     # the 1 MiB cap
         (500, 4, 10, 20, 256, True, 25),
     ])
-    def test_chunk_size_follows_from_the_input(self, trials, workers, l_count, m, n,
-                                               shared, size):
+    def test_chunk_size_follows_from_the_input(self, monkeypatch, trials, workers, l_count,
+                                               m, n, shared, size):
         tags = list(MAC_COMPARE) if shared else ["d-omp", "dc-omp2"]
-        cfg = tiny_config(n=n, trials=trials, workers=workers, algorithms=tags)
-        assert harness._chunk_size(cfg, l_count, m) == size
+        cfg = tiny_config(n=n, l_values=[l_count], m_values=[m], trials=trials,
+                          workers=workers, algorithms=tags)
+        sizes = planned_chunks(monkeypatch, lambda: run_sweep(cfg, "m"))
+        assert max(sizes) == size and sum(sizes) == trials
+
+    @pytest.mark.parametrize("trials, workers, l_count, m, n, k, size", [
+        (40, 1, 3, 6, 10, 3, 40),           # desk: one chunk, no pool share
+        (40, 2, 3, 6, 10, 3, 5),            # desk on a pool: the pool share
+        (40, 1, 3, 10, 22, 6, 1),           # C(22, 6) = 74613: a full table is 1.8 MB
+    ])
+    def test_oracle_chunk_size_follows_from_the_input(self, monkeypatch, trials, workers,
+                                                      l_count, m, n, k, size):
+        cfg = tiny_config(n=n, k=k, l_values=[l_count], m_values=[m], trials=trials,
+                          workers=workers)
+        sizes = planned_chunks(monkeypatch, lambda: oracle_check(cfg))
+        assert max(sizes) == size and sum(sizes) == trials
 
     ISOLATION = dict(n=32, k=3, l_values=[4], m_values=[10], trials=48, master_seed=5,
                      algorithms=["mac-omp", "s-omp", "d-omp", "dc-omp2"])
@@ -1001,6 +1043,37 @@ class TestOracleCheck:
             assert [trials for *_, trials in calls] == [t for t in chunks for _ in range(3)]
         assert docs[0] == docs[1] == docs[2]
 
+    @pytest.mark.parametrize("square", [False, True])
+    @settings(max_examples=5, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(4, 10), l_count=st.integers(1, 3),
+           trials=st.integers(1, 24), data=st.data())
+    def test_document_does_not_depend_on_chunks_or_workers(self, square, seed, n, l_count,
+                                                           trials, data):
+        # `square` draws k = m, where every candidate ties at rounding noise
+        k = data.draw(st.integers(1, min(4, n - 1)), label="k")
+        m = k if square else data.draw(st.integers(k, n - 1), label="m")
+        cfg = tiny_config(n=n, k=k, l_values=[l_count], m_values=[m], trials=trials,
+                          master_seed=seed)
+        docs = []
+        with pytest.MonkeyPatch.context() as mp:
+            for size, workers in itertools.product((1, 4, 16), (1, 2)):
+                fixed_chunks(mp, size)
+                docs.append(oracle_check(dataclasses.replace(cfg, workers=workers)))
+        assert all(doc == docs[0] for doc in docs)
+
+    @pytest.mark.parametrize("workers, cpus, size", [(2, 2, 2), (3, 2, 2), (4, 8, 4)])
+    def test_chunks_map_on_one_pool(self, monkeypatch, workers, cpus, size):
+        record = TestRunSweep.fake_pool(monkeypatch)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        cfg = tiny_config(**dict(self.CFG, trials=40))
+        serial = oracle_check(cfg)
+        assert record["sizes"] == []            # no pool at workers = 1
+        assert oracle_check(dataclasses.replace(cfg, workers=workers)) == serial
+        assert record["sizes"] == [size]
+        # the pool share caps the chunks, which cover every trial once
+        assert max(record["chunks"]) <= 40 // (4 * workers)
+        assert sum(record["chunks"]) == 40
+
     def test_comparisons_run_the_sweep_runners(self, monkeypatch):
         cfg = tiny_config(**self.CFG)
         calls = self.spy_runs(monkeypatch)
@@ -1324,6 +1397,7 @@ class TestCli:
                                                    ("--seed", str(2 ** 64), "seed"),
                                                    ("--seed", "abc", "seed"),
                                                    ("--trials", "1.5", "trials"),
+                                                   ("--trials", str(2 ** 32 + 1), "trials"),
                                                    ("--format", "xml", "format"),
                                                    ("--out", "{tmp}/missing/rows.csv", "out"),
                                                    ("--out", "{tmp}", "out")])
